@@ -5,10 +5,8 @@ mountain-pass solves, and the property-verification suites."""
 from .errors import (BesselOverflowError, ConvergenceError, DomainError,
                      QuadratureError, ReducedKernelError, TableRejectionError,
                      ThresholdNotMetError)
-from .geometry import (BallPoint, GeodesicRadius, ball_volume,
-                       geodesic_distance, mobius_translate,
-                       radial_volume_weight, sphere_area)
-from .specfun import bessel_k, bessel_k_log, integrate_semi_infinite
+from .geometry import radial_volume_weight, sphere_area
+from .specfun import bessel_k, bessel_k_log
 from .kernel import (BesselTerm, BesselTermSum, KernelTable, ReducedKernel,
                      apply_operator, bessel_base, build_kernel_table,
                      build_reduced_kernel, kernel, kernel_even, kernel_odd,

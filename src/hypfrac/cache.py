@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +51,15 @@ def atomic_write_npz(path: Path, **arrays):
         raise
 
 
-def load_npz(path: Path):
+def load_npz(path: Path) -> dict | None:
+    """Arrays of an npz entry by name; None if it is missing or unreadable.
+
+    The arrays are read before the file is closed.
+    """
     if not path.exists():
         return None
     try:
-        return np.load(path, allow_pickle=False)
-    except (OSError, ValueError):
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None

@@ -48,7 +48,6 @@ class RunConfig:
     path_nodes: int = 48
     out_dir: Path = Path("out")
     cache_dir: Path | None = None
-    formats: tuple = ("json", "csv")
 
     @classmethod
     def from_file(cls, path, mode_override=None) -> "RunConfig":
@@ -77,7 +76,6 @@ class RunConfig:
             path_nodes=int(sol.get("path_nodes", 48)),
             out_dir=Path(io.get("out_dir", "out")),
             cache_dir=Path(cache_dir) if cache_dir else None,
-            formats=tuple(io.get("formats", ("json", "csv"))),
         )
 
 

@@ -19,7 +19,6 @@ norm positive definite for every admissible lambda.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +73,6 @@ class RadialGrid:
     @property
     def cell_midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[1:] + self.nodes[:-1])
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.int64(self.dim).tobytes())
-        h.update(np.ascontiguousarray(self.nodes).tobytes())
-        return h.hexdigest()[:16]
 
 
 def make_grid(dim: int, r_max: float = 20.0, n: int = 400,

@@ -1,26 +1,17 @@
-"""Poincare ball model primitives.
+"""Radial volume of the hyperbolic ball model.
 
-Points live in the open Euclidean unit ball; the hyperbolic structure
-enters through Mobius translations, the geodesic distance
-d(x, y) = log((1 + |T_y(x)|) / (1 - |T_y(x)|)) and the radial volume
-weight omega_{N-1} * sinh(r)^(N-1).
-
-All operations are pure; none of them mutates its arguments.
+In geodesic polar coordinates the hyperbolic volume element is
+omega_{N-1} * sinh(r)^(N-1) dr dsigma; every radial integral of the
+package is taken against this weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-# Points with Euclidean norm above this are rejected outright: distances
-# diverge at the boundary and clamping would silently corrupt every kernel
-# value computed downstream.
-BOUNDARY_MARGIN = 1e-12
 
 
 def sphere_area(n: int) -> float:
@@ -33,92 +24,6 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-@dataclass(frozen=True)
-class BallPoint:
-    """A point of the ball model, stored in Euclidean coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise DomainError("BallPoint needs a 1-d, non-empty coordinate vector")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("BallPoint coordinates must be finite")
-        if np.dot(c, c) >= (1.0 - BOUNDARY_MARGIN) ** 2:
-            raise DomainError(
-                f"point with |x| = {np.linalg.norm(c):.17g} is too close to the "
-                f"boundary (limit 1 - {BOUNDARY_MARGIN:g})"
-            )
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-@dataclass(frozen=True)
-class GeodesicRadius:
-    """Hyperbolic distance to the origin; nonnegative and finite."""
-
-    r: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise DomainError(f"geodesic radius must be finite and >= 0, got {self.r}")
-
-    def __float__(self) -> float:
-        return self.r
-
-
-def mobius_translate(a: BallPoint, x: BallPoint) -> BallPoint:
-    """Mobius translation T_a(x) of the ball; T_a(a) = 0.
-
-    T_a(x) = (|x-a|^2 a - (1-|a|^2)(x-a)) / (1 - 2 x.a + |x|^2 |a|^2).
-    The denominator is bounded below by (1 - |x||a|)^2 > 0 inside the ball.
-    """
-    if a.dim != x.dim:
-        raise DomainError(f"dimension mismatch: {a.dim} vs {x.dim}")
-    av, xv = a.coords, x.coords
-    diff = xv - av
-    na2 = float(np.dot(av, av))
-    nx2 = float(np.dot(xv, xv))
-    denom = 1.0 - 2.0 * float(np.dot(xv, av)) + nx2 * na2
-    if denom < 1e-30:
-        raise DomainError(
-            f"Mobius denominator underflow ({denom:.3e}) for |a| = "
-            f"{math.sqrt(na2):.17g}, |x| = {math.sqrt(nx2):.17g}"
-        )
-    out = (float(np.dot(diff, diff)) * av - (1.0 - na2) * diff) / denom
-    return BallPoint(out)
-
-
-def geodesic_distance(x: BallPoint, y: BallPoint) -> GeodesicRadius:
-    """Geodesic distance d(x, y) = 2 artanh |T_y(x)|.
-
-    2 artanh(m) equals log((1+m)/(1-m)) and is accurate for nearly
-    coincident points where the quotient form loses digits.
-    """
-    m = mobius_translate(y, x).norm()
-    return GeodesicRadius(2.0 * math.atanh(m))
-
-
-def radius_of(x: BallPoint) -> GeodesicRadius:
-    """Geodesic distance from the origin, log((1+|x|)/(1-|x|))."""
-    return GeodesicRadius(2.0 * math.atanh(x.norm()))
-
-
-def euclidean_radius(r) -> float:
-    """Euclidean norm of a point at geodesic distance r from the origin."""
-    rr = float(r)
-    if rr < 0.0 or not math.isfinite(rr):
-        raise DomainError(f"geodesic radius must be finite and >= 0, got {rr}")
-    return math.tanh(rr / 2.0)
-
-
 def radial_volume_weight(n: int, r):
     """Radial density omega_{n-1} sinh(r)^(n-1) of the hyperbolic volume.
 
@@ -126,17 +31,8 @@ def radial_volume_weight(n: int, r):
     """
     if int(n) != n or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
-    rv = np.asarray(r, dtype=float) if not isinstance(r, GeodesicRadius) else np.asarray(float(r))
+    rv = np.asarray(r, dtype=float)
     if np.any(rv < 0.0) or not np.all(np.isfinite(rv)):
         raise DomainError("radii must be finite and >= 0")
     w = sphere_area(int(n)) * np.sinh(rv) ** (int(n) - 1)
     return float(w) if np.ndim(w) == 0 else w
-
-
-def ball_volume(n: int, r) -> float:
-    """Hyperbolic volume of the geodesic ball of radius r."""
-    from scipy.integrate import quad
-
-    rr = float(r)
-    val, _ = quad(lambda t: radial_volume_weight(n, t), 0.0, rr, limit=200)
-    return val

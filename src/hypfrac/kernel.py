@@ -17,8 +17,6 @@ u^2 = cosh(r) - cosh(rho) before quadrature.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -357,11 +355,6 @@ class KernelTable:
         for r, v in zip(self.rho_grid, self.values):
             fh.write(f"{r:.17g},{v:.17g}\n")
 
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
 
 def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
                        count: int, rel_tol: float = 1e-10) -> KernelTable:
@@ -480,20 +473,6 @@ class ReducedKernel:
                     f"at r = {mid:.4g}",
                     location=(float(self.r_grid[i]), float(self.r_grid[i + 1])),
                 )
-
-    def save(self, matrix_path, sidecar_path):
-        np.save(matrix_path, self.W)
-        sidecar = {
-            "dim": self.dim,
-            "s": self.order,
-            "grid": [float(r) for r in self.r_grid],
-            "diagonal_model": {
-                "prefactor": self.diagonal_model.prefactor,
-                "exponent": self.diagonal_model.exponent,
-            },
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(sidecar, fh, indent=1)
 
 
 # quadrature layout for the distance-substituted angular integrals

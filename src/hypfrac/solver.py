@@ -20,11 +20,13 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
 from scipy.optimize import brentq
 
+from .cache import content_key
 from .errors import ConvergenceError, DomainError, ThresholdNotMetError
 from .funcspace import (QuadraticForms, RadialFunction, norm_lambda_sq,
                         schwarz_rearrange, seminorm_s_sq)
@@ -111,9 +113,11 @@ class _Functional:
         self.metric = metric
         self.weights = weights
         self.exponents = tuple(exponents)
-        n = quad.shape[0]
-        self.free = np.arange(n - 1)
-        self._chol = cho_factor(metric[:-1, :-1])
+
+    @cached_property
+    def _chol(self):
+        # factored on first use: values, powers and ray maxima never need it
+        return cho_factor(self.metric[:-1, :-1])
 
     def power_integral(self, v, e) -> float:
         return float(np.sum(self.weights * np.abs(v) ** e))
@@ -204,21 +208,35 @@ def gradient_J(u: RadialFunction, spec: ProblemSpec,
     return RadialFunction(u.grid, fn.riesz_gradient(u.values))
 
 
+def _nehari_scale(fn: _Functional, v: np.ndarray, p: float) -> float:
+    q = fn.quad_form(v)
+    denom = fn.power_integral(v, p + 1.0)
+    if denom <= 0.0 or q <= 0.0:
+        raise DomainError("Nehari scale undefined: zero profile or vanishing integral")
+    return (q / denom) ** (1.0 / (p - 1.0))
+
+
 def nehari_scale(u: RadialFunction, spec: ProblemSpec,
                  forms: QuadraticForms) -> float:
     """The unique ray scale t(u) placing u on the Nehari set,
     ((||u||_l^2 + [u]_s^2) / int |u|^{p+1})^(1/(p-1))."""
     fn = _functional_for(spec, forms, include_critical=False)
-    q = fn.quad_form(u.values)
-    denom = fn.power_integral(u.values, spec.p + 1.0)
-    if denom <= 0.0 or q <= 0.0:
-        raise DomainError("Nehari scale undefined: zero profile or vanishing integral")
-    return (q / denom) ** (1.0 / (spec.p - 1.0))
+    return _nehari_scale(fn, u.values, spec.p)
 
 
 def nehari_project(u: RadialFunction, spec: ProblemSpec,
                    forms: QuadraticForms) -> RadialFunction:
     return RadialFunction(u.grid, nehari_scale(u, spec, forms) * u.values)
+
+
+def _jacobi_system(fn: _Functional, v: np.ndarray):
+    """Hessian and residual on the free nodes in symmetric Jacobi scaling:
+    (D^-1 H D^-1, D^-1 r, d) with d = sqrt|diag H| (zeros replaced by 1)."""
+    h = fn.hessian(v)[:-1, :-1]
+    r = fn.residual_vec(v)[:-1]
+    d = np.sqrt(np.abs(np.diag(h)))
+    d[d == 0.0] = 1.0
+    return h / d[:, None] / d[None, :], r / d, d
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray, tol: float,
@@ -240,13 +258,9 @@ def _newton_polish(fn: _Functional, v0: np.ndarray, tol: float,
         it_used = it
         if res < tol:
             return v, it
-        h = fn.hessian(v)[:-1, :-1]
-        r = fn.residual_vec(v)[:-1]
-        d = np.sqrt(np.abs(np.diag(h)))
-        d[d == 0.0] = 1.0
+        hs, rs, d = _jacobi_system(fn, v)
         try:
-            scaled = lin_solve(h / d[:, None] / d[None, :], r / d, assume_a="sym")
-            step = scaled / d
+            step = lin_solve(hs, rs, assume_a="sym") / d
         except np.linalg.LinAlgError:
             break
         alpha = 1.0
@@ -280,12 +294,7 @@ def _levenberg_polish(fn: _Functional, v0: np.ndarray, tol: float,
     for it in range(max_iter):
         if res < tol:
             return v, it
-        h = fn.hessian(v)[:-1, :-1]
-        r = fn.residual_vec(v)[:-1]
-        d = np.sqrt(np.abs(np.diag(h)))
-        d[d == 0.0] = 1.0
-        hs = h / d[:, None] / d[None, :]
-        rs = r / d
+        hs, rs, d = _jacobi_system(fn, v)
         if eye is None:
             eye = np.eye(hs.shape[0])
         grad = hs @ rs
@@ -318,11 +327,7 @@ def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
     single superquadratic power term (exponent spec_p + 1)."""
 
     def project(v):
-        q = fn.quad_form(v)
-        pw = fn.power_integral(v, spec_p + 1.0)
-        if pw <= 0.0 or q <= 0.0:
-            raise DomainError("cannot project the zero profile onto the Nehari set")
-        return (q / pw) ** (1.0 / (spec_p - 1.0)) * v
+        return _nehari_scale(fn, v, spec_p) * v
 
     v = np.abs(v0.copy())
     v[-1] = 0.0
@@ -526,7 +531,7 @@ def estimate_critical_constant(spec: ProblemSpec, forms: QuadraticForms,
     cached per (grid, s, lambda) pair; no attainment claim is made, only
     the fitted limit and the family minimum are reported.
     """
-    key = (forms.grid.content_hash(), forms.s, spec.lam,
+    key = (content_key(forms.grid.dim, forms.grid.nodes), forms.s, spec.lam,
            include_nonlocal, tuple(scales))
     if key in _ESTIMATE_CACHE:
         return _ESTIMATE_CACHE[key]
@@ -575,7 +580,8 @@ def estimate_subcritical_constant(spec: ProblemSpec,
                                   forms: QuadraticForms) -> float:
     """Best constant of the subcritical quotient via the ground state of
     the purely local problem (the minimizer of the quotient itself)."""
-    key = (forms.grid.content_hash(), spec.lam, spec.p, "subcritical-constant")
+    key = (content_key(forms.grid.dim, forms.grid.nodes), spec.lam, spec.p,
+           "subcritical-constant")
     if key in _ESTIMATE_CACHE:
         return _ESTIMATE_CACHE[key]
     fn = _Functional(forms.lambda_metric(spec.lam), forms.lambda_metric(spec.lam),
@@ -627,25 +633,21 @@ class ThresholdCheck:
     constant: ConstantEstimate
 
 
-def check_threshold(u0: RadialFunction, spec: ProblemSpec,
-                    forms: QuadraticForms) -> ThresholdCheck:
-    """Ray supremum of J against the compactness threshold S^(N/2)/N.
+def _ray_max(fn: _Functional, v: np.ndarray,
+             spec: ProblemSpec) -> tuple[float, float]:
+    """(max_z J(z v), maximizing z) along the ray through v.
 
     The ray energy has a unique interior maximum (its scaled derivative is
     strictly decreasing), located by bracketed root finding -- the leftmost
-    maximizer by construction, so the check is deterministic.
+    maximizer by construction, so the result is deterministic.  Both
+    bracket searches are capped.
     """
-    if spec.mode != "critical_perturbed":
-        raise DomainError("threshold check requires a critical_perturbed spec")
-    v = u0.values
-    if not np.any(v != 0.0) or np.any(v < 0.0):
-        raise DomainError("seed profile must be nonzero and nonnegative")
-    fn = _functional_for(spec, forms)
     q = fn.quad_form(v)
     c_crit = fn.power_integral(v, spec.critical_exponent)
     c_sub = fn.power_integral(v, spec.p + 1.0)
     if c_crit <= 0.0 or q <= 0.0:
-        raise DomainError("seed profile has vanishing critical integral")
+        raise DomainError("ray maximum undefined: vanishing quadratic form "
+                          "or critical integral")
 
     def dphi(z):
         return q - z ** (spec.critical_exponent - 2.0) * c_crit \
@@ -665,7 +667,18 @@ def check_threshold(u0: RadialFunction, spec: ProblemSpec,
         if lo < 1e-280:
             raise ConvergenceError("ray maximization failed near zero")
     zeta = brentq(dphi, lo, hi, xtol=1e-300, rtol=8.9e-16)
-    sup_value = fn.value(zeta * v)
+    return fn.value(zeta * v), zeta
+
+
+def check_threshold(u0: RadialFunction, spec: ProblemSpec,
+                    forms: QuadraticForms) -> ThresholdCheck:
+    """Ray supremum of J against the compactness threshold S^(N/2)/N."""
+    if spec.mode != "critical_perturbed":
+        raise DomainError("threshold check requires a critical_perturbed spec")
+    v = u0.values
+    if not np.any(v != 0.0) or np.any(v < 0.0):
+        raise DomainError("seed profile must be nonzero and nonnegative")
+    sup_value, zeta = _ray_max(_functional_for(spec, forms), v, spec)
     const = estimate_critical_constant(spec, forms, include_nonlocal=True)
     threshold = const.estimate ** (spec.N / 2.0) / spec.N
     return ThresholdCheck(float(sup_value), float(threshold),
@@ -695,17 +708,13 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms,
     smallest ray supremum wins (its ray sits closest to the ground state,
     which is where the path deformation should start).
     """
-    r = forms.grid.nodes
-    candidates = []
-    for eps in bubble_scales:
-        v = (eps / (eps ** 2 + r ** 2)) ** ((spec.N - 2.0) / 2.0) * np.exp(-r ** 2)
-        candidates.append(v)
+    candidates = [_bubble(forms.grid, eps) for eps in bubble_scales]
     for sig in gaussian_widths:
-        candidates.append(np.exp(-(r / sig) ** 2))
+        v = np.exp(-(forms.grid.nodes / sig) ** 2)
+        v[-1] = 0.0
+        candidates.append(v)
     best = None
     for v in candidates:
-        v = v.copy()
-        v[-1] = 0.0
         u0 = RadialFunction(forms.grid, v)
         check = check_threshold(u0, spec, forms)
         if best is None or check.sup_value < best[1].sup_value:
@@ -721,26 +730,8 @@ def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
     """Independent level estimate: minimize the ray maximum of J over
     profile directions by envelope gradient descent."""
     fn = _functional_for(spec, forms)
-
-    def ray_max(v):
-        u = RadialFunction(forms.grid, v)
-        tc_q = fn.quad_form(v)
-        c_crit = fn.power_integral(v, spec.critical_exponent)
-        c_sub = fn.power_integral(v, spec.p + 1.0)
-
-        def dphi(z):
-            return tc_q - z ** (spec.critical_exponent - 2.0) * c_crit \
-                - z ** (spec.p - 1.0) * c_sub
-
-        hi = 1.0
-        while dphi(hi) > 0.0:
-            hi *= 2.0
-        lo = hi * 2.0 ** -60
-        zeta = brentq(dphi, lo, hi, xtol=1e-300, rtol=8.9e-16)
-        return fn.value(zeta * v), zeta
-
     v = seed.values / max(fn.metric_norm(seed.values), 1e-300)
-    level, zeta = ray_max(v)
+    level, zeta = _ray_max(fn, v, spec)
     eta = 0.5
     for _ in range(max_iter):
         g = fn.riesz_gradient(zeta * v)
@@ -758,7 +749,7 @@ def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
                     eta *= 0.5
                     continue
                 try:
-                    cand_level, cand_zeta = ray_max(cand)
+                    cand_level, cand_zeta = _ray_max(fn, cand, spec)
                 except (ValueError, ConvergenceError):
                     cand_level = math.inf
                 if cand_level < level - 1e-14 * abs(level):

@@ -7,9 +7,7 @@ log form uses the exponentially scaled routine so the far field never
 overflows.
 
 The quadrature here is a deterministic globally adaptive Gauss-Legendre
-pair (7/15 points) with worst-panel bisection, plus a rational map for the
-semi-infinite range and a u^2-substitution hook that removes inverse
-square-root endpoint singularities exactly.
+pair (7/15 points) with worst-panel bisection over a finite interval.
 """
 
 from __future__ import annotations
@@ -143,37 +141,3 @@ def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0,
         heapq.heappush(heap, (-le, pa, mid, lv, depth + 1))
         heapq.heappush(heap, (-re, mid, pb, rv, depth + 1))
     return total_val, total_err
-
-
-def integrate_semi_infinite(f, lower: float = 0.0, tol: float = 1e-10,
-                            sqrt_singularity: bool = False) -> float:
-    """Integral of f over [lower, infinity) for integrands with at least
-    exponential decay.
-
-    With sqrt_singularity=True the value returned is
-    integral of f(t) / sqrt(t - lower) dt; the substitution t = lower + u^2
-    removes the endpoint singularity exactly, so f itself is evaluated only
-    at regular points.
-
-    The half line is mapped to [0, 1) by t = lower + u/(1-u) before the
-    adaptive pass.  Deterministic for fixed inputs.  Raises QuadratureError
-    (carrying the running estimate) if the tolerance cannot be met.
-    """
-    if not math.isfinite(lower):
-        raise DomainError(f"lower bound must be finite, got {lower}")
-
-    if sqrt_singularity:
-        def g(u):
-            return 2.0 * _eval_vectorized(f, lower + u * u)
-        return _semi_infinite_plain(g, 0.0, tol)
-    return _semi_infinite_plain(f, lower, tol)
-
-
-def _semi_infinite_plain(f, lower, tol):
-    def mapped(u):
-        t = lower + u / (1.0 - u)
-        y = _eval_vectorized(f, t)
-        return y / (1.0 - u) ** 2
-
-    val, _ = integrate_adaptive(mapped, 0.0, 1.0, tol)
-    return val

@@ -1,4 +1,7 @@
+import os
+
 import numpy as np
+import pytest
 
 from hypfrac.cache import atomic_write_npz, content_key, default_cache_dir, load_npz
 from hypfrac.pipeline import build_forms
@@ -24,6 +27,17 @@ def test_atomic_write_roundtrip(tmp_path):
     data = load_npz(path)
     assert np.array_equal(data["x"], np.arange(4.0))
     assert load_npz(tmp_path / "missing.npz") is None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open files")
+def test_load_npz_closes_its_file(tmp_path):
+    path = tmp_path / "entry.npz"
+    atomic_write_npz(path, x=np.arange(4.0))
+    before = len(os.listdir("/proc/self/fd"))
+    data = load_npz(path)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert np.array_equal(data["x"], np.arange(4.0))
 
 
 def test_pipeline_cache_hit_reproduces(tmp_path):

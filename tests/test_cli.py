@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hypfrac.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_VALIDATION, main
+from hypfrac import verify
+from hypfrac.cli import (EXIT_OK, EXIT_SUITE_FAILURE, EXIT_THRESHOLD,
+                         EXIT_VALIDATION, main)
 
 
 def run_cli(*argv):
@@ -15,8 +19,7 @@ def write_config(path, problem, out_dir, cache_dir, grid=None):
         "problem": problem,
         "grid": grid or {"R_max": 20.0, "node_count": 400, "spacing": "graded"},
         "solver": {"tol": 1e-6, "max_iter": 400, "path_nodes": 48},
-        "io": {"out_dir": str(out_dir), "cache_dir": str(cache_dir),
-               "formats": ["json", "csv"]},
+        "io": {"out_dir": str(out_dir), "cache_dir": str(cache_dir)},
     }
     path.write_text(json.dumps(cfg))
     return path
@@ -53,6 +56,10 @@ def test_solve_subcritical_run(tmp_path, cache_dir):
         tmp_path / "cfg.json",
         {"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"},
         tmp_path / "out", cache_dir)
+    # "io.formats" is no longer a setting; configs that still carry it load
+    raw = json.loads(cfg.read_text())
+    raw["io"]["formats"] = ["json", "csv"]
+    cfg.write_text(json.dumps(raw))
     assert run_cli("solve", "--config", str(cfg)) == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["converged"] is True
@@ -80,14 +87,20 @@ def test_solve_reports_are_deterministic(tmp_path, cache_dir):
     assert p1 == p2
 
 
-def test_solve_critical_threshold_failure_exit_code(tmp_path, cache_dir, capsys):
+def test_solve_critical_threshold_failure_exit_code(tmp_path, cache_dir):
+    # the documented failure at the pinned parameters: exit 4 with the
+    # offending pair printed, identically in two separate processes
     cfg = write_config(
         tmp_path / "cfg.json",
         {"N": 3, "s": 0.5, "lambda": 0.5, "p": 3.0, "mode": "critical_perturbed"},
         tmp_path / "out", cache_dir)
-    assert run_cli("solve", "--config", str(cfg)) == EXIT_THRESHOLD
-    out = capsys.readouterr().out
+    runs = [subprocess.run([sys.executable, "-m", "hypfrac.cli", "solve",
+                            "--config", str(cfg)], capture_output=True, text=True)
+            for _ in range(2)]
+    assert [run.returncode for run in runs] == [EXIT_THRESHOLD, EXIT_THRESHOLD]
+    out = runs[0].stdout
     assert "sup_value=" in out and "threshold=" in out
+    assert runs[1].stdout == out
 
 
 def test_solve_critical_resolved_configuration(tmp_path, cache_dir):
@@ -130,3 +143,19 @@ def test_verify_single_suite(cache_dir, capsys):
                    "--cache-dir", str(cache_dir)) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_reports_crashing_suite(monkeypatch, capsys):
+    def crash(cache_dir=None):
+        raise RuntimeError("boom")
+
+    def stub(name):
+        return lambda cache_dir=None: [verify.CheckResult(name, "stub", True, "ok")]
+
+    suites = {name: stub(name) for name in verify.SUITE_NAMES}
+    suites["nehari"] = crash
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    assert run_cli("verify", "--suite", "all") == EXIT_SUITE_FAILURE
+    out = capsys.readouterr().out
+    assert "FAIL  [nehari] raised RuntimeError: boom" in out
+    assert out.count("PASS  [") == len(verify.SUITE_NAMES) - 1

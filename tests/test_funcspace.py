@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_smooth_profiles
 from hypfrac.errors import DomainError
 from hypfrac.funcspace import (RadialFunction, assemble_forms, dirichlet_sq,
                                lp_norm, make_grid, mixed_quotient,
                                norm_lambda_sq, schwarz_rearrange,
                                seminorm_s_sq, sobolev_quotient)
 from hypfrac.geometry import radial_volume_weight
+from hypfrac.verify import random_smooth_profiles
 
 # continuum integrals of the reference Gaussian exp(-r^2) on the
 # 3-dimensional ball (40-digit quadrature, frozen)

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypfrac.kernel import (BesselTerm, apply_operator,
                             bessel_base, build_kernel_table,
                             build_reduced_kernel, kernel, kernel_even,
                             kernel_odd, normalizing_constant)
+from hypfrac.pipeline import build_forms
 from hypfrac.specfun import bessel_k
 
 # C(3, 1/2) evaluated from the Gamma-factor product at 40 digits; the
@@ -178,7 +178,9 @@ def test_table_validation_errors():
 
 def test_table_csv_format():
     table = build_kernel_table(3, 0.5, 1e-2, 10.0, 32)
-    text = table.csv_text()
+    buf = io.StringIO()
+    table.write_csv(buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     assert lines[0] == "rho,kernel_value"
     assert len(lines) == 33
@@ -249,16 +251,16 @@ def test_reduced_kernel_near_diagonal_exponent():
 
 def test_reduced_kernel_validate_and_export(tmp_path, reduced3):
     reduced3.validate()
-    mat = tmp_path / "reduced.npy"
-    side = tmp_path / "reduced.json"
-    reduced3.save(mat, side)
-    loaded = np.load(mat)
-    assert np.array_equal(loaded, reduced3.W)
-    meta = json.loads(side.read_text())
-    assert meta["dim"] == 3
-    assert meta["s"] == 0.5
-    assert meta["diagonal_model"]["exponent"] == 2.0
-    assert len(meta["grid"]) == reduced3.r_grid.size
+    # the forms cache entry is the one serialisation of a reduced kernel:
+    # a cache hit must rebuild it field for field
+    _, built, _ = build_forms(3, 0.5, r_max=8.0, n=64, cache_dir=tmp_path)
+    _, loaded, _ = build_forms(3, 0.5, r_max=8.0, n=64, cache_dir=tmp_path)
+    loaded.validate()
+    assert (loaded.dim, loaded.order) == (3, 0.5)
+    assert np.array_equal(loaded.r_grid, built.r_grid)
+    assert np.array_equal(loaded.W, built.W)
+    assert loaded.diagonal_model == built.diagonal_model
+    assert loaded.diagonal_model.exponent == 2.0
 
 
 def test_reduced_kernel_rejects_bad_grid():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hypfrac.errors import BesselOverflowError, DomainError, QuadratureError
-from hypfrac.specfun import (bessel_k, bessel_k_log, integrate_adaptive,
-                             integrate_semi_infinite)
+from hypfrac.specfun import bessel_k, bessel_k_log, integrate_adaptive
 
 # high-precision reference values (computed offline at 40 digits)
 K0_AT_1 = 0.42102443824070834
@@ -90,36 +89,40 @@ def test_log_far_field_golden():
 
 
 def test_integral_exponential():
-    assert integrate_semi_infinite(lambda t: np.exp(-t), 0.0, 1e-12) == \
-        pytest.approx(1.0, abs=1e-11)
+    val, err = integrate_adaptive(lambda t: np.exp(-t), 0.0, 40.0, 1e-12)
+    assert val == pytest.approx(-math.expm1(-40.0), abs=1e-11)
+    assert err <= 1e-12
 
 
 def test_integral_gaussian_moment():
-    assert integrate_semi_infinite(lambda t: t * np.exp(-t * t), 0.0, 1e-12) == \
-        pytest.approx(0.5, abs=1e-11)
+    val, _ = integrate_adaptive(lambda t: t * np.exp(-t * t), 0.0, 8.0, 1e-12)
+    assert val == pytest.approx(-0.5 * math.expm1(-64.0), abs=1e-11)
 
 
 def test_integral_sqrt_endpoint_singularity():
-    # integral over [a, inf) of e^-t / sqrt(t - a) equals sqrt(pi) e^-a
+    # integral over [a, a + 64] of e^-t / sqrt(t - a) is sqrt(pi) e^-a
+    # (up to e^-64); t = a + u^2 removes the endpoint singularity exactly,
+    # the substitution the even-dimensional kernel integral uses
     tol = 1e-10
     for a in (0.0, 0.3, 2.0):
-        got = integrate_semi_infinite(lambda t: np.exp(-t), a, tol,
-                                      sqrt_singularity=True)
+        got, _ = integrate_adaptive(lambda u: 2.0 * np.exp(-(a + u * u)),
+                                    0.0, 8.0, tol)
         assert abs(got - math.sqrt(math.pi) * math.exp(-a)) < 10.0 * tol
 
 
 def test_integral_deterministic():
     f = lambda t: np.exp(-t) * np.cos(3.0 * t)
-    assert integrate_semi_infinite(f, 0.0, 1e-11) == \
-        integrate_semi_infinite(f, 0.0, 1e-11)
+    assert integrate_adaptive(f, 0.0, 30.0, 1e-11) == \
+        integrate_adaptive(f, 0.0, 30.0, 1e-11)
 
 
 def test_integral_failure_carries_estimate():
-    # 1/(1+t) decays too slowly: the transformed integrand has a
-    # non-integrable endpoint and refinement must give up loudly
+    # 1/(1-u) has a non-integrable endpoint: refinement must give up
+    # loudly and carry its running estimate
     with pytest.raises(QuadratureError) as err:
-        integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), 0.0, 1e-8)
-    assert err.value.estimate is None or err.value.estimate > 0.0
+        integrate_adaptive(lambda u: 1.0 / (1.0 - u), 0.0, 1.0, 1e-8)
+    assert err.value.estimate is not None and err.value.estimate > 0.0
+    assert err.value.value is not None
 
 
 def test_adaptive_interval_validation():
