@@ -36,3 +36,14 @@ def subcritical_report(setup3):
     spec = ProblemSpec(N=3, s=0.5, lam=0.0, p=3.0, mode="subcritical")
     init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     return spec, solve_subcritical(spec, init, forms, tol=1e-6)
+
+
+@pytest.fixture(scope="session")
+def critical_report(setup5):
+    from hypfrac.solver import ProblemSpec, search_threshold_seed, solve_critical
+
+    grid, _, forms = setup5
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    search = search_threshold_seed(spec, forms)
+    assert search.seed is not None
+    return spec, search, solve_critical(spec, search.seed, forms, tol=1e-6)

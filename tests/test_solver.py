@@ -5,8 +5,8 @@ import pytest
 
 from hypfrac.errors import DomainError, ThresholdNotMetError
 from hypfrac.funcspace import RadialFunction, lp_norm, norm_lambda_sq
-from hypfrac.solver import (ProblemSpec, check_threshold, energy_I, energy_J,
-                            estimate_critical_constant,
+from hypfrac.solver import (ProblemSpec, check_threshold, critical_ray_level,
+                            energy_I, energy_J, estimate_critical_constant,
                             estimate_subcritical_constant, gradient_I,
                             gradient_J, mountain_pass_geometry,
                             mountain_pass_level_subcritical, nehari_project,
@@ -231,6 +231,28 @@ def test_pinned_configuration_documents_threshold_failure(setup3):
     with pytest.raises(ThresholdNotMetError) as err:
         solve_critical(spec, RadialFunction(grid, v), forms)
     assert err.value.sup_value > err.value.threshold
+
+
+def test_critical_solve_report(critical_report, setup5):
+    grid, _, forms = setup5
+    spec, search, report = critical_report
+    assert report.converged
+    assert report.residual < 1e-6
+    assert report.beta <= report.mp_level_m < report.threshold
+    assert report.beta > 0.0
+    sol = report.solution.values
+    assert np.all(sol >= -1e-8 * sol.max())
+    assert np.all(np.diff(sol) <= 1e-8 * sol.max())
+    unorm = math.sqrt(norm_lambda_sq(report.solution, spec.lam, forms))
+    u0norm = math.sqrt(norm_lambda_sq(search.seed, spec.lam, forms))
+    assert unorm > 0.01 * u0norm
+
+
+def test_critical_ray_cross_check(critical_report, setup5):
+    grid, _, forms = setup5
+    spec, search, report = critical_report
+    level = critical_ray_level(spec, search.seed, forms)
+    assert level == pytest.approx(report.mp_level_m, rel=0.02)
 
 
 def test_mountain_pass_geometry_positive(setup5):
