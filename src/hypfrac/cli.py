@@ -34,6 +34,15 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
+# every key a config may carry; "io.formats" is no longer read, but older
+# configs that still have it keep loading
+_CONFIG_KEYS = {
+    "problem": ("N", "s", "lambda", "p", "mode"),
+    "grid": ("R_max", "node_count", "spacing"),
+    "solver": ("tol", "max_iter", "path_nodes"),
+    "io": ("out_dir", "cache_dir", "formats"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -53,6 +62,16 @@ class RunConfig:
     def from_file(cls, path, mode_override=None) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("a config must be a JSON object")
+        for section, value in raw.items():
+            if section not in _CONFIG_KEYS:
+                raise ValueError(f"unknown key {section}")
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {section} must be a JSON object")
+            for key in value:
+                if key not in _CONFIG_KEYS[section]:
+                    raise ValueError(f"unknown key {section}.{key}")
         prob = raw.get("problem", {})
         mode = mode_override or prob.get("mode", "subcritical")
         if mode == "critical":

@@ -6,9 +6,13 @@ rearrangement, ray re-projection after every step) drives the iterate into
 the basin, and a Newton polish on the full Euler-Lagrange system finishes
 to near machine residual.  The critically perturbed problem runs a
 steepest-descent deformation of a discretized path from zero past the
-energy barrier, with the minimax node polished the same way; the energy
+energy barrier, with the path peak polished the same way; the energy
 threshold that guards compactness is estimated once per configuration by
-concentration extrapolation of the critical quotient.
+concentration extrapolation of the critical quotient.  One deformation
+core (_deform_path) serves both this solve and the subcritical minimax
+level, and it tracks the exact maximum of the energy on every segment of
+the path (an exact quadratic plus O(n) power terms, maximized by a
+bracketed root of the derivative), never a sampled one.
 
 Vectors live on a RadialGrid with the last node pinned to zero (truncation
 of decaying profiles), which keeps the lambda metric positive definite.
@@ -33,6 +37,8 @@ from .funcspace import (QuadraticForms, RadialFunction, norm_lambda_sq,
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
+# t-grid on which _segment_peak brackets the maximum of J along a segment
+_PEAK_GRID = np.linspace(0.0, 1.0, 9)
 _log = logging.getLogger(__name__)
 
 
@@ -424,76 +430,129 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
     )
 
 
+def _path_endpoint(fn: _Functional, v: np.ndarray, zeta: float,
+                   min_norm: float = 0.0) -> np.ndarray:
+    """First zeta 1.5^k v (k = 0, 1, ...) with J < 0 and norm above min_norm."""
+    for _ in range(200):
+        end = zeta * v
+        if fn.value(end) < 0.0 and fn.metric_norm(end) > min_norm:
+            return end
+        zeta *= 1.5
+    raise ConvergenceError("could not place the path endpoint below zero energy")
+
+
+def _segment_peak(fn: _Functional, a: np.ndarray, b: np.ndarray,
+                  qa: np.ndarray, qb: np.ndarray) -> tuple[float, float]:
+    """(max of phi(t) = J(a + t d) over t in [0, 1], maximizing t), d = b - a.
+
+    From qa = A a and qb = A b (A symmetric) the quadratic part is exactly
+    1/2 (a.Aa + 2 t a.Ad + t^2 d.Ad); the power terms cost O(n) per t.  The
+    best point of _PEAK_GRID is refined by brentq on phi'.
+    """
+    d, qd = b - a, qb - qa
+    c0, c1, c2 = float(a @ qa), float(a @ qd), float(d @ qd)
+
+    def phi(t):
+        x = a + np.multiply.outer(t, d)
+        out = 0.5 * (c0 + t * (2.0 * c1 + t * c2))
+        for e in fn.exponents:
+            out = out - (np.abs(x) ** e @ fn.weights) / e
+        return out
+
+    def dphi(t):
+        x = a + t * d
+        out = c1 + t * c2
+        for e in fn.exponents:
+            out -= float((fn.weights * np.abs(x) ** (e - 2.0) * x) @ d)
+        return out
+
+    vals = phi(_PEAK_GRID)
+    k = int(np.argmax(vals))
+    best, t_best = float(vals[k]), float(_PEAK_GRID[k])
+    lo = _PEAK_GRID[max(k - 1, 0)]
+    hi = _PEAK_GRID[min(k + 1, _PEAK_GRID.size - 1)]
+    if dphi(lo) > 0.0 > dphi(hi):
+        t = brentq(dphi, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        val = float(phi(t))
+        if val > best:
+            best, t_best = val, t
+    return best, t_best
+
+
+def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
+                 path_nodes: int, max_sweeps: int):
+    """Deform the segment path from 0 to end (policy: solve_critical).
+
+    Returns (level, peak point, nonincreasing levels before and after
+    every sweep, sweeps run).
+    """
+    top = max(fn.exponents)
+    path = [tau * end for tau in np.linspace(0.0, 1.0, path_nodes + 1)]
+    qpath = [fn.quad @ v for v in path]  # a trial step costs one product with A
+    seg = [_segment_peak(fn, path[j], path[j + 1], qpath[j], qpath[j + 1])
+           for j in range(path_nodes)]
+    end_val = fn.value(end)
+    etas = np.full(path_nodes + 1, 0.25)
+    norm_cap = 10.0 * fn.metric_norm(end)
+
+    def minimax():
+        j = int(np.argmax([val for val, _ in seg]))
+        level, t = seg[j]
+        if end_val > level:
+            return end_val, end
+        return level, path[j] + t * (path[j + 1] - path[j])
+
+    level, peak = minimax()
+    history = [level]
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        if fn.residual_norm(peak) < 1e-4 * max(fn.metric_norm(peak), 1.0):
+            break
+        improved_any = False
+        for j in range(1, path_nodes):
+            g = fn.riesz_gradient(path[j])
+            if fn.metric_norm(g) == 0.0:
+                continue
+            for _ in range(4):
+                cand = path[j] - etas[j] * g
+                cand[-1] = 0.0
+                if (fn.metric_norm(cand) > norm_cap
+                        or origin_mass_share(cand, forms, top) > 0.5):
+                    etas[j] *= 0.5
+                    continue
+                q_cand = fn.quad @ cand
+                new_lo = _segment_peak(fn, path[j - 1], cand, qpath[j - 1], q_cand)
+                new_hi = _segment_peak(fn, cand, path[j + 1], q_cand, qpath[j + 1])
+                old_local = max(seg[j - 1][0], seg[j][0])
+                if max(new_lo[0], new_hi[0]) < old_local * (1.0 - 1e-14):
+                    path[j], qpath[j] = cand, q_cand
+                    seg[j - 1], seg[j] = new_lo, new_hi
+                    etas[j] = min(etas[j] * 1.4, 8.0)
+                    improved_any = True
+                    break
+                etas[j] *= 0.5
+        level, peak = minimax()
+        history.append(level)
+        if not improved_any:
+            break
+    return level, peak, history, sweeps
+
+
 def mountain_pass_level_subcritical(spec: ProblemSpec, solution: RadialFunction,
-                                    forms: QuadraticForms,
-                                    path_nodes: int = 33,
-                                    segment_samples: int = 9) -> float:
+                                    forms: QuadraticForms) -> float:
     """Minimax level over segment paths through the ground state.
 
     The ray through a Nehari point peaks exactly at the point itself, so
-    the segment path gives the level of the constrained minimum as an
-    upper bound.  Deterministic descent perturbations of the path nodes
-    then try to push the minimax lower; the maximum is tracked along the
-    interpolated polyline (not just at the nodes), so a node cannot fake
-    an improvement by stepping through the energy ridge.
+    the straight path through the ground state attains the constrained
+    minimum; the shared deformation then tries to push it lower.
     """
     fn = _functional_for(spec, forms, include_critical=False)
     u = solution.values
-    t_u = nehari_scale(solution, spec, forms)
     # ray energy crosses zero at t_u ((p+1)/2)^(1/(p-1)); overshoot past it
+    t_u = _nehari_scale(fn, u, spec.p)
     t_zero = t_u * ((spec.p + 1.0) / 2.0) ** (1.0 / (spec.p - 1.0))
-    big = 1.5 * t_zero
-    for _ in range(60):
-        if fn.value(big * u) < 0.0:
-            break
-        big *= 1.5
-    else:
-        raise ConvergenceError("could not find a negative-energy ray endpoint")
-
-    taus = np.linspace(0.0, 1.0, path_nodes)
-    path = [tau * big * u for tau in taus]
-    frac = np.linspace(0.0, 1.0, segment_samples, endpoint=False)
-
-    def segment_max(a, b):
-        vals = [fn.value(a + t * (b - a)) for t in frac]
-        return max(vals)
-
-    seg = [segment_max(a, b) for a, b in zip(path[:-1], path[1:])]
-    end_val = fn.value(path[-1])
-
-    def level_of(segs):
-        return max(max(segs), end_val)
-
-    level = level_of(seg)
-
-    # descent perturbation: push every interior node along the negative
-    # Riesz gradient whenever that lowers the polyline maximum; only the
-    # two incident segments need re-evaluation per trial
-    for _ in range(8):
-        improved_any = False
-        for j in range(1, path_nodes - 1):
-            g = fn.riesz_gradient(path[j])
-            gnorm = fn.metric_norm(g)
-            if gnorm == 0.0:
-                continue
-            eta = 0.05 * max(fn.metric_norm(path[j]), 1e-30) / gnorm
-            for _ in range(6):
-                cand = path[j] - eta * g
-                cand[-1] = 0.0
-                new_lo = segment_max(path[j - 1], cand)
-                new_hi = segment_max(cand, path[j + 1])
-                trial = list(seg)
-                trial[j - 1], trial[j] = new_lo, new_hi
-                trial_level = level_of(trial)
-                if trial_level < level * (1.0 - 1e-12):
-                    path[j] = cand
-                    seg, level = trial, trial_level
-                    improved_any = True
-                    break
-                eta *= 0.5
-        if not improved_any:
-            break
-    return level
+    end = _path_endpoint(fn, u, 1.5 * t_zero)
+    return _deform_path(fn, forms, end, path_nodes=32, max_sweeps=8)[0]
 
 
 @dataclass(frozen=True)
@@ -765,18 +824,20 @@ def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
 
 def solve_critical(spec: ProblemSpec, u0: RadialFunction,
                    forms: QuadraticForms, tol: float = 1e-6,
-                   path_nodes: int = 48, max_deform: int = 200,
-                   segment_samples: int = 7) -> SolveReport:
+                   path_nodes: int = 48, max_deform: int = 200) -> SolveReport:
     """Mountain-pass solution of the critically perturbed problem.
 
     Deforms a discretized path from zero to the negative-energy endpoint
-    zeta0 * u0 by per-node steepest descent with the minimax tracked along
-    the interpolated polyline (a node cannot fake progress by stepping
-    through the ridge), then polishes the peak sample into a genuine
-    critical point.  Steps that would concentrate the critical integral
-    below the mesh scale are rejected: the lumped quadrature understates
-    the critical norm of sub-grid spikes, and chasing them would produce a
-    spurious saddle the continuum problem does not have.
+    zeta0 * u0 with the deformation shared with
+    mountain_pass_level_subcritical (_deform_path): per-node steepest
+    descent against the exact maximum of J on each segment of the
+    polyline, so a node cannot fake progress by stepping through the
+    ridge.  The path peak is then polished into a genuine critical point.
+    Steps that would concentrate the critical integral below the mesh
+    scale are rejected: the lumped quadrature understates the critical
+    norm of sub-grid spikes, and chasing them would produce a spurious
+    saddle the continuum problem does not have.  energy_history holds the
+    exact path level before and after each sweep, an upper bound on m.
 
     Fails loudly (ThresholdNotMetError) when the seed violates the energy
     threshold.
@@ -789,76 +850,10 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
         )
     fn = _functional_for(spec, forms)
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
-    two_star = spec.critical_exponent
-
-    zeta_e = 2.0 * check.zeta_star
     v0 = u0.values
-    for _ in range(200):
-        if fn.value(zeta_e * v0) < 0.0 and fn.metric_norm(zeta_e * v0) > mp_radius:
-            break
-        zeta_e *= 1.5
-    else:
-        raise ConvergenceError("could not place the path endpoint below zero energy")
-
-    taus = np.linspace(0.0, 1.0, path_nodes + 1)
-    path = [tau * zeta_e * v0 for tau in taus]
-    etas = np.full(path_nodes + 1, 0.25)
-    norm_cap = 10.0 * fn.metric_norm(path[-1])
-    frac = np.linspace(0.0, 1.0, segment_samples, endpoint=False)
-
-    def segment_peak(a, b):
-        best_val, best_pt = -math.inf, a
-        for t in frac:
-            pt = a + t * (b - a)
-            val = fn.value(pt)
-            if val > best_val:
-                best_val, best_pt = val, pt
-        return best_val, best_pt
-
-    seg = [segment_peak(a, b) for a, b in zip(path[:-1], path[1:])]
-    end_val = fn.value(path[-1])
-
-    def minimax():
-        j = int(np.argmax([sv for sv, _ in seg]))
-        level, peak = seg[j]
-        if end_val > level:
-            return end_val, path[-1]
-        return level, peak
-
-    level, peak = minimax()
-    history = [level]
-    deform_iters = 0
-    for sweep in range(max_deform):
-        deform_iters = sweep + 1
-        if fn.residual_norm(peak) < 1e-4 * max(fn.metric_norm(peak), 1.0):
-            break
-        improved_any = False
-        for j in range(1, path_nodes):
-            g = fn.riesz_gradient(path[j])
-            gnorm = fn.metric_norm(g)
-            if gnorm == 0.0:
-                continue
-            for _ in range(4):
-                cand = path[j] - etas[j] * g
-                cand[-1] = 0.0
-                if (fn.metric_norm(cand) > norm_cap
-                        or origin_mass_share(cand, forms, two_star) > 0.5):
-                    etas[j] *= 0.5
-                    continue
-                new_lo = segment_peak(path[j - 1], cand)
-                new_hi = segment_peak(cand, path[j + 1])
-                old_local = max(seg[j - 1][0], seg[j][0])
-                if max(new_lo[0], new_hi[0]) < old_local * (1.0 - 1e-14):
-                    path[j] = cand
-                    seg[j - 1], seg[j] = new_lo, new_hi
-                    etas[j] = min(etas[j] * 1.4, 8.0)
-                    improved_any = True
-                    break
-                etas[j] *= 0.5
-        level, peak = minimax()
-        history.append(level)
-        if not improved_any:
-            break
+    end = _path_endpoint(fn, v0, 2.0 * check.zeta_star, min_norm=mp_radius)
+    _, peak, history, deform_iters = _deform_path(fn, forms, end, path_nodes,
+                                                  max_deform)
 
     v_inf, newton_its = _newton_polish(
         fn, peak, tol=1e-12 * max(fn.metric_norm(peak), 1.0))
@@ -866,7 +861,7 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     m = fn.value(v_inf)
     residual = fn.residual_norm(v_inf)
     nontrivial = fn.metric_norm(v_inf) > 0.01 * fn.metric_norm(v0)
-    resolved = origin_mass_share(v_inf, forms, two_star) <= 0.5
+    resolved = origin_mass_share(v_inf, forms, spec.critical_exponent) <= 0.5
 
     # the envelope estimate of beta is only as good as the embedding
     # constants; the solution ray crosses the small sphere below its own

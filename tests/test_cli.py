@@ -125,6 +125,22 @@ def test_solve_config_errors(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"problem": {"N": 2, "s": 0.5}}))
     assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
+    for shape in ([1], {"problem": {"N": 3, "s": 0.5}, "grid": 5}):
+        invalid.write_text(json.dumps(shape))
+        assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
+
+
+def test_solve_rejects_unknown_config_key(tmp_path, cache_dir, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"},
+        tmp_path / "out", cache_dir)
+    raw = json.loads(cfg.read_text())
+    raw["solver"]["max_itr"] = raw["solver"].pop("max_iter")
+    cfg.write_text(json.dumps(raw))
+    assert run_cli("solve", "--config", str(cfg)) == EXIT_VALIDATION
+    assert "config error: unknown key solver.max_itr" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mode_override_maps_critical(tmp_path, cache_dir):
@@ -159,3 +175,6 @@ def test_verify_reports_crashing_suite(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  [nehari] raised RuntimeError: boom" in out
     assert out.count("PASS  [") == len(verify.SUITE_NAMES) - 1
+    # the detail column starts at one offset whatever the suite tag's length
+    assert len({line.rindex(" ok") for line in out.splitlines()
+                if line.startswith("  PASS  [")}) == 1

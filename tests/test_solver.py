@@ -5,7 +5,8 @@ import pytest
 
 from hypfrac.errors import DomainError, ThresholdNotMetError
 from hypfrac.funcspace import RadialFunction, lp_norm, norm_lambda_sq
-from hypfrac.solver import (ProblemSpec, check_threshold, critical_ray_level,
+from hypfrac.solver import (ProblemSpec, _bubble, _functional_for, _ray_max,
+                            _segment_peak, check_threshold, critical_ray_level,
                             energy_I, energy_J, estimate_critical_constant,
                             estimate_subcritical_constant, gradient_I,
                             gradient_J, mountain_pass_geometry,
@@ -134,7 +135,8 @@ def test_mountain_pass_level_matches_constrained_minimum(subcritical_report, set
     spec, report = subcritical_report
     level = mountain_pass_level_subcritical(spec, report.solution, forms)
     assert level > 0.0
-    assert level == pytest.approx(report.c_star, rel=0.01)
+    assert abs(level - report.c_star) < 1e-9 * report.c_star
+    assert level >= report.c_star * (1.0 - 1e-12)
     s_sub = estimate_subcritical_constant(spec, forms)
     lower = 0.25 * ((spec.p + 1.0) * s_sub ** ((spec.p + 1.0) / 2.0) / 4.0) \
         ** (2.0 / (spec.p - 1.0))
@@ -181,8 +183,6 @@ def test_step2_coercivity_inequality(setup5):
     # J(u) - J'(u)[u]/(p+1) >= (p-1)/(2(p+1)) |u|_lambda^2
     grid, _, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    from hypfrac.solver import _functional_for
-
     fn = _functional_for(spec, forms)
     factor = (spec.p - 1.0) / (2.0 * (spec.p + 1.0))
     for v in random_smooth_profiles(grid, 10, seed=32):
@@ -253,6 +253,35 @@ def test_critical_ray_cross_check(critical_report, setup5):
     spec, search, report = critical_report
     level = critical_ray_level(spec, search.seed, forms)
     assert level == pytest.approx(report.mp_level_m, rel=0.02)
+
+
+def test_critical_path_levels_bound_m(critical_report):
+    # the exact path maximum is an upper bound on the mountain-pass level
+    # and the deformation never raises it
+    _, _, report = critical_report
+    hist = np.array(report.energy_history)
+    assert np.all(hist >= report.mp_level_m * (1.0 - 1e-12))
+    assert np.all(np.diff(hist) <= 0.0)
+
+
+def test_segment_peak_matches_dense_sampling(setup5):
+    grid, _, forms = setup5
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    fn = _functional_for(spec, forms)
+    # from below one bubble's ray peak to beyond another's: J rises to an
+    # interior maximum between the points of the segment-peak t-grid
+    v1, v2 = _bubble(grid, 0.08), _bubble(grid, 0.16)
+    a = 0.5 * _ray_max(fn, v1, spec)[1] * v1
+    b = 1.5 * _ray_max(fn, v2, spec)[1] * v2
+    peak, t_peak = _segment_peak(fn, a, b, fn.quad @ a, fn.quad @ b)
+    ts = np.linspace(0.0, 1.0, 20001)
+    dense = np.array([fn.value(a + t * (b - a)) for t in ts])
+    assert 0.0 < t_peak < 1.0 and 0 < int(np.argmax(dense)) < ts.size - 1
+    # a grid point within h/2 of the maximizer misses it by at most
+    # max|phi''| (h/2)^2 / 2 = max|second difference| / 8
+    spacing_err = np.abs(np.diff(dense, 2)).max() / 8.0
+    assert peak >= dense.max() * (1.0 - 1e-12)
+    assert peak - dense.max() <= spacing_err + 1e-12 * abs(dense.max())
 
 
 def test_mountain_pass_geometry_positive(setup5):
