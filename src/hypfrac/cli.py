@@ -44,6 +44,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _json_int(value, name: str) -> int:
+    """A config value that must be a JSON integer: 3.5 or "3" is an error,
+    never truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration; mirrors the JSON schema in the docs."""
@@ -77,7 +85,7 @@ class RunConfig:
         if mode == "critical":
             mode = "critical_perturbed"
         spec = solver.ProblemSpec(
-            N=int(prob["N"]), s=float(prob["s"]),
+            N=_json_int(prob["N"], "problem.N"), s=float(prob["s"]),
             lam=float(prob.get("lambda", 0.0)),
             p=float(prob.get("p", 3.0)), mode=mode,
         )
@@ -85,14 +93,17 @@ class RunConfig:
         sol = raw.get("solver", {})
         io = raw.get("io", {})
         cache_dir = io.get("cache_dir")
+        path_nodes = _json_int(sol.get("path_nodes", 48), "solver.path_nodes")
+        if path_nodes < 1:
+            raise ValueError(f"solver.path_nodes must be >= 1, got {path_nodes}")
         return cls(
             problem=spec,
             r_max=float(grid.get("R_max", 20.0)),
-            node_count=int(grid.get("node_count", 400)),
+            node_count=_json_int(grid.get("node_count", 400), "grid.node_count"),
             spacing=str(grid.get("spacing", "graded")),
             tol=float(sol.get("tol", 1e-6)),
-            max_iter=int(sol.get("max_iter", 400)),
-            path_nodes=int(sol.get("path_nodes", 48)),
+            max_iter=_json_int(sol.get("max_iter", 400), "solver.max_iter"),
+            path_nodes=path_nodes,
             out_dir=Path(io.get("out_dir", "out")),
             cache_dir=Path(cache_dir) if cache_dir else None,
         )

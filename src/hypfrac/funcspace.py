@@ -26,9 +26,9 @@ import numpy as np
 from .errors import DomainError
 from .geometry import radial_volume_weight
 from .kernel import ReducedKernel
+from .specfun import geometric_panels
 
 _CELL_GL = np.polynomial.legendre.leggauss(6)
-_BAND_GL = np.polynomial.legendre.leggauss(8)
 
 
 def _spectral_gap_bound(n: int) -> float:
@@ -157,10 +157,6 @@ class RadialFunction:
             raise DomainError("profile values must be finite")
         self.values = v
 
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, fn) -> "RadialFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
     def copy(self) -> "RadialFunction":
         return RadialFunction(self.grid, self.values.copy())
 
@@ -231,17 +227,6 @@ def _cell_pair_integral(a1, b1, a2, b2, s):
     )
 
 
-def _geometric_panels(upper, levels=10):
-    xs, ws = _BAND_GL
-    edges = upper * np.concatenate(([0.0], 2.0 ** (-np.arange(levels, -1, -1, dtype=float))))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _adjacent_slope_matrix(h_lo, h_hi, s):
     """Gram matrix of the slope pair across one shared node.
 
@@ -268,10 +253,10 @@ def _adjacent_slope_matrix(h_lo, h_hi, s):
         term += a * (t1 ** (-two_s) - t0 ** (-two_s)) / two_s
         return term
 
-    nodes, wq = _geometric_panels(h_hi)
+    nodes, wq = geometric_panels(h_hi, 10)
     t20 = float(np.dot(wq, nodes ** 2 * inner_moment0(nodes, h_lo)))
     t11 = float(np.dot(wq, nodes * inner_moment1(nodes, h_lo)))
-    nodes, wq = _geometric_panels(h_lo)
+    nodes, wq = geometric_panels(h_lo, 10)
     t02 = float(np.dot(wq, nodes ** 2 * inner_moment0(nodes, h_hi)))
     return t20, t11, t02
 

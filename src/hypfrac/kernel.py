@@ -27,7 +27,7 @@ from scipy.special import beta as beta_fn
 
 from .errors import DomainError, QuadratureError, ReducedKernelError, TableRejectionError
 from .geometry import sphere_area
-from .specfun import bessel_k_log, integrate_adaptive
+from .specfun import bessel_k_log, geometric_panels, integrate_adaptive
 
 UNDERFLOW_FLOOR = 1e-300
 
@@ -445,7 +445,7 @@ class ReducedKernel:
     W: np.ndarray
     diagonal_model: DiagonalModel
 
-    def validate(self, check_rows=None):
+    def validate(self):
         n = self.r_grid.size
         if self.W.shape != (n, n):
             raise ReducedKernelError("weight matrix shape does not match grid")
@@ -459,8 +459,7 @@ class ReducedKernel:
         # near-diagonal law: adjacent pairs should match the model where the
         # separation is small both absolutely (kernel power-law regime) and
         # relative to the radius (angular slab regime)
-        rows = check_rows if check_rows is not None else range(1, n - 1)
-        for i in rows:
+        for i in range(1, n - 1):
             delta = self.r_grid[i + 1] - self.r_grid[i]
             mid = 0.5 * (self.r_grid[i + 1] + self.r_grid[i])
             if mid < 10.0 * delta or delta > 0.2:
@@ -475,35 +474,11 @@ class ReducedKernel:
                 )
 
 
-# quadrature layout for the distance-substituted angular integrals
-_PAIR_GL = np.polynomial.legendre.leggauss(8)
-_LOWER_LEVELS = 18
-_UPPER_LEVELS = 8
-
-
-def _pair_quadrature_nodes():
-    """Normalized node/weight layout shared by every node pair.
-
-    Lower half of [delta, Sigma] in the variable v = sqrt(d - delta) with
-    panels refined geometrically toward v = 0; upper half in
-    w = sqrt(Sigma - d) likewise.  Returns fractions of the respective
-    half-range together with panel weights.
-    """
-    xs, ws = _PAIR_GL
-
-    def geometric(levels):
-        edges = np.concatenate(([0.0], 2.0 ** (-np.arange(levels, -1, -1, dtype=float))))
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            nodes.append(0.5 * (a + b) + half * xs)
-            weights.append(half * ws)
-        return np.concatenate(nodes), np.concatenate(weights)
-
-    return geometric(_LOWER_LEVELS), geometric(_UPPER_LEVELS)
-
-
-_PAIR_NODES = _pair_quadrature_nodes()
+# Normalized node/weight layout shared by every node pair: the lower half
+# of [delta, Sigma] in the variable v = sqrt(d - delta) with panels refined
+# geometrically toward v = 0, the upper half in w = sqrt(Sigma - d)
+# likewise, as fractions of the respective half-range.
+_PAIR_NODES = (geometric_panels(1.0, 18), geometric_panels(1.0, 8))
 
 
 def _angular_weights(N, s, r1, r2, kernel_eval):

@@ -7,12 +7,15 @@ the basin, and a Newton polish on the full Euler-Lagrange system finishes
 to near machine residual.  The critically perturbed problem runs a
 steepest-descent deformation of a discretized path from zero past the
 energy barrier, with the path peak polished the same way; the energy
-threshold that guards compactness is estimated once per configuration by
-concentration extrapolation of the critical quotient.  One deformation
-core (_deform_path) serves both this solve and the subcritical minimax
-level, and it tracks the exact maximum of the energy on every segment of
-the path (an exact quadratic plus O(n) power terms, maximized by a
-bracketed root of the derivative), never a sampled one.
+threshold that guards compactness is estimated by concentration
+extrapolation of the critical quotient.  One deformation core
+(_deform_path) serves both this solve and the subcritical minimax level,
+and it tracks the exact maximum of the energy on every segment of the
+path (an exact quadratic plus O(n) power terms, maximized by a bracketed
+root of the derivative), never a sampled one.  The deformation has one
+stop rule: it ends after the first sweep that does not lower that exact
+path level, and the peak it leaves only has to be close enough for the
+Newton polish.
 
 Vectors live on a RadialGrid with the last node pinned to zero (truncation
 of decaying profiles), which keeps the lambda metric positive definite.
@@ -30,7 +33,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
 from scipy.optimize import brentq
 
-from .cache import content_key
 from .errors import ConvergenceError, DomainError, ThresholdNotMetError
 from .funcspace import (QuadraticForms, RadialFunction, norm_lambda_sq,
                         schwarz_rearrange, seminorm_s_sq)
@@ -39,6 +41,16 @@ _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
 # t-grid on which _segment_peak brackets the maximum of J along a segment
 _PEAK_GRID = np.linspace(0.0, 1.0, 9)
+# guard on the _deform_path loop; the stop rule ends it long before
+_MAX_SWEEPS = 200
+# bubble scales of the concentration extrapolation of the critical constant
+_CONCENTRATION_SCALES = (0.16, 0.08, 0.04, 0.02, 0.01)
+# the family search_threshold_seed visits, in this order
+_SEED_BUBBLE_SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16)
+_SEED_GAUSSIAN_WIDTHS = (0.25, 0.5, 1.0, 2.0)
+# envelope descent of critical_ray_level: step budget and relative stop
+_RAY_MAX_ITER = 300
+_RAY_TOL = 1e-9
 _log = logging.getLogger(__name__)
 
 
@@ -480,11 +492,13 @@ def _segment_peak(fn: _Functional, a: np.ndarray, b: np.ndarray,
 
 
 def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
-                 path_nodes: int, max_sweeps: int):
+                 path_nodes: int):
     """Deform the segment path from 0 to end (policy: solve_critical).
 
-    Returns (level, peak point, nonincreasing levels before and after
-    every sweep, sweeps run).
+    Stops after the first sweep that does not lower the exact path level
+    (a sweep that moves no node is one of them).  Returns (level, peak
+    point, levels before and after every sweep): they decrease strictly
+    up to the last sweep, which repeats the level before it.
     """
     top = max(fn.exponents)
     path = [tau * end for tau in np.linspace(0.0, 1.0, path_nodes + 1)]
@@ -504,11 +518,7 @@ def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
 
     level, peak = minimax()
     history = [level]
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        if fn.residual_norm(peak) < 1e-4 * max(fn.metric_norm(peak), 1.0):
-            break
-        improved_any = False
+    for _ in range(_MAX_SWEEPS):
         for j in range(1, path_nodes):
             g = fn.riesz_gradient(path[j])
             if fn.metric_norm(g) == 0.0:
@@ -528,14 +538,13 @@ def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
                     path[j], qpath[j] = cand, q_cand
                     seg[j - 1], seg[j] = new_lo, new_hi
                     etas[j] = min(etas[j] * 1.4, 8.0)
-                    improved_any = True
                     break
                 etas[j] *= 0.5
         level, peak = minimax()
         history.append(level)
-        if not improved_any:
+        if level >= history[-2]:
             break
-    return level, peak, history, sweeps
+    return level, peak, history
 
 
 def mountain_pass_level_subcritical(spec: ProblemSpec, solution: RadialFunction,
@@ -552,7 +561,7 @@ def mountain_pass_level_subcritical(spec: ProblemSpec, solution: RadialFunction,
     t_u = _nehari_scale(fn, u, spec.p)
     t_zero = t_u * ((spec.p + 1.0) / 2.0) ** (1.0 / (spec.p - 1.0))
     end = _path_endpoint(fn, u, 1.5 * t_zero)
-    return _deform_path(fn, forms, end, path_nodes=32, max_sweeps=8)[0]
+    return _deform_path(fn, forms, end, path_nodes=32)[0]
 
 
 @dataclass(frozen=True)
@@ -566,9 +575,6 @@ class ConstantEstimate:
     quotients: tuple
 
 
-_ESTIMATE_CACHE: dict = {}
-
-
 def _bubble(grid, eps: float) -> np.ndarray:
     r = grid.nodes
     n = grid.dim
@@ -578,28 +584,23 @@ def _bubble(grid, eps: float) -> np.ndarray:
 
 
 def estimate_critical_constant(spec: ProblemSpec, forms: QuadraticForms,
-                               include_nonlocal: bool = True,
-                               scales=(0.16, 0.08, 0.04, 0.02, 0.01)) -> ConstantEstimate:
+                               include_nonlocal: bool = True) -> ConstantEstimate:
     """Best constant of the critical quotient by concentration
     extrapolation over a family of shrinking bubbles.
 
     The quotient decreases along the family like S + c eps^q with an
     effective order q that carries slowly varying (logarithmic)
     corrections, so q is measured from the last three quotients and one
-    Richardson step extrapolates to the concentration limit.  Results are
-    cached per (grid, s, lambda) pair; no attainment claim is made, only
-    the fitted limit and the family minimum are reported.
+    Richardson step extrapolates to the concentration limit.  No
+    attainment claim is made, only the fitted limit and the family minimum
+    are reported.
     """
-    key = (content_key(forms.grid.dim, forms.grid.nodes), forms.s, spec.lam,
-           include_nonlocal, tuple(scales))
-    if key in _ESTIMATE_CACHE:
-        return _ESTIMATE_CACHE[key]
     lam_metric = forms.lambda_metric(spec.lam)
     quad = lam_metric + forms.nonlocal_mat if include_nonlocal else lam_metric
     two_star = spec.critical_exponent
     w = forms.grid.weights
     quotients = []
-    for eps in scales:
+    for eps in _CONCENTRATION_SCALES:
         v = _bubble(forms.grid, eps)
         num = float(v @ quad @ v)
         den = float(np.sum(w * np.abs(v) ** two_star) ** (2.0 / two_star))
@@ -615,10 +616,9 @@ def estimate_critical_constant(spec: ProblemSpec, forms: QuadraticForms,
         estimate = family_min
     if estimate <= 0.0:
         estimate = family_min
-    out = ConstantEstimate(float(estimate), family_min, float(order),
-                           tuple(scales), tuple(float(q) for q in quotients))
-    _ESTIMATE_CACHE[key] = out
-    return out
+    return ConstantEstimate(float(estimate), family_min, float(order),
+                            _CONCENTRATION_SCALES,
+                            tuple(float(q) for q in quotients))
 
 
 def origin_mass_share(v: np.ndarray, forms: QuadraticForms, exponent: float,
@@ -639,10 +639,6 @@ def estimate_subcritical_constant(spec: ProblemSpec,
                                   forms: QuadraticForms) -> float:
     """Best constant of the subcritical quotient via the ground state of
     the purely local problem (the minimizer of the quotient itself)."""
-    key = (content_key(forms.grid.dim, forms.grid.nodes), spec.lam, spec.p,
-           "subcritical-constant")
-    if key in _ESTIMATE_CACHE:
-        return _ESTIMATE_CACHE[key]
     fn = _Functional(forms.lambda_metric(spec.lam), forms.lambda_metric(spec.lam),
                      forms.grid.weights, [spec.p + 1.0])
     init = np.exp(-forms.grid.nodes ** 2)
@@ -652,9 +648,7 @@ def estimate_subcritical_constant(spec: ProblemSpec,
     v, _ = _newton_polish(fn, v, tol=1e-12 * max(fn.metric_norm(v), 1.0))
     q = fn.quad_form(v)
     pw = fn.power_integral(v, spec.p + 1.0)
-    s_est = q / pw ** (2.0 / (spec.p + 1.0))
-    _ESTIMATE_CACHE[key] = float(s_est)
-    return float(s_est)
+    return float(q / pw ** (2.0 / (spec.p + 1.0)))
 
 
 def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[float, float]:
@@ -754,10 +748,7 @@ class SeedSearch:
     tried: int
 
 
-def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms,
-                          bubble_scales=(0.0025, 0.005, 0.01, 0.02, 0.04,
-                                         0.08, 0.16),
-                          gaussian_widths=(0.25, 0.5, 1.0, 2.0)) -> SeedSearch:
+def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearch:
     """Deterministic sweep of concentrating bubbles and Gaussian bumps for
     a profile satisfying the mountain-pass energy threshold.
 
@@ -767,8 +758,8 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms,
     smallest ray supremum wins (its ray sits closest to the ground state,
     which is where the path deformation should start).
     """
-    candidates = [_bubble(forms.grid, eps) for eps in bubble_scales]
-    for sig in gaussian_widths:
+    candidates = [_bubble(forms.grid, eps) for eps in _SEED_BUBBLE_SCALES]
+    for sig in _SEED_GAUSSIAN_WIDTHS:
         v = np.exp(-(forms.grid.nodes / sig) ** 2)
         v[-1] = 0.0
         candidates.append(v)
@@ -784,18 +775,17 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms,
 
 
 def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
-                       forms: QuadraticForms, max_iter: int = 300,
-                       tol: float = 1e-9) -> float:
+                       forms: QuadraticForms) -> float:
     """Independent level estimate: minimize the ray maximum of J over
     profile directions by envelope gradient descent."""
     fn = _functional_for(spec, forms)
     v = seed.values / max(fn.metric_norm(seed.values), 1e-300)
     level, zeta = _ray_max(fn, v, spec)
     eta = 0.5
-    for _ in range(max_iter):
+    for _ in range(_RAY_MAX_ITER):
         g = fn.riesz_gradient(zeta * v)
         gnorm = fn.metric_norm(g)
-        if gnorm * zeta < tol * max(level, 1e-30):
+        if gnorm * zeta < _RAY_TOL * max(level, 1e-30):
             break
         accepted = False
         for _ in range(30):
@@ -824,7 +814,7 @@ def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
 
 def solve_critical(spec: ProblemSpec, u0: RadialFunction,
                    forms: QuadraticForms, tol: float = 1e-6,
-                   path_nodes: int = 48, max_deform: int = 200) -> SolveReport:
+                   path_nodes: int = 48) -> SolveReport:
     """Mountain-pass solution of the critically perturbed problem.
 
     Deforms a discretized path from zero to the negative-energy endpoint
@@ -832,12 +822,14 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     mountain_pass_level_subcritical (_deform_path): per-node steepest
     descent against the exact maximum of J on each segment of the
     polyline, so a node cannot fake progress by stepping through the
-    ridge.  The path peak is then polished into a genuine critical point.
-    Steps that would concentrate the critical integral below the mesh
-    scale are rejected: the lumped quadrature understates the critical
-    norm of sub-grid spikes, and chasing them would produce a spurious
-    saddle the continuum problem does not have.  energy_history holds the
-    exact path level before and after each sweep, an upper bound on m.
+    ridge.  The deformation ends after the first sweep that does not lower
+    the exact path level, and the path peak is then polished into a
+    genuine critical point.  Steps that would concentrate the critical
+    integral below the mesh scale are rejected: the lumped quadrature
+    understates the critical norm of sub-grid spikes, and chasing them
+    would produce a spurious saddle the continuum problem does not have.  energy_history holds the
+    exact path level before and after each sweep, an upper bound on m; it
+    falls strictly until its last two entries, which are equal.
 
     Fails loudly (ThresholdNotMetError) when the seed violates the energy
     threshold.
@@ -852,8 +844,7 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
     v0 = u0.values
     end = _path_endpoint(fn, v0, 2.0 * check.zeta_star, min_norm=mp_radius)
-    _, peak, history, deform_iters = _deform_path(fn, forms, end, path_nodes,
-                                                  max_deform)
+    _, peak, history = _deform_path(fn, forms, end, path_nodes)
 
     v_inf, newton_its = _newton_polish(
         fn, peak, tol=1e-12 * max(fn.metric_norm(peak), 1.0))
@@ -886,7 +877,7 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
         solution=u_inf, energy=m, nehari_value=fn.derivative_along(v_inf),
         residual=residual, c_star=None, mp_level_m=m, beta=beta,
         mp_radius=mp_radius, threshold=check.threshold,
-        iterations=deform_iters + newton_its, converged=converged,
+        iterations=len(history) - 1 + newton_its, converged=converged,
         energy_history=history,
     )
 

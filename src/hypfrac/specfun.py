@@ -7,7 +7,8 @@ log form uses the exponentially scaled routine so the far field never
 overflows.
 
 The quadrature here is a deterministic globally adaptive Gauss-Legendre
-pair (7/15 points) with worst-panel bisection over a finite interval.
+pair (7/15 points) with worst-panel bisection over a finite interval, and
+a fixed 8-point Gauss-Legendre rule on panels halving toward zero.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import BesselOverflowError, DomainError, QuadratureError
 
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _GL_HI = np.polynomial.legendre.leggauss(15)
+_GL_PANEL = np.polynomial.legendre.leggauss(8)
 
 MAX_BISECTIONS = 30
 
@@ -107,8 +109,7 @@ def _panel_estimates(f, a, b):
     return i_hi, abs(i_hi - i_lo)
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0,
-                       max_depth: int = MAX_BISECTIONS):
+def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0):
     """Adaptive integral of a vectorized integrand over a finite interval.
 
     Bisects the worst panel (by 7-vs-15 point discrepancy) until the summed
@@ -127,9 +128,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0,
     total_val, total_err = val, err
     while total_err > max(tol, rel_tol * abs(total_val)):
         neg_err, pa, pb, pval, depth = heapq.heappop(heap)
-        if depth >= max_depth:
+        if depth >= MAX_BISECTIONS:
             raise QuadratureError(
-                f"refinement depth {max_depth} exhausted; error estimate "
+                f"refinement depth {MAX_BISECTIONS} exhausted; error estimate "
                 f"{total_err:.3e} > tol {tol:.3e}",
                 value=total_val, estimate=total_err,
             )
@@ -141,3 +142,17 @@ def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0,
         heapq.heappush(heap, (-le, pa, mid, lv, depth + 1))
         heapq.heappush(heap, (-re, mid, pb, rv, depth + 1))
     return total_val, total_err
+
+
+def geometric_panels(upper: float, levels: int):
+    """Nodes and weights of 8-point Gauss-Legendre on the panels
+    [0, 2^-levels u], [2^-levels u, 2^(1-levels) u], ..., [u/2, u] of
+    [0, u = upper], which resolve an integrable singularity at zero."""
+    xs, ws = _GL_PANEL
+    edges = upper * np.concatenate(([0.0], 2.0 ** (-np.arange(levels, -1, -1, dtype=float))))
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + half * xs)
+        weights.append(half * ws)
+    return np.concatenate(nodes), np.concatenate(weights)

@@ -114,9 +114,14 @@ def test_solve_critical_resolved_configuration(tmp_path, cache_dir):
     assert report["converged"] is True
     assert report["beta"] <= report["mp_level_m"] < report["threshold"]
     assert report["c_star"] is None
+    # the path level per sweep; the last sweep no longer lowered it
+    levels = np.loadtxt(tmp_path / "out" / "convergence.csv", delimiter=",",
+                        skiprows=1)[:, 1]
+    assert np.all(np.diff(levels) <= 0.0)
+    assert levels[-1] == levels[-2]
 
 
-def test_solve_config_errors(tmp_path):
+def test_solve_config_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run_cli("solve", "--config", str(missing)) == EXIT_VALIDATION
     bad = tmp_path / "bad.json"
@@ -128,6 +133,18 @@ def test_solve_config_errors(tmp_path):
     for shape in ([1], {"problem": {"N": 3, "s": 0.5}, "grid": 5}):
         invalid.write_text(json.dumps(shape))
         assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
+    # integers are never coerced: N = 3.5 must not solve N = 3, and a path
+    # needs at least one segment
+    for section, key, value in (("problem", "N", 3.5), ("problem", "N", "3"),
+                                ("grid", "node_count", 64.0),
+                                ("solver", "max_iter", 400.0),
+                                ("solver", "path_nodes", 2.5),
+                                ("solver", "path_nodes", 0)):
+        cfg = {"problem": {"N": 3, "s": 0.5}}
+        cfg.setdefault(section, {})[key] = value
+        invalid.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
 
 
 def test_solve_rejects_unknown_config_key(tmp_path, cache_dir, capsys):
