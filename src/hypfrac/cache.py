@@ -1,8 +1,11 @@
 """Content-addressed disk cache for kernel tables and assembled forms.
 
 Keys are hashes of the defining data (dimension, order, grid nodes), so a
-stale entry can never be served for a different configuration.  Writes go
-through a temporary file and an atomic rename.
+stale entry can never be served for a different configuration.  The key
+also hashes _FORMAT_VERSION, which stands for the numerics that produced
+the entry: bump it whenever a change moves the weight matrix W or the
+forms, even in the last digits, so that no entry outlives its numerics.
+Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 CACHE_ENV = "HYPFRAC_CACHE"
-_FORMAT_VERSION = 1
+# 2: the even-N kernel is a fixed Gauss rule (moves even-N W at 1e-13)
+_FORMAT_VERSION = 2
 
 
 def default_cache_dir() -> Path:

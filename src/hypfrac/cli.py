@@ -52,6 +52,14 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    """A config value that must be a JSON number: "0.5" or true is an
+    error, never parsed; an integer such as 3 is taken as 3.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration; mirrors the JSON schema in the docs."""
@@ -85,9 +93,10 @@ class RunConfig:
         if mode == "critical":
             mode = "critical_perturbed"
         spec = solver.ProblemSpec(
-            N=_json_int(prob["N"], "problem.N"), s=float(prob["s"]),
-            lam=float(prob.get("lambda", 0.0)),
-            p=float(prob.get("p", 3.0)), mode=mode,
+            N=_json_int(prob["N"], "problem.N"),
+            s=_json_number(prob["s"], "problem.s"),
+            lam=_json_number(prob.get("lambda", 0.0), "problem.lambda"),
+            p=_json_number(prob.get("p", 3.0), "problem.p"), mode=mode,
         )
         grid = raw.get("grid", {})
         sol = raw.get("solver", {})
@@ -98,10 +107,10 @@ class RunConfig:
             raise ValueError(f"solver.path_nodes must be >= 1, got {path_nodes}")
         return cls(
             problem=spec,
-            r_max=float(grid.get("R_max", 20.0)),
+            r_max=_json_number(grid.get("R_max", 20.0), "grid.R_max"),
             node_count=_json_int(grid.get("node_count", 400), "grid.node_count"),
             spacing=str(grid.get("spacing", "graded")),
-            tol=float(sol.get("tol", 1e-6)),
+            tol=_json_number(sol.get("tol", 1e-6), "solver.tol"),
             max_iter=_json_int(sol.get("max_iter", 400), "solver.max_iter"),
             path_nodes=path_nodes,
             out_dir=Path(io.get("out_dir", "out")),

@@ -12,7 +12,10 @@ accurate where nested numerical differentiation would lose every digit.
 
 For even N >= 2 the kernel is a semi-infinite integral whose inverse
 square-root endpoint factor is removed exactly by the substitution
-u^2 = cosh(r) - cosh(rho) before quadrature.
+u^2 = cosh(r) - cosh(rho) on [rho, rho + 1].  A fixed composite
+Gauss-Legendre rule (panels graded toward u = 0 by rho, then uniform
+panels on the exponentially decaying tail) evaluates it for every rho as
+a few (rho x node) array calls of the ladder term sum.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from scipy.special import beta as beta_fn
 
 from .errors import DomainError, QuadratureError, ReducedKernelError, TableRejectionError
 from .geometry import sphere_area
-from .specfun import bessel_k_log, geometric_panels, integrate_adaptive
+from .specfun import bessel_k_log, gauss_panels, geometric_panels
+# not called here: perfbench/trace_solve.py wraps kernel.integrate_adaptive
+from .specfun import integrate_adaptive  # noqa: F401
 
 UNDERFLOW_FLOOR = 1e-300
 
@@ -223,60 +228,76 @@ def _even_ladder_eval(N, s, r):
     return np.where(np.atleast_1d(r) > _RADIAL_CUTOFF, 0.0, vals)
 
 
-def _kernel_even_scalar(N, s, rho, rel_tol):
-    # near part: u^2 = cosh r - cosh rho turns the inverse square root into
-    # the smooth integrand 2 G(r(u)) on [0, u1]
-    cm1_rho = float(_coshm1(rho))
-    u1 = math.sqrt(float(_coshm1(rho + 1.0)) - cm1_rho)
+# Even-N fixed rule.  Near part, r in [rho, rho + 1]: u = u1 x on geometric
+# panels with ceil(log2(u1 / sqrt(cosh rho - 1))) + _NEAR_EXTRA_LEVELS
+# levels, because the only complex singularities of the u-integrand sit at
+# u = +-i sqrt(cosh rho -+ 1) and the grading toward u = 0 must reach their
+# distance.  Far part, r = rho + 1 + y: panels of width _FAR_PANEL on
+# y in [0, _FAR_EFOLDS / (N - 1)], beyond which the integrand has fallen
+# below e^-_FAR_EFOLDS of its start (it decays like e^-(N-1) y).
+_NEAR_EXTRA_LEVELS = 3
+_FAR_PANEL = 0.5
+_FAR_EFOLDS = 40.0
 
-    def near(u):
-        z = cm1_rho + np.asarray(u, dtype=float) ** 2
+
+def _even_integral(N, s, rho):
+    """The integral over r > rho of sinh(r) G(r) / sqrt(cosh r - cosh rho)
+    for a 1-d array of rho in (0, _RADIAL_CUTOFF).
+
+    Rows that need the same number of near-part levels share one array
+    call per part, so the value at one rho never depends on the other
+    rows and no temporary holds every row at once.
+    """
+    cm1 = _coshm1(rho)
+    # u1^2 = cosh(rho + 1) - cosh(rho); sqrt(cm1) = sqrt(2) sinh(rho / 2)
+    # stays positive where cm1 underflows
+    u1 = np.sqrt(2.0 * np.sinh(rho + 0.5) * math.sinh(0.5))
+    reach = math.sqrt(2.0) * np.sinh(0.5 * rho)
+    levels = np.ceil(np.log2(u1 / reach)).astype(int) + _NEAR_EXTRA_LEVELS
+    panels = math.ceil(_FAR_EFOLDS / ((N - 1) * _FAR_PANEL))
+    y, wy = gauss_panels(_FAR_PANEL * np.arange(panels + 1))
+    out = np.empty_like(rho)
+    for lv in np.unique(levels):
+        rows = levels == lv
+        x, w = geometric_panels(1.0, int(lv))
+        u = u1[rows, None] * x
+        z = cm1[rows, None] + u * u
         r = np.log1p(z + np.sqrt(z * (z + 2.0)))
-        return 2.0 * _even_ladder_eval(N, s, r)
-
-    near_val, near_err = integrate_adaptive(near, 0.0, u1, tol=0.0, rel_tol=rel_tol)
-
-    # far part: plain integrand on [rho+1, inf), mapped rationally
-    cosh_rho = cm1_rho + 1.0
-
-    def far_mapped(t):
-        t = np.asarray(t, dtype=float)
-        r = rho + 1.0 + t / (1.0 - t)
-        g = _even_ladder_eval(N, s, r)
-        body = np.where(
-            r > _RADIAL_CUTOFF,
-            0.0,
-            np.sinh(np.minimum(r, _RADIAL_CUTOFF))
-            / np.sqrt(np.cosh(np.minimum(r, _RADIAL_CUTOFF)) - cosh_rho)
-            * g,
-        )
-        return body / (1.0 - t) ** 2
-
-    far_val, far_err = integrate_adaptive(
-        far_mapped, 0.0, 1.0, tol=abs(near_val) * rel_tol + 1e-320, rel_tol=rel_tol
-    )
-    total = near_val + far_val
-    est = near_err + far_err
-    if not math.isfinite(total):
-        raise QuadratureError(
-            f"even-dimension kernel quadrature returned {total} at rho={rho}",
-            value=total, estimate=est,
-        )
-    return total
+        near = 2.0 * u1[rows] * np.sum(_even_ladder_eval(N, s, r) * w, axis=1)
+        r = rho[rows, None] + 1.0 + y
+        body = np.sinh(r) / np.sqrt(np.cosh(r) - (cm1[rows, None] + 1.0))
+        far = np.sum(body * _even_ladder_eval(N, s, r) * wy, axis=1)
+        out[rows] = near + far
+    return out
 
 
-def kernel_even(N: int, s: float, rho, rel_tol: float = 1e-10,
-                return_underflow: bool = False):
-    """Kernel for even N >= 2 via the substituted semi-infinite integral.
+def kernel_even(N: int, s: float, rho, return_underflow: bool = False):
+    """Kernel for even N >= 2: the singular integral over r > rho of
+    sinh(r) G(r) / sqrt(cosh r - cosh rho), scaled by the normalizing
+    constant over sqrt(pi).  Vectorized over rho of any shape.
 
-    rel_tol is a relative tolerance; the adaptive passes scale their error
-    targets with the running value so the exponentially small far field
-    keeps full relative accuracy.
+    The integral is a fixed composite 8-point Gauss-Legendre rule: on
+    [rho, rho + 1] in u = sqrt(cosh r - cosh rho), which removes the inverse
+    square root, with panels halving toward u = 0 deep enough for rho; on
+    [rho + 1, rho + 1 + 40/(N - 1)] on panels of width 0.5.  The tests hold
+    it to the tightly converged adaptive rule within 1e-10 relative.
     """
     _check_kernel_args(N, s, "even")
     rho_v = _check_rho(rho)
-    const = normalizing_constant(N, s) / math.sqrt(math.pi)
-    vals = np.array([const * _kernel_even_scalar(N, s, float(r), rel_tol) for r in rho_v])
+    flat = rho_v.ravel()
+    vals = np.zeros_like(flat)
+    # beyond the cutoff every node of the rule lies where G is forced to zero
+    inside = flat < _RADIAL_CUTOFF
+    if inside.any():
+        vals[inside] = normalizing_constant(N, s) / math.sqrt(math.pi) * _even_integral(
+            int(N), float(s), flat[inside])
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argmin(np.isfinite(vals)))
+        raise QuadratureError(
+            f"even-dimension kernel quadrature returned {vals[bad]} at rho={flat[bad]}",
+            value=float(vals[bad]),
+        )
+    vals = vals.reshape(rho_v.shape)
     under = vals < UNDERFLOW_FLOOR
     vals = np.where(under, 0.0, vals)
     out = vals if np.ndim(rho) else float(vals[0])
@@ -285,13 +306,13 @@ def kernel_even(N: int, s: float, rho, rel_tol: float = 1e-10,
     return out
 
 
-def kernel(N: int, s: float, rho, rel_tol: float = 1e-10):
+def kernel(N: int, s: float, rho):
     """Parity dispatch between the exact odd form and the even integral."""
     if int(N) != N or N < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {N}")
     if N % 2:
         return kernel_odd(N, s, rho)
-    return kernel_even(N, s, rho, rel_tol=rel_tol)
+    return kernel_even(N, s, rho)
 
 
 def _fit_line(x, y):
@@ -357,7 +378,7 @@ class KernelTable:
 
 
 def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
-                       count: int, rel_tol: float = 1e-10) -> KernelTable:
+                       count: int) -> KernelTable:
     """Tabulate the kernel on a log-spaced grid and fit its asymptotics.
 
     Rejects the table (TableRejectionError) if the fitted near-field
@@ -369,7 +390,7 @@ def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
     if count < 16:
         raise DomainError(f"table needs at least 16 points, got {count}")
     grid = np.geomspace(rho_min, rho_max, int(count))
-    vals = np.asarray(kernel(N, s, grid, rel_tol=rel_tol), dtype=float)
+    vals = np.asarray(kernel(N, s, grid), dtype=float)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         raise TableRejectionError("kernel evaluation produced non-positive values")
 
@@ -535,7 +556,7 @@ def _angular_weights(N, s, r1, r2, kernel_eval):
     return half_integral(low_nodes, low_w, True) + half_integral(up_nodes, up_w, False)
 
 
-def build_reduced_kernel(N: int, s: float, r_grid, rel_tol: float = 1e-10,
+def build_reduced_kernel(N: int, s: float, r_grid,
                          validate: bool = True) -> ReducedKernel:
     """Assemble the angularly reduced two-point kernel on an increasing
     positive radial grid (typically the cell midpoints of a RadialGrid).
@@ -553,7 +574,7 @@ def build_reduced_kernel(N: int, s: float, r_grid, rel_tol: float = 1e-10,
     gaps = np.diff(r)
     d_lo = 0.45 * float(gaps.min())
     d_hi = 2.10 * float(r[-1])
-    table = build_kernel_table(N, s, d_lo, d_hi, 800, rel_tol=rel_tol)
+    table = build_kernel_table(N, s, d_lo, d_hi, 800)
     kernel_eval = table.interpolator()
 
     n = r.size

@@ -6,9 +6,11 @@ checks, the K_{-nu} = K_nu symmetry and an explicit overflow signal.  The
 log form uses the exponentially scaled routine so the far field never
 overflows.
 
-The quadrature here is a deterministic globally adaptive Gauss-Legendre
-pair (7/15 points) with worst-panel bisection over a finite interval, and
-a fixed 8-point Gauss-Legendre rule on panels halving toward zero.
+The quadrature here is a fixed 8-point Gauss-Legendre rule on given
+panels (the production rule of the kernel and the forms; its geometric
+form halves the panels toward zero), and a deterministic globally adaptive
+Gauss-Legendre pair (7/15 points) with worst-panel bisection over a finite
+interval, which the tests use as the oracle for the fixed rules.
 """
 
 from __future__ import annotations
@@ -144,15 +146,19 @@ def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0):
     return total_val, total_err
 
 
-def geometric_panels(upper: float, levels: int):
-    """Nodes and weights of 8-point Gauss-Legendre on the panels
-    [0, 2^-levels u], [2^-levels u, 2^(1-levels) u], ..., [u/2, u] of
-    [0, u = upper], which resolve an integrable singularity at zero."""
+def gauss_panels(edges):
+    """Nodes and weights of 8-point Gauss-Legendre on each panel
+    [edges[k], edges[k+1]] of an increasing edge array."""
     xs, ws = _GL_PANEL
-    edges = upper * np.concatenate(([0.0], 2.0 ** (-np.arange(levels, -1, -1, dtype=float))))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * xs).ravel(), (half * ws).ravel()
+
+
+def geometric_panels(upper: float, levels: int):
+    """gauss_panels on [0, 2^-levels u], [2^-levels u, 2^(1-levels) u], ...,
+    [u/2, u] of [0, u = upper], which resolve an integrable singularity at
+    zero."""
+    return gauss_panels(
+        upper * np.concatenate(([0.0], 2.0 ** (-np.arange(levels, -1, -1, dtype=float)))))

@@ -21,6 +21,13 @@ def test_content_key_distinguishes_grids():
     assert len({a, b, c}) == 3
 
 
+def test_content_key_covers_format_version(monkeypatch):
+    nodes = np.linspace(0, 1, 10)
+    before = content_key("forms", 3, "0.5", nodes)
+    monkeypatch.setattr("hypfrac.cache._FORMAT_VERSION", 99)
+    assert content_key("forms", 3, "0.5", nodes) != before
+
+
 def test_atomic_write_roundtrip(tmp_path):
     path = tmp_path / "nested" / "entry.npz"
     atomic_write_npz(path, x=np.arange(4.0))

@@ -133,9 +133,12 @@ def test_solve_config_errors(tmp_path, capsys):
     for shape in ([1], {"problem": {"N": 3, "s": 0.5}, "grid": 5}):
         invalid.write_text(json.dumps(shape))
         assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
-    # integers are never coerced: N = 3.5 must not solve N = 3, and a path
-    # needs at least one segment
+    # numbers are never coerced: N = 3.5 must not solve N = 3, "0.5" is not
+    # a number, true is not 1.0, and a path needs at least one segment
     for section, key, value in (("problem", "N", 3.5), ("problem", "N", "3"),
+                                ("problem", "s", "0.5"), ("problem", "s", True),
+                                ("problem", "lambda", "0"), ("problem", "p", "3"),
+                                ("grid", "R_max", "20"), ("solver", "tol", "1e-6"),
                                 ("grid", "node_count", 64.0),
                                 ("solver", "max_iter", 400.0),
                                 ("solver", "path_nodes", 2.5),

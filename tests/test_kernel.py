@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -9,9 +10,10 @@ from hypfrac.errors import DomainError
 from hypfrac.kernel import (BesselTerm, apply_operator,
                             bessel_base, build_kernel_table,
                             build_reduced_kernel, kernel, kernel_even,
-                            kernel_odd, normalizing_constant)
+                            kernel_odd, normalizing_constant,
+                            _even_ladder_eval)
 from hypfrac.pipeline import build_forms
-from hypfrac.specfun import bessel_k
+from hypfrac.specfun import bessel_k, integrate_adaptive
 
 # C(3, 1/2) evaluated from the Gamma-factor product at 40 digits; the
 # closed form collapses to 1/(2 pi^2)
@@ -133,12 +135,41 @@ def test_even_kernel_far_field_rate():
         assert np.ptp(corrected) < 0.2
 
 
-def test_even_kernel_refinement_consistency():
-    for rho in (0.5, 3.0):
-        tol = 1e-8
-        coarse = kernel_even(2, 0.5, rho, rel_tol=tol)
-        fine = kernel_even(2, 0.5, rho, rel_tol=tol / 2.0)
-        assert abs(coarse - fine) < 10.0 * tol * abs(fine)
+def _even_kernel_oracle(n_dim, s, rho):
+    """The even-N kernel at one rho by adaptive quadrature at rel_tol 1e-12:
+    u^2 = cosh r - cosh rho on [rho, rho + 1], and the plain integrand on
+    [rho + 1, inf) mapped to [0, 1) by r = rho + 1 + t/(1 - t)."""
+    cm1_rho = 2.0 * math.sinh(rho / 2.0) ** 2
+    u1 = math.sqrt(math.cosh(rho + 1.0) - math.cosh(rho))
+
+    def near(u):
+        z = cm1_rho + u * u
+        return 2.0 * _even_ladder_eval(n_dim, s, np.log1p(z + np.sqrt(z * (z + 2.0))))
+
+    def far(t):
+        r = rho + 1.0 + t / (1.0 - t)
+        safe = np.minimum(r, 600.0)
+        body = np.sinh(safe) / np.sqrt(np.cosh(safe) - math.cosh(rho))
+        return np.where(r > 600.0, 0.0, body * _even_ladder_eval(n_dim, s, r)) / (1.0 - t) ** 2
+
+    near_val, _ = integrate_adaptive(near, 0.0, u1, tol=0.0, rel_tol=1e-12)
+    far_val, _ = integrate_adaptive(far, 0.0, 1.0, tol=near_val * 1e-12, rel_tol=1e-12)
+    return normalizing_constant(n_dim, s) / math.sqrt(math.pi) * (near_val + far_val)
+
+
+def test_even_kernel_matches_adaptive_oracle():
+    rho = np.geomspace(1e-5, 45.0, 15)
+    for n_dim in (2, 4, 6):
+        for s in (0.25, 0.5, 0.75):
+            got = np.asarray(kernel_even(n_dim, s, rho))
+            ref = np.array([_even_kernel_oracle(n_dim, s, float(r)) for r in rho])
+            assert np.max(np.abs(got / ref - 1.0)) < 1e-10, (n_dim, s)
+            assert np.array_equal(kernel_even(n_dim, s, rho.reshape(3, 5)),
+                                  got.reshape(3, 5))
+            # a rho evaluated alone matches its entry in the array call
+            for k in (0, 7, 14):
+                assert kernel_even(n_dim, s, float(rho[k])) == pytest.approx(
+                    got[k], rel=1e-14, abs=0.0)
 
 
 def test_dispatch_matches_direct():
@@ -189,11 +220,16 @@ def test_table_csv_format():
     assert float(val0) == pytest.approx(table.values[0], rel=1e-16)
 
 
+@functools.lru_cache(maxsize=1)
+def _leggauss(n_gauss):
+    return np.polynomial.legendre.leggauss(n_gauss)
+
+
 def _direct_angular_weight(n_dim, s, r1, r2, n_gauss=4000):
     """Brute-force angular reduction at a single node pair."""
     from hypfrac.geometry import sphere_area
 
-    x, w = np.polynomial.legendre.leggauss(n_gauss)
+    x, w = _leggauss(n_gauss)
     gamma = 0.5 * math.pi * (x + 1.0)
     wg = 0.5 * math.pi * w
     chd = math.cosh(r1) * math.cosh(r2) \
@@ -230,9 +266,11 @@ def test_reduced_kernel_decay_from_row(reduced3):
 
 def test_reduced_kernel_matches_direct_quadrature(reduced3):
     grid = reduced3.r_grid
-    for i, j in ((10, 40), (30, 31), (20, 90)):
-        direct = _direct_angular_weight(3, 0.5, grid[i], grid[j])
-        assert reduced3.W[i, j] == pytest.approx(direct, rel=1e-5)
+    reduced4 = build_reduced_kernel(4, 0.5, grid)
+    for rk in (reduced3, reduced4):
+        for i, j in ((10, 40), (30, 31), (20, 90)):
+            direct = _direct_angular_weight(rk.dim, 0.5, grid[i], grid[j])
+            assert rk.W[i, j] == pytest.approx(direct, rel=1e-5), (rk.dim, i, j)
 
 
 def test_reduced_kernel_near_diagonal_exponent():
