@@ -9,7 +9,7 @@ from .geometry import radial_volume_weight, sphere_area
 from .specfun import bessel_k, bessel_k_log
 from .kernel import (BesselTerm, BesselTermSum, KernelTable, ReducedKernel,
                      apply_operator, bessel_base, build_kernel_table,
-                     build_reduced_kernel, kernel, kernel_even, kernel_odd,
+                     build_reduced_kernel, kernel_even, kernel_odd,
                      normalizing_constant)
 from .funcspace import (QuadraticForms, RadialFunction, RadialGrid,
                         assemble_forms, lp_norm, make_grid, mixed_quotient,

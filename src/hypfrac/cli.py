@@ -165,7 +165,7 @@ def cmd_solve(args) -> int:
         return EXIT_VALIDATION
 
     try:
-        grid, _, forms = build_forms(
+        grid, forms = build_forms(
             cfg.problem.N, cfg.problem.s, r_max=cfg.r_max, n=cfg.node_count,
             spacing=cfg.spacing, cache_dir=cfg.cache_dir)
     except (QuadratureError, TableRejectionError, ReducedKernelError) as exc:

@@ -185,10 +185,6 @@ class QuadraticForms:
     mass: np.ndarray
     nonlocal_mat: np.ndarray
 
-    def operator(self, lam: float) -> np.ndarray:
-        """Full problem form stiffness - lam * mass + nonlocal."""
-        return self.stiffness - lam * self.mass + self.nonlocal_mat
-
     def lambda_metric(self, lam: float) -> np.ndarray:
         return self.stiffness - lam * self.mass
 

@@ -4,7 +4,11 @@ The subcritical ground state minimizes the energy on the Nehari set: a
 projected gradient descent (absolute value, periodic decreasing
 rearrangement, ray re-projection after every step) drives the iterate into
 the basin, and a Newton polish on the full Euler-Lagrange system finishes
-to near machine residual.  The critically perturbed problem runs a
+to near machine residual.  The polish is plain damped Newton: it stops at
+its tolerance, or at the round-off floor where its line search can no
+longer lower the residual, and keeps the best iterate either way; a
+tolerance below that floor costs a few Newton steps, nothing more.  The
+critically perturbed problem runs a
 steepest-descent deformation of a discretized path from zero past the
 energy barrier, with the path peak polished the same way; the energy
 threshold that guards compactness is estimated by concentration
@@ -39,6 +43,12 @@ from .funcspace import (QuadraticForms, RadialFunction, norm_lambda_sq,
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
+# guard on the _newton_polish loop; it meets tol or stalls within a few steps
+_NEWTON_MAX_ITER = 60
+# leading nodes whose share of a power integral origin_mass_share reports
+_ORIGIN_NODES = 6
+# relative size below which weak_max_check treats the negative part as zero
+_WEAK_MAX_TOL = 1e-10
 # t-grid on which _segment_peak brackets the maximum of J along a segment
 _PEAK_GRID = np.linspace(0.0, 1.0, 9)
 # guard on the _deform_path loop; the stop rule ends it long before
@@ -185,13 +195,10 @@ class _Functional:
 
 
 def _functional_for(spec: ProblemSpec, forms: QuadraticForms,
-                    include_nonlocal: bool = True,
                     include_critical: bool | None = None) -> _Functional:
     if include_critical is None:
         include_critical = spec.mode == "critical_perturbed"
-    quad = forms.lambda_metric(spec.lam)
-    if include_nonlocal:
-        quad = quad + forms.nonlocal_mat
+    quad = forms.lambda_metric(spec.lam) + forms.nonlocal_mat
     exponents = [spec.p + 1.0]
     if include_critical:
         exponents.insert(0, spec.critical_exponent)
@@ -247,95 +254,44 @@ def nehari_project(u: RadialFunction, spec: ProblemSpec,
     return RadialFunction(u.grid, nehari_scale(u, spec, forms) * u.values)
 
 
-def _jacobi_system(fn: _Functional, v: np.ndarray):
-    """Hessian and residual on the free nodes in symmetric Jacobi scaling:
-    (D^-1 H D^-1, D^-1 r, d) with d = sqrt|diag H| (zeros replaced by 1)."""
-    h = fn.hessian(v)[:-1, :-1]
-    r = fn.residual_vec(v)[:-1]
-    d = np.sqrt(np.abs(np.diag(h)))
-    d[d == 0.0] = 1.0
-    return h / d[:, None] / d[None, :], r / d, d
-
-
-def _newton_polish(fn: _Functional, v0: np.ndarray, tol: float,
-                   max_iter: int = 60) -> tuple[np.ndarray, int]:
+def _newton_polish(fn: _Functional, v0: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, int]:
     """Damped Newton on the Euler-Lagrange system, merit = residual norm.
 
-    The Newton system is solved with symmetric Jacobi scaling: the
+    The Newton system is solved on the free nodes with symmetric Jacobi
+    scaling, D^-1 H D^-1 with d = sqrt|diag H| (zeros replaced by 1): the
     stiffness diagonal spans many orders of magnitude across the
     exponentially weighted grid, and raw solves would look singular.
-    Falls back to a Levenberg pass when plain Newton stalls (the Hessian
-    carries a nearly degenerate concentration mode close to the
-    compactness threshold).
+    Stops when the residual is below tol, when the Armijo line search can
+    no longer lower it (its round-off floor), or when the scaled system is
+    singular; only improving steps are taken, so the returned iterate is
+    the best one seen.  Returns (iterate, Newton steps taken).
     """
     v = v0.copy()
     v[-1] = 0.0
     res = fn.residual_norm(v)
-    it_used = 0
-    for it in range(max_iter):
-        it_used = it
-        if res < tol:
-            return v, it
-        hs, rs, d = _jacobi_system(fn, v)
+    steps = 0
+    while steps < _NEWTON_MAX_ITER and res >= tol:
+        h = fn.hessian(v)[:-1, :-1]
+        d = np.sqrt(np.abs(np.diag(h)))
+        d[d == 0.0] = 1.0
         try:
-            step = lin_solve(hs, rs, assume_a="sym") / d
+            step = lin_solve(h / d[:, None] / d[None, :],
+                             fn.residual_vec(v)[:-1] / d, assume_a="sym") / d
         except np.linalg.LinAlgError:
             break
-        alpha = 1.0
-        improved = False
-        for _ in range(40):
+        for k in range(40):
+            alpha = 0.5 ** k
             cand = v.copy()
             cand[:-1] = v[:-1] - alpha * step
             cand_res = fn.residual_norm(cand)
             if cand_res < res * (1.0 - 1e-4 * alpha):
-                v, res = cand, cand_res
-                improved = True
                 break
-            alpha *= 0.5
-        if not improved:
+        else:
             break
-    if res >= tol:
-        v, extra = _levenberg_polish(fn, v, tol, max_iter)
-        it_used += extra
-    return v, it_used
-
-
-def _levenberg_polish(fn: _Functional, v0: np.ndarray, tol: float,
-                      max_iter: int = 120) -> tuple[np.ndarray, int]:
-    """Trust-region pass on 1/2 |r|^2 in Jacobi-scaled coordinates:
-    (H^2 + mu I) step = H r.  Robust where the Hessian is nearly singular."""
-    v = v0.copy()
-    v[-1] = 0.0
-    res = fn.residual_norm(v)
-    mu = 1e-6
-    eye = None
-    for it in range(max_iter):
-        if res < tol:
-            return v, it
-        hs, rs, d = _jacobi_system(fn, v)
-        if eye is None:
-            eye = np.eye(hs.shape[0])
-        grad = hs @ rs
-        scale = float(np.abs(np.diag(hs @ hs)).max()) or 1.0
-        accepted = False
-        for _ in range(30):
-            try:
-                step = lin_solve(hs @ hs + mu * scale * eye, grad, assume_a="pos")
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            cand = v.copy()
-            cand[:-1] = v[:-1] - step / d
-            cand_res = fn.residual_norm(cand)
-            if cand_res < res:
-                v, res = cand, cand_res
-                mu = max(mu / 3.0, 1e-14)
-                accepted = True
-                break
-            mu *= 10.0
-        if not accepted:
-            break
-    return v, max_iter
+        v, res = cand, cand_res
+        steps += 1
+    return v, steps
 
 
 def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
@@ -621,8 +577,8 @@ def estimate_critical_constant(spec: ProblemSpec, forms: QuadraticForms,
                             tuple(float(q) for q in quotients))
 
 
-def origin_mass_share(v: np.ndarray, forms: QuadraticForms, exponent: float,
-                      n_nodes: int = 6) -> float:
+def origin_mass_share(v: np.ndarray, forms: QuadraticForms,
+                      exponent: float) -> float:
     """Fraction of the |v|^exponent integral carried by the first few
     nodes.  Profiles concentrating below the mesh scale at the origin are
     quadrature artifacts, not functions the grid can represent; descent
@@ -632,7 +588,7 @@ def origin_mass_share(v: np.ndarray, forms: QuadraticForms, exponent: float,
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
-    return float(dens[:n_nodes].sum()) / total
+    return float(dens[:_ORIGIN_NODES].sum()) / total
 
 
 def estimate_subcritical_constant(spec: ProblemSpec,
@@ -891,7 +847,7 @@ class WeakMaxReport:
 
 
 def weak_max_check(u: RadialFunction, spec: ProblemSpec,
-                   forms: QuadraticForms, rel_tol: float = 1e-10) -> WeakMaxReport:
+                   forms: QuadraticForms) -> WeakMaxReport:
     """Nonnegativity check through the negative-part mechanism.
 
     A genuine solution has vanishing negative part in both the lambda norm
@@ -902,13 +858,13 @@ def weak_max_check(u: RadialFunction, spec: ProblemSpec,
     neg = np.maximum(-v, 0.0)
     neg[-1] = 0.0
     neg_fun = RadialFunction(u.grid, neg)
-    scale = max(norm_lambda_sq(u, spec.lam, forms), rel_tol)
+    scale = max(norm_lambda_sq(u, spec.lam, forms), _WEAK_MAX_TOL)
     neg_lambda = norm_lambda_sq(neg_fun, spec.lam, forms)
     neg_semi = seminorm_s_sq(neg_fun, forms)
     passes = (
         float(v.min()) >= -1e-8 * peak
-        and neg_lambda < rel_tol * scale
-        and neg_semi < rel_tol * scale
+        and neg_lambda < _WEAK_MAX_TOL * scale
+        and neg_semi < _WEAK_MAX_TOL * scale
     )
     return WeakMaxReport(bool(passes), float(v.min()),
                          float(neg_lambda), float(neg_semi))

@@ -128,7 +128,7 @@ def suite_embedding(cache_dir=None) -> list[CheckResult]:
     res = []
     grids = {}
     for n_nodes in (400, 800):
-        grid, _, forms = build_forms(3, 0.5, r_max=20.0, n=n_nodes,
+        grid, forms = build_forms(3, 0.5, r_max=20.0, n=n_nodes,
                                      cache_dir=cache_dir)
         grids[n_nodes] = (grid, forms)
 
@@ -148,7 +148,7 @@ def suite_embedding(cache_dir=None) -> list[CheckResult]:
 
     # embedding constants per order at N = 3
     for s in KERNEL_ORDERS:
-        grid, _, forms = build_forms(3, s, r_max=20.0, n=400, cache_dir=cache_dir)
+        grid, forms = build_forms(3, s, r_max=20.0, n=400, cache_dir=cache_dir)
         fam = profile_family(grid)
         c_emb = max(
             seminorm_s_sq(RadialFunction(grid, v), forms)
@@ -183,7 +183,7 @@ def suite_embedding(cache_dir=None) -> list[CheckResult]:
 
 
 def _subcritical_setup(cache_dir=None):
-    grid, _, forms = build_forms(3, 0.5, r_max=20.0, n=400, cache_dir=cache_dir)
+    grid, forms = build_forms(3, 0.5, r_max=20.0, n=400, cache_dir=cache_dir)
     spec = solver.ProblemSpec(N=3, s=0.5, lam=0.0, p=3.0, mode="subcritical")
     init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     t0 = time.monotonic()
@@ -298,7 +298,7 @@ def suite_critical(cache_dir=None) -> list[CheckResult]:
     # pinned configuration: record the (deterministic) outcome of the seed
     # search; at this parameter point the documented outcome matters, not a
     # particular branch
-    grid, _, forms = build_forms(3, 0.5, r_max=20.0, n=400, cache_dir=cache_dir)
+    grid, forms = build_forms(3, 0.5, r_max=20.0, n=400, cache_dir=cache_dir)
     spec = solver.ProblemSpec(N=CRITICAL_PINNED["N"], s=CRITICAL_PINNED["s"],
                               lam=CRITICAL_PINNED["lam"], p=CRITICAL_PINNED["p"],
                               mode="critical_perturbed")
@@ -325,7 +325,7 @@ def suite_critical(cache_dir=None) -> list[CheckResult]:
 
     # resolved configuration: the full mountain-pass pipeline end to end
     cfg = CRITICAL_RESOLVED
-    grid5, _, forms5 = build_forms(cfg["N"], cfg["s"], r_max=cfg["r_max"],
+    grid5, forms5 = build_forms(cfg["N"], cfg["s"], r_max=cfg["r_max"],
                                    n=400, cache_dir=cache_dir)
     spec5 = solver.ProblemSpec(N=cfg["N"], s=cfg["s"], lam=cfg["lam"],
                                p=cfg["p"], mode="critical_perturbed")

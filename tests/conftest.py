@@ -11,7 +11,7 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def setup3(cache_dir):
-    """Grid, reduced kernel, forms at (N, s) = (3, 0.5), 400 nodes."""
+    """(grid, forms) at (N, s) = (3, 0.5), 400 nodes."""
     return build_forms(3, 0.5, r_max=20.0, n=400, cache_dir=cache_dir)
 
 
@@ -23,7 +23,7 @@ def setup3_fine(cache_dir):
 
 @pytest.fixture(scope="session")
 def setup5(cache_dir):
-    """Grid, reduced kernel, forms at (N, s) = (5, 0.5) for critical runs."""
+    """(grid, forms) at (N, s) = (5, 0.5) for critical runs."""
     return build_forms(5, 0.5, r_max=12.0, n=400, cache_dir=cache_dir)
 
 
@@ -32,7 +32,7 @@ def subcritical_report(setup3):
     from hypfrac.funcspace import RadialFunction
     from hypfrac.solver import ProblemSpec, solve_subcritical
 
-    grid, _, forms = setup3
+    grid, forms = setup3
     spec = ProblemSpec(N=3, s=0.5, lam=0.0, p=3.0, mode="subcritical")
     init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     return spec, solve_subcritical(spec, init, forms, tol=1e-6)
@@ -42,7 +42,7 @@ def subcritical_report(setup3):
 def critical_report(setup5):
     from hypfrac.solver import ProblemSpec, search_threshold_seed, solve_critical
 
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     search = search_threshold_seed(spec, forms)
     assert search.seed is not None

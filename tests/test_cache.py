@@ -48,17 +48,19 @@ def test_load_npz_closes_its_file(tmp_path):
 
 
 def test_pipeline_cache_hit_reproduces(tmp_path):
-    a = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
-    b = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
-    assert np.array_equal(a[2].nonlocal_mat, b[2].nonlocal_mat)
-    assert np.array_equal(a[1].W, b[1].W)
+    _, built = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
+    _, hit = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
+    names = ("stiffness", "mass", "nonlocal_mat")
+    for name in names:
+        assert np.array_equal(getattr(hit, name), getattr(built, name)), name
     entries = list(tmp_path.glob("forms_*.npz"))
     assert len(entries) == 1
+    assert sorted(load_npz(entries[0])) == sorted(names)
 
 
 def test_pipeline_recovers_from_corrupt_entry(tmp_path):
     build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
     entry = next(tmp_path.glob("forms_*.npz"))
     entry.write_bytes(b"garbage")
-    rebuilt = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
-    assert rebuilt[2].stiffness.shape == (64, 64)
+    _, rebuilt = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
+    assert rebuilt.stiffness.shape == (64, 64)

@@ -10,6 +10,7 @@ from hypfrac.funcspace import (RadialFunction, assemble_forms, dirichlet_sq,
                                norm_lambda_sq, schwarz_rearrange,
                                seminorm_s_sq, sobolev_quotient)
 from hypfrac.geometry import radial_volume_weight
+from hypfrac.kernel import build_reduced_kernel
 from hypfrac.verify import random_smooth_profiles
 
 # continuum integrals of the reference Gaussian exp(-r^2) on the
@@ -24,7 +25,7 @@ def gaussian(grid):
 
 
 def test_grid_invariants(setup3):
-    grid, _, _ = setup3
+    grid, _ = setup3
     assert grid.nodes[0] == 0.0
     assert np.all(np.diff(grid.nodes) > 0.0)
     assert np.all(grid.weights[1:] > 0.0)
@@ -45,12 +46,12 @@ def test_grid_validation():
 
 
 def test_forms_symmetric_psd(setup3):
-    _, _, forms = setup3
+    _, forms = setup3
     forms.validate()
 
 
 def test_constant_annihilated(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     ones = RadialFunction(grid, np.ones(grid.n))
     scale = float(np.abs(forms.stiffness).max())
     assert abs(dirichlet_sq(ones, forms)) < 1e-12 * scale
@@ -59,7 +60,7 @@ def test_constant_annihilated(setup3):
 
 def test_mass_hat_matches_direct_quadrature(setup3):
     # lumped entry = integral of the hat against the volume weight
-    grid, _, forms = setup3
+    grid, forms = setup3
     for k in (5, 120, 300):
         a = grid.nodes[k - 1]
         m = grid.nodes[k]
@@ -72,7 +73,7 @@ def test_mass_hat_matches_direct_quadrature(setup3):
 
 
 def test_norm_lambda_basics(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     zero = RadialFunction(grid, np.zeros(grid.n))
     assert norm_lambda_sq(zero, 0.3, forms) == 0.0
     u = gaussian(grid)
@@ -85,7 +86,7 @@ def test_norm_lambda_basics(setup3):
 
 
 def test_norm_lambda_positive_near_spectral_bound(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     lam = 0.9 * (grid.dim - 1.0) ** 2 / 4.0
     for v in random_smooth_profiles(grid, 20, seed=5):
         u = RadialFunction(grid, v)
@@ -93,7 +94,7 @@ def test_norm_lambda_positive_near_spectral_bound(setup3):
 
 
 def test_seminorm_nonnegative_and_zero_on_constants(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     for v in random_smooth_profiles(grid, 10, seed=6):
         assert seminorm_s_sq(RadialFunction(grid, v), forms) >= 0.0
 
@@ -129,7 +130,7 @@ def test_seminorm_two_bump_interaction_decays(setup3):
     # far-field kernel decay: the cross term between separated bumps
     # shrinks with distance (each bump's own energy grows with the volume
     # factor, so only the interaction can stabilize)
-    grid, _, forms = setup3
+    grid, forms = setup3
     r = grid.nodes
 
     def bump(c):
@@ -152,7 +153,7 @@ def test_seminorm_two_bump_interaction_decays(setup3):
 
 
 def test_lp_norm_homogeneity(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     u = gaussian(grid)
     scaled = RadialFunction(grid, -2.5 * u.values)
     for q in (1.0, 2.0, 3.5):
@@ -160,7 +161,7 @@ def test_lp_norm_homogeneity(setup3):
 
 
 def test_lp_norm_mass_consistency(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     for v in random_smooth_profiles(grid, 10, seed=7):
         u = RadialFunction(grid, v)
         direct = float(v @ forms.mass @ v)
@@ -168,21 +169,21 @@ def test_lp_norm_mass_consistency(setup3):
 
 
 def test_lp_norm_gaussian_golden(setup3):
-    grid, _, _ = setup3
+    grid, _ = setup3
     u = gaussian(grid)
     assert lp_norm(u, 2.0) ** 2 == pytest.approx(GAUSS_L2_SQ, rel=2e-3)
     assert lp_norm(u, 4.0) ** 4 == pytest.approx(GAUSS_L4_4, rel=2e-3)
 
 
 def test_lp_norm_rejects_bad_exponent(setup3):
-    grid, _, _ = setup3
+    grid, _ = setup3
     with pytest.raises(DomainError):
         lp_norm(gaussian(grid), 0.5)
 
 
 def test_norms_converge_under_doubling(setup3, setup3_fine):
-    grid, _, _ = setup3
-    fine, _, _ = setup3_fine
+    grid, _ = setup3
+    fine, _ = setup3_fine
     for q in (2.0, 4.0):
         a = lp_norm(gaussian(grid), q)
         b = lp_norm(gaussian(fine), q)
@@ -190,13 +191,13 @@ def test_norms_converge_under_doubling(setup3, setup3_fine):
 
 
 def test_dirichlet_matches_continuum(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     assert dirichlet_sq(gaussian(grid), forms) == pytest.approx(
         GAUSS_DIRICHLET, rel=5e-3)
 
 
 def test_rearrange_identity_on_decreasing(setup3):
-    grid, _, _ = setup3
+    grid, _ = setup3
     v = np.exp(-grid.nodes)
     v[-1] = 0.0
     u = RadialFunction(grid, v)
@@ -204,7 +205,7 @@ def test_rearrange_identity_on_decreasing(setup3):
 
 
 def test_rearrange_idempotent(setup3):
-    grid, _, _ = setup3
+    grid, _ = setup3
     for v in random_smooth_profiles(grid, 10, seed=8):
         s1 = schwarz_rearrange(RadialFunction(grid, v))
         s2 = schwarz_rearrange(s1)
@@ -213,7 +214,7 @@ def test_rearrange_idempotent(setup3):
 
 
 def test_rearrange_rejects_negative(setup3):
-    grid, _, _ = setup3
+    grid, _ = setup3
     v = np.ones(grid.n)
     v[3] = -0.1
     with pytest.raises(DomainError, match="absolute value"):
@@ -232,7 +233,7 @@ def test_rearrange_preserves_lq():
 
 
 def test_rearrange_energy_nonincreasing(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     for v in random_smooth_profiles(grid, 25, seed=10):
         u = RadialFunction(grid, v)
         star = schwarz_rearrange(u)
@@ -241,7 +242,7 @@ def test_rearrange_energy_nonincreasing(setup3):
 
 
 def test_quotients_homogeneous(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     u = gaussian(grid)
     big = RadialFunction(grid, 7.0 * u.values)
     assert sobolev_quotient(big, 0.5, 3.0, forms) == pytest.approx(
@@ -251,7 +252,7 @@ def test_quotients_homogeneous(setup3):
 
 
 def test_mixed_quotient_dominates_local(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     n_dim = grid.dim
     two_star = 2.0 * n_dim / (n_dim - 2.0)
     for v in random_smooth_profiles(grid, 10, seed=11):
@@ -261,7 +262,7 @@ def test_mixed_quotient_dominates_local(setup3):
 
 
 def test_mixed_quotient_concentration_trend(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     r = grid.nodes
     vals = []
     for eps in (0.32, 0.16, 0.08, 0.04):
@@ -272,7 +273,7 @@ def test_mixed_quotient_concentration_trend(setup3):
 
 
 def test_quotient_errors(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     zero = RadialFunction(grid, np.zeros(grid.n))
     with pytest.raises(DomainError):
         sobolev_quotient(zero, 0.0, 3.0, forms)
@@ -281,7 +282,7 @@ def test_quotient_errors(setup3):
 
 
 def test_seminorm_embedding_bound_reported(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     ratios = []
     for v in random_smooth_profiles(grid, 20, seed=12):
         u = RadialFunction(grid, v)
@@ -291,7 +292,7 @@ def test_seminorm_embedding_bound_reported(setup3):
 
 
 def test_profile_csv_roundtrip(tmp_path, setup3):
-    grid, _, _ = setup3
+    grid, _ = setup3
     u = gaussian(grid)
     path = tmp_path / "profile.csv"
     u.to_csv(path)
@@ -301,9 +302,10 @@ def test_profile_csv_roundtrip(tmp_path, setup3):
     assert np.array_equal(back.values, u.values)
 
 
-def test_forms_reject_mismatched_kernel(setup3):
-    grid, reduced, _ = setup3
-    other = make_grid(3, r_max=20.0, n=200)
+def test_forms_reject_mismatched_kernel():
+    grid = make_grid(3, r_max=8.0, n=64)
+    reduced = build_reduced_kernel(3, 0.5, grid.cell_midpoints)
+    other = make_grid(3, r_max=8.0, n=32)
     with pytest.raises(DomainError):
         assemble_forms(other, 0.5, reduced)
     with pytest.raises(DomainError):

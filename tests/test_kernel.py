@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypfrac.kernel import (BesselTerm, apply_operator,
                             build_reduced_kernel, kernel, kernel_even,
                             kernel_odd, normalizing_constant,
                             _even_ladder_eval)
-from hypfrac.pipeline import build_forms
 from hypfrac.specfun import bessel_k, integrate_adaptive
 
 # C(3, 1/2) evaluated from the Gamma-factor product at 40 digits; the
@@ -287,18 +287,16 @@ def test_reduced_kernel_near_diagonal_exponent():
     assert abs(-slope - 2.0) < 0.2  # exponent 1 + 2s = 2 within 10%
 
 
-def test_reduced_kernel_validate_and_export(tmp_path, reduced3):
+def test_reduced_kernel_validates(reduced3):
     reduced3.validate()
-    # the forms cache entry is the one serialisation of a reduced kernel:
-    # a cache hit must rebuild it field for field
-    _, built, _ = build_forms(3, 0.5, r_max=8.0, n=64, cache_dir=tmp_path)
-    _, loaded, _ = build_forms(3, 0.5, r_max=8.0, n=64, cache_dir=tmp_path)
-    loaded.validate()
-    assert (loaded.dim, loaded.order) == (3, 0.5)
-    assert np.array_equal(loaded.r_grid, built.r_grid)
-    assert np.array_equal(loaded.W, built.W)
-    assert loaded.diagonal_model == built.diagonal_model
-    assert loaded.diagonal_model.exponent == 2.0
+    assert reduced3.diagonal_model.exponent == 2.0
+
+
+def test_kernel_submodule_not_shadowed():
+    # the package must not re-export a name that hides its kernel module
+    import hypfrac.kernel as k
+    assert isinstance(k, types.ModuleType)
+    assert k.build_reduced_kernel is build_reduced_kernel
 
 
 def test_reduced_kernel_rejects_bad_grid():

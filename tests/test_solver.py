@@ -5,8 +5,9 @@ import pytest
 
 from hypfrac.errors import DomainError, ThresholdNotMetError
 from hypfrac.funcspace import RadialFunction, lp_norm, norm_lambda_sq
-from hypfrac.solver import (ProblemSpec, _bubble, _functional_for, _ray_max,
-                            _segment_peak, check_threshold, critical_ray_level,
+from hypfrac.solver import (ProblemSpec, _bubble, _functional_for,
+                            _newton_polish, _ray_max, _segment_peak,
+                            check_threshold, critical_ray_level,
                             energy_I, energy_J, estimate_critical_constant,
                             estimate_subcritical_constant, gradient_I,
                             gradient_J, mountain_pass_geometry,
@@ -33,13 +34,13 @@ def test_problem_spec_validation():
 
 
 def test_energy_zero_profile(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     zero = RadialFunction(grid, np.zeros(grid.n))
     assert energy_I(zero, SPEC3, forms) == 0.0
 
 
 def test_energy_identity_on_nehari_set(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     for v in random_smooth_profiles(grid, 5, seed=21):
         u = nehari_project(RadialFunction(grid, v), SPEC3, forms)
         rhs = (0.5 - 0.25) * lp_norm(u, 4.0) ** 4
@@ -47,8 +48,8 @@ def test_energy_identity_on_nehari_set(setup3):
 
 
 def test_energy_gaussian_against_doubled_resolution(setup3, setup3_fine):
-    grid, _, forms = setup3
-    fine, _, forms_fine = setup3_fine
+    grid, forms = setup3
+    fine, forms_fine = setup3_fine
     u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     uf = RadialFunction(fine, np.exp(-fine.nodes ** 2))
     a = energy_I(u, SPEC3, forms)
@@ -57,7 +58,7 @@ def test_energy_gaussian_against_doubled_resolution(setup3, setup3_fine):
 
 
 def test_gradient_matches_directional_derivative(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     rng = np.random.default_rng(3)
     h = 1e-5
     profiles = random_smooth_profiles(grid, 4, seed=22)
@@ -74,13 +75,13 @@ def test_gradient_matches_directional_derivative(setup3):
 
 
 def test_gradient_zero_at_zero(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     zero = RadialFunction(grid, np.zeros(grid.n))
     assert np.all(gradient_I(zero, SPEC3, forms).values == 0.0)
 
 
 def test_nehari_scale_properties(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     for v in random_smooth_profiles(grid, 10, seed=23):
         u = RadialFunction(grid, v)
         t = nehari_scale(u, SPEC3, forms)
@@ -92,14 +93,14 @@ def test_nehari_scale_properties(setup3):
 
 
 def test_nehari_scale_rejects_zero(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     with pytest.raises(DomainError):
         nehari_scale(RadialFunction(grid, np.zeros(grid.n)), SPEC3, forms)
 
 
 def test_nehari_scale_gaussian_against_doubled_resolution(setup3, setup3_fine):
-    grid, _, forms = setup3
-    fine, _, forms_fine = setup3_fine
+    grid, forms = setup3
+    fine, forms_fine = setup3_fine
     t_coarse = nehari_scale(
         RadialFunction(grid, np.exp(-grid.nodes ** 2)), SPEC3, forms)
     t_fine = nehari_scale(
@@ -108,7 +109,7 @@ def test_nehari_scale_gaussian_against_doubled_resolution(setup3, setup3_fine):
 
 
 def test_subcritical_solve_report(subcritical_report, setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     spec, report = subcritical_report
     assert report.converged
     u = report.solution
@@ -125,13 +126,26 @@ def test_subcritical_solve_report(subcritical_report, setup3):
 
 
 def test_subcritical_solve_rejects_zero_init(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     with pytest.raises(DomainError):
         solve_subcritical(SPEC3, RadialFunction(grid, np.zeros(grid.n)), forms)
 
 
+def test_newton_polish_stops_at_its_floor(subcritical_report, setup3):
+    # tol = 0 is below the round-off floor: the polish must stop once its
+    # line search no longer lowers the residual, keeping the ground state
+    _, forms = setup3
+    spec, report = subcritical_report
+    fn = _functional_for(spec, forms)
+    v0 = report.solution.values
+    v, its = _newton_polish(fn, v0, tol=0.0)
+    assert its < 60
+    assert fn.residual_norm(v) <= fn.residual_norm(v0)
+    assert fn.value(v) == pytest.approx(fn.value(v0), rel=1e-12)
+
+
 def test_mountain_pass_level_matches_constrained_minimum(subcritical_report, setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     spec, report = subcritical_report
     level = mountain_pass_level_subcritical(spec, report.solution, forms)
     assert level > 0.0
@@ -144,7 +158,7 @@ def test_mountain_pass_level_matches_constrained_minimum(subcritical_report, set
 
 
 def test_energy_J_ray_unbounded_below(setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     zero = RadialFunction(grid, np.zeros(grid.n))
@@ -155,14 +169,14 @@ def test_energy_J_ray_unbounded_below(setup5):
 
 
 def test_energy_J_requires_critical_mode(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     with pytest.raises(DomainError):
         energy_J(u, SPEC3, forms)
 
 
 def test_gradient_J_finite_difference(setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     # taper the random profiles: nonzero tail values against the e^(4r)
     # volume weights would dominate the finite-difference truncation error
@@ -181,7 +195,7 @@ def test_gradient_J_finite_difference(setup5):
 
 def test_step2_coercivity_inequality(setup5):
     # J(u) - J'(u)[u]/(p+1) >= (p-1)/(2(p+1)) |u|_lambda^2
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     fn = _functional_for(spec, forms)
     factor = (spec.p - 1.0) / (2.0 * (spec.p + 1.0))
@@ -192,7 +206,7 @@ def test_step2_coercivity_inequality(setup5):
 
 
 def test_check_threshold_positive_and_scale_invariant(setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     r = grid.nodes
     v = (0.02 / (0.02 ** 2 + r ** 2)) ** 1.5 * np.exp(-r ** 2)
@@ -206,7 +220,7 @@ def test_check_threshold_positive_and_scale_invariant(setup5):
 
 
 def test_check_threshold_rejects_bad_seed(setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     with pytest.raises(DomainError):
         check_threshold(RadialFunction(grid, np.zeros(grid.n)), spec, forms)
@@ -218,7 +232,7 @@ def test_check_threshold_rejects_bad_seed(setup5):
 def test_pinned_configuration_documents_threshold_failure(setup3):
     # at (3, 0.5, 0.5, 3) the family search finds no admissible seed; the
     # outcome is recorded, deterministic, and solve_critical refuses loudly
-    grid, _, forms = setup3
+    grid, forms = setup3
     spec = ProblemSpec(N=3, s=0.5, lam=0.5, p=3.0, mode="critical_perturbed")
     search1 = search_threshold_seed(spec, forms)
     search2 = search_threshold_seed(spec, forms)
@@ -234,7 +248,7 @@ def test_pinned_configuration_documents_threshold_failure(setup3):
 
 
 def test_critical_solve_report(critical_report, setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec, search, report = critical_report
     assert report.converged
     assert report.residual < 1e-6
@@ -249,7 +263,7 @@ def test_critical_solve_report(critical_report, setup5):
 
 
 def test_critical_ray_cross_check(critical_report, setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec, search, report = critical_report
     level = critical_ray_level(spec, search.seed, forms)
     assert level == pytest.approx(report.mp_level_m, rel=0.02)
@@ -275,7 +289,7 @@ def test_critical_deformation_stops_when_level_stalls(critical_report):
 
 
 def test_segment_peak_matches_dense_sampling(setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     fn = _functional_for(spec, forms)
     # from below one bubble's ray peak to beyond another's: J rises to an
@@ -295,14 +309,14 @@ def test_segment_peak_matches_dense_sampling(setup5):
 
 
 def test_mountain_pass_geometry_positive(setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     beta, radius = mountain_pass_geometry(spec, forms)
     assert beta > 0.0 and radius > 0.0
 
 
 def test_estimate_critical_constant_deterministic(setup5):
-    grid, _, forms = setup5
+    grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     a = estimate_critical_constant(spec, forms)
     b = estimate_critical_constant(spec, forms)
@@ -312,13 +326,13 @@ def test_estimate_critical_constant_deterministic(setup5):
 
 
 def test_weak_max_on_solutions(subcritical_report, setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     spec, report = subcritical_report
     assert weak_max_check(report.solution, spec, forms).passes
 
 
 def test_weak_max_rejects_sign_changing(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     bad = np.exp(-grid.nodes ** 2) \
         - 0.4 * np.exp(-((grid.nodes - 3.0) / 0.7) ** 2)
     bad[-1] = 0.0
@@ -329,7 +343,7 @@ def test_weak_max_rejects_sign_changing(setup3):
 
 
 def test_weak_max_accepts_nonnegative(setup3):
-    grid, _, forms = setup3
+    grid, forms = setup3
     u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     assert weak_max_check(u, SPEC3, forms).passes
 
