@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -53,11 +54,18 @@ def _json_int(value, name: str) -> int:
 
 
 def _json_number(value, name: str) -> float:
-    """A config value that must be a JSON number: "0.5" or true is an
-    error, never parsed; an integer such as 3 is taken as 3.0."""
+    """A config value that must be a finite JSON number: "0.5", true,
+    Infinity or NaN is an error, never parsed; an integer such as 3 is
+    taken as 3.0."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {number}")
+    return number
 
 
 @dataclass
@@ -102,6 +110,12 @@ class RunConfig:
         sol = raw.get("solver", {})
         io = raw.get("io", {})
         cache_dir = io.get("cache_dir")
+        tol = _json_number(sol.get("tol", 1e-6), "solver.tol")
+        if tol <= 0.0:
+            raise ValueError(f"solver.tol must be > 0, got {tol}")
+        max_iter = _json_int(sol.get("max_iter", 400), "solver.max_iter")
+        if max_iter < 1:
+            raise ValueError(f"solver.max_iter must be >= 1, got {max_iter}")
         path_nodes = _json_int(sol.get("path_nodes", 48), "solver.path_nodes")
         if path_nodes < 1:
             raise ValueError(f"solver.path_nodes must be >= 1, got {path_nodes}")
@@ -110,8 +124,8 @@ class RunConfig:
             r_max=_json_number(grid.get("R_max", 20.0), "grid.R_max"),
             node_count=_json_int(grid.get("node_count", 400), "grid.node_count"),
             spacing=str(grid.get("spacing", "graded")),
-            tol=_json_number(sol.get("tol", 1e-6), "solver.tol"),
-            max_iter=_json_int(sol.get("max_iter", 400), "solver.max_iter"),
+            tol=tol,
+            max_iter=max_iter,
             path_nodes=path_nodes,
             out_dir=Path(io.get("out_dir", "out")),
             cache_dir=Path(cache_dir) if cache_dir else None,
@@ -120,6 +134,15 @@ class RunConfig:
 
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=1) + "\n")
+
+
+def _write_csv(path: Path, header: str, *columns):
+    """One row per entry of the columns, every value written with 17
+    significant digits so floats read back exactly."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def cmd_kernel(args) -> int:
@@ -134,7 +157,7 @@ def cmd_kernel(args) -> int:
         return EXIT_NUMERICAL
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out)
+    _write_csv(out, "rho,kernel_value", table.rho_grid, table.values)
     print(f"wrote {args.points}-point table to {out} "
           f"(near exponent {table.near_exponent:+.4f}, far rate {table.far_rate:.4f})")
     return EXIT_OK
@@ -143,13 +166,13 @@ def cmd_kernel(args) -> int:
 def _solve_outputs(cfg: RunConfig, report: solver.SolveReport, extras: dict):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     profile_name = "profile.csv"
-    report.solution.to_csv(cfg.out_dir / profile_name)
+    sol = report.solution
+    _write_csv(cfg.out_dir / profile_name, "r,u", sol.grid.nodes, sol.values)
     payload = report.to_dict(solution_ref=profile_name)
     _write_json(cfg.out_dir / "report.json", payload)
-    with open(cfg.out_dir / "convergence.csv", "w") as fh:
-        fh.write("iteration,energy\n")
-        for i, e in enumerate(report.energy_history):
-            fh.write(f"{i},{e:.17g}\n")
+    history = report.energy_history
+    _write_csv(cfg.out_dir / "convergence.csv", "iteration,energy",
+               range(len(history)), history)
     metadata = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "hypfrac_version": __version__}
     metadata.update(extras)
@@ -204,7 +227,7 @@ def cmd_solve(args) -> int:
         print(f"threshold failure: sup_value={exc.sup_value:.8g} "
               f"threshold={exc.threshold:.8g}")
         return EXIT_THRESHOLD
-    except (ConvergenceError, QuadratureError) as exc:
+    except (ConvergenceError, QuadratureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -15,6 +15,11 @@ forms represent the energies:
 Functions are treated as extended by zero beyond the truncation radius;
 the last node is pinned in solves, which is what makes the lambda-shifted
 norm positive definite for every admissible lambda.
+
+This module holds the forms and the norms built from them.  The energy
+functionals and the best constants of their quotients live in solver
+(_functional_for, estimate_subcritical_constant,
+estimate_critical_constant), and profiles are written to CSV by cli.
 """
 
 from __future__ import annotations
@@ -157,23 +162,6 @@ class RadialFunction:
             raise DomainError("profile values must be finite")
         self.values = v
 
-    def copy(self) -> "RadialFunction":
-        return RadialFunction(self.grid, self.values.copy())
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("r,u\n")
-            for r, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{r:.17g},{v:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, path, grid: RadialGrid) -> "RadialFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        r, v = data[:, 0], data[:, 1]
-        if not np.allclose(r, grid.nodes, rtol=0.0, atol=1e-12):
-            raise DomainError(f"profile in {path} was sampled on a different grid")
-        return cls(grid, v)
-
 
 @dataclass(frozen=True)
 class QuadraticForms:
@@ -186,7 +174,11 @@ class QuadraticForms:
     nonlocal_mat: np.ndarray
 
     def lambda_metric(self, lam: float) -> np.ndarray:
-        return self.stiffness - lam * self.mass
+        """stiffness - lam mass; FloatingPointError if that overflows."""
+        metric = self.stiffness - lam * self.mass
+        if not np.isfinite(metric).all():
+            raise FloatingPointError(f"lambda metric is not finite at lambda = {lam:g}")
+        return metric
 
     def validate(self, tol: float = 1e-10):
         from scipy.linalg import eigvalsh
@@ -426,25 +418,3 @@ def schwarz_rearrange(u: RadialFunction) -> RadialFunction:
                          vals.size - 1)
         out[~positive] = sorted_vals[idx[~positive]]
     return RadialFunction(u.grid, out)
-
-
-def sobolev_quotient(u: RadialFunction, lam: float, p: float,
-                     forms: QuadraticForms) -> float:
-    """||u||_lambda^2 / ||u||_{p+1}^2, the subcritical Poincare-Sobolev
-    quotient whose infimum is the best constant."""
-    denom = lp_norm(u, p + 1.0) ** 2
-    if denom == 0.0:
-        raise DomainError("quotient undefined for the zero profile")
-    return norm_lambda_sq(u, lam, forms) / denom
-
-
-def mixed_quotient(u: RadialFunction, lam: float, forms: QuadraticForms) -> float:
-    """(||u||_lambda^2 + [u]_s^2) / ||u||_{2*}^2 with 2* = 2N/(N-2)."""
-    n_dim = u.grid.dim
-    if n_dim < 3:
-        raise DomainError("critical exponent requires dimension >= 3")
-    two_star = 2.0 * n_dim / (n_dim - 2.0)
-    denom = lp_norm(u, two_star) ** 2
-    if denom == 0.0:
-        raise DomainError("quotient undefined for the zero profile")
-    return (norm_lambda_sq(u, lam, forms) + seminorm_s_sq(u, forms)) / denom

@@ -203,19 +203,15 @@ def _check_rho(rho):
     return rho_v
 
 
-def kernel_odd(N: int, s: float, rho, return_underflow: bool = False):
+def kernel_odd(N: int, s: float, rho):
     """Exact kernel for odd N >= 3: (N-1)/2 ladder applications, scaled by
     the normalizing constant.  Vectorized over rho."""
     _check_kernel_args(N, s, "odd")
     rho_v = _check_rho(rho)
     ts = _ladder(int(N), float(s), (N - 1) // 2)
     vals = normalizing_constant(N, s) * np.atleast_1d(ts.evaluate(rho_v))
-    under = vals < UNDERFLOW_FLOOR
-    vals = np.where(under, 0.0, vals)
-    out = vals if np.ndim(rho) else float(vals[0])
-    if return_underflow:
-        return out, (bool(under.any()) if np.ndim(rho) else bool(under[0]))
-    return out
+    vals = np.where(vals < UNDERFLOW_FLOOR, 0.0, vals)
+    return vals if np.ndim(rho) else float(vals[0])
 
 
 def _even_ladder_eval(N, s, r):
@@ -271,7 +267,7 @@ def _even_integral(N, s, rho):
     return out
 
 
-def kernel_even(N: int, s: float, rho, return_underflow: bool = False):
+def kernel_even(N: int, s: float, rho):
     """Kernel for even N >= 2: the singular integral over r > rho of
     sinh(r) G(r) / sqrt(cosh r - cosh rho), scaled by the normalizing
     constant over sqrt(pi).  Vectorized over rho of any shape.
@@ -298,12 +294,8 @@ def kernel_even(N: int, s: float, rho, return_underflow: bool = False):
             value=float(vals[bad]),
         )
     vals = vals.reshape(rho_v.shape)
-    under = vals < UNDERFLOW_FLOOR
-    vals = np.where(under, 0.0, vals)
-    out = vals if np.ndim(rho) else float(vals[0])
-    if return_underflow:
-        return out, (bool(under.any()) if np.ndim(rho) else bool(under[0]))
-    return out
+    vals = np.where(vals < UNDERFLOW_FLOOR, 0.0, vals)
+    return vals if np.ndim(rho) else float(vals[0])
 
 
 def kernel(N: int, s: float, rho):
@@ -366,15 +358,6 @@ class KernelTable:
             return np.exp(p(np.log(np.asarray(rho, dtype=float))))
 
         return evaluate
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            self.write_csv(fh)
-
-    def write_csv(self, fh):
-        fh.write("rho,kernel_value\n")
-        for r, v in zip(self.rho_grid, self.values):
-            fh.write(f"{r:.17g},{v:.17g}\n")
 
 
 def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,

@@ -21,6 +21,11 @@ stop rule: it ends after the first sweep that does not lower that exact
 path level, and the peak it leaves only has to be close enough for the
 Newton polish.
 
+Each energy functional -- I_lambda, and J_lambda with its critical power
+term -- is one _Functional, built once per (spec, forms) by
+_functional_for; values, Riesz gradients and Nehari scales are evaluated on
+that object, never by rebuilding it per profile.
+
 Vectors live on a RadialGrid with the last node pinned to zero (truncation
 of decaying profiles), which keeps the lambda metric positive definite.
 """
@@ -194,43 +199,14 @@ class _Functional:
         return math.sqrt(max(float(v @ self.metric @ v), 0.0))
 
 
-def _functional_for(spec: ProblemSpec, forms: QuadraticForms,
-                    include_critical: bool | None = None) -> _Functional:
-    if include_critical is None:
-        include_critical = spec.mode == "critical_perturbed"
-    quad = forms.lambda_metric(spec.lam) + forms.nonlocal_mat
+def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
+    """I_lambda for a subcritical spec, J_lambda for a critical_perturbed one."""
+    metric = forms.lambda_metric(spec.lam)
     exponents = [spec.p + 1.0]
-    if include_critical:
+    if spec.mode == "critical_perturbed":
         exponents.insert(0, spec.critical_exponent)
-    return _Functional(quad, forms.lambda_metric(spec.lam),
+    return _Functional(metric + forms.nonlocal_mat, metric,
                        forms.grid.weights, exponents)
-
-
-def energy_I(u: RadialFunction, spec: ProblemSpec, forms: QuadraticForms) -> float:
-    """Subcritical energy 1/2(||u||_l^2 + [u]_s^2) - 1/(p+1) int |u|^{p+1}."""
-    return _functional_for(spec, forms, include_critical=False).value(u.values)
-
-
-def gradient_I(u: RadialFunction, spec: ProblemSpec,
-               forms: QuadraticForms) -> RadialFunction:
-    """Riesz representative of the first variation in the lambda metric."""
-    fn = _functional_for(spec, forms, include_critical=False)
-    return RadialFunction(u.grid, fn.riesz_gradient(u.values))
-
-
-def energy_J(u: RadialFunction, spec: ProblemSpec, forms: QuadraticForms) -> float:
-    """Critically perturbed energy: adds -1/2* int |u|^{2*}."""
-    if spec.mode != "critical_perturbed":
-        raise DomainError("energy_J requires a critical_perturbed spec")
-    return _functional_for(spec, forms).value(u.values)
-
-
-def gradient_J(u: RadialFunction, spec: ProblemSpec,
-               forms: QuadraticForms) -> RadialFunction:
-    if spec.mode != "critical_perturbed":
-        raise DomainError("gradient_J requires a critical_perturbed spec")
-    fn = _functional_for(spec, forms)
-    return RadialFunction(u.grid, fn.riesz_gradient(u.values))
 
 
 def _nehari_scale(fn: _Functional, v: np.ndarray, p: float) -> float:
@@ -239,19 +215,6 @@ def _nehari_scale(fn: _Functional, v: np.ndarray, p: float) -> float:
     if denom <= 0.0 or q <= 0.0:
         raise DomainError("Nehari scale undefined: zero profile or vanishing integral")
     return (q / denom) ** (1.0 / (p - 1.0))
-
-
-def nehari_scale(u: RadialFunction, spec: ProblemSpec,
-                 forms: QuadraticForms) -> float:
-    """The unique ray scale t(u) placing u on the Nehari set,
-    ((||u||_l^2 + [u]_s^2) / int |u|^{p+1})^(1/(p-1))."""
-    fn = _functional_for(spec, forms, include_critical=False)
-    return _nehari_scale(fn, u.values, spec.p)
-
-
-def nehari_project(u: RadialFunction, spec: ProblemSpec,
-                   forms: QuadraticForms) -> RadialFunction:
-    return RadialFunction(u.grid, nehari_scale(u, spec, forms) * u.values)
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray,
@@ -296,9 +259,10 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
 
 def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
                     tol: float, max_iter: int,
-                    rearrange_grid=None) -> tuple[np.ndarray, int, list]:
+                    grid) -> tuple[np.ndarray, int, list]:
     """Projected gradient descent on the Nehari set for a functional with a
-    single superquadratic power term (exponent spec_p + 1)."""
+    single superquadratic power term (exponent spec_p + 1); every
+    _REARRANGE_EVERY steps it tries the decreasing rearrangement on grid."""
 
     def project(v):
         return _nehari_scale(fn, v, spec_p) * v
@@ -311,8 +275,8 @@ def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        if rearrange_grid is not None and it % _REARRANGE_EVERY == 0:
-            cand = schwarz_rearrange(RadialFunction(rearrange_grid, np.abs(v))).values
+        if it % _REARRANGE_EVERY == 0:
+            cand = schwarz_rearrange(RadialFunction(grid, np.abs(v))).values
             cand[-1] = 0.0
             cand = project(cand)
             if fn.value(cand) <= history[-1] + 1e-12 * abs(history[-1]):
@@ -356,10 +320,10 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         raise DomainError("solve_subcritical needs spec.mode == 'subcritical'")
     if not np.any(init.values != 0.0):
         raise DomainError("initial profile must be nonzero")
-    fn = _functional_for(spec, forms, include_critical=False)
+    fn = _functional_for(spec, forms)
 
     v, outer_its, history = _nehari_descent(
-        fn, spec.p, init.values, tol, max_iter, rearrange_grid=forms.grid)
+        fn, spec.p, init.values, tol, max_iter, forms.grid)
     v, newton_its = _newton_polish(fn, v, tol=1e-13 * max(fn.metric_norm(v), 1.0))
 
     # the Euler-Lagrange polish preserves sign and monotonicity up to
@@ -511,7 +475,7 @@ def mountain_pass_level_subcritical(spec: ProblemSpec, solution: RadialFunction,
     the straight path through the ground state attains the constrained
     minimum; the shared deformation then tries to push it lower.
     """
-    fn = _functional_for(spec, forms, include_critical=False)
+    fn = _functional_for(spec, forms)
     u = solution.values
     # ray energy crosses zero at t_u ((p+1)/2)^(1/(p-1)); overshoot past it
     t_u = _nehari_scale(fn, u, spec.p)
@@ -595,12 +559,11 @@ def estimate_subcritical_constant(spec: ProblemSpec,
                                   forms: QuadraticForms) -> float:
     """Best constant of the subcritical quotient via the ground state of
     the purely local problem (the minimizer of the quotient itself)."""
-    fn = _Functional(forms.lambda_metric(spec.lam), forms.lambda_metric(spec.lam),
-                     forms.grid.weights, [spec.p + 1.0])
+    metric = forms.lambda_metric(spec.lam)
+    fn = _Functional(metric, metric, forms.grid.weights, [spec.p + 1.0])
     init = np.exp(-forms.grid.nodes ** 2)
     init[-1] = 0.0
-    v, _, _ = _nehari_descent(fn, spec.p, init, 1e-8, 400,
-                              rearrange_grid=forms.grid)
+    v, _, _ = _nehari_descent(fn, spec.p, init, 1e-8, 400, forms.grid)
     v, _ = _newton_polish(fn, v, tol=1e-12 * max(fn.metric_norm(v), 1.0))
     q = fn.quad_form(v)
     pw = fn.power_integral(v, spec.p + 1.0)

@@ -195,19 +195,21 @@ def suite_nehari(cache_dir=None) -> list[CheckResult]:
     res = []
     grid, forms, spec, init, report, took = _subcritical_setup(cache_dir)
 
+    fn = solver._functional_for(spec, forms)
+
+    def project(v):
+        return solver._nehari_scale(fn, v, spec.p) * v
+
     worst_t, worst_scale = 0.0, 0.0
     for seed in NEHARI_SEEDS:
         for v in random_smooth_profiles(grid, 100, seed=seed):
-            u = RadialFunction(grid, v)
-            proj = solver.nehari_project(u, spec, forms)
-            worst_t = max(worst_t, abs(solver.nehari_scale(proj, spec, forms) - 1.0))
-            peak = max(float(np.abs(proj.values).max()), 1e-30)
+            proj = project(v)
+            worst_t = max(worst_t, abs(solver._nehari_scale(fn, proj, spec.p) - 1.0))
+            peak = max(float(np.abs(proj).max()), 1e-30)
             for alpha in (0.1, 10.0):
-                again = solver.nehari_project(RadialFunction(grid, alpha * v),
-                                              spec, forms)
+                again = project(alpha * v)
                 worst_scale = max(
-                    worst_scale,
-                    float(np.max(np.abs(again.values - proj.values))) / peak)
+                    worst_scale, float(np.max(np.abs(again - proj))) / peak)
     res.append(CheckResult(
         "nehari", "projection idempotent and scale invariant (2 x 100 profiles)",
         worst_t < 1e-10 and worst_scale < 1e-12,

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from hypfrac import verify
-from hypfrac.cli import (EXIT_OK, EXIT_SUITE_FAILURE, EXIT_THRESHOLD,
-                         EXIT_VALIDATION, main)
+from hypfrac.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE_FAILURE,
+                         EXIT_THRESHOLD, EXIT_VALIDATION, main)
 
 
 def run_cli(*argv):
@@ -134,13 +135,22 @@ def test_solve_config_errors(tmp_path, capsys):
         invalid.write_text(json.dumps(shape))
         assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
     # numbers are never coerced: N = 3.5 must not solve N = 3, "0.5" is not
-    # a number, true is not 1.0, and a path needs at least one segment
+    # a number, true is not 1.0, float keys must be finite, tol positive,
+    # and the descent and the path need at least one step and one segment
     for section, key, value in (("problem", "N", 3.5), ("problem", "N", "3"),
                                 ("problem", "s", "0.5"), ("problem", "s", True),
                                 ("problem", "lambda", "0"), ("problem", "p", "3"),
                                 ("grid", "R_max", "20"), ("solver", "tol", "1e-6"),
+                                ("problem", "lambda", -math.inf),
+                                ("problem", "lambda", -10 ** 400),
+                                ("problem", "s", math.nan),
+                                ("grid", "R_max", math.inf),
+                                ("solver", "tol", math.nan),
+                                ("solver", "tol", -1.0), ("solver", "tol", 0.0),
                                 ("grid", "node_count", 64.0),
                                 ("solver", "max_iter", 400.0),
+                                ("solver", "max_iter", -3),
+                                ("solver", "max_iter", 0),
                                 ("solver", "path_nodes", 2.5),
                                 ("solver", "path_nodes", 0)):
         cfg = {"problem": {"N": 3, "s": 0.5}}
@@ -148,6 +158,23 @@ def test_solve_config_errors(tmp_path, capsys):
         invalid.write_text(json.dumps(cfg))
         assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
         assert f"config error: {section}.{key}" in capsys.readouterr().err
+    invalid.write_text('{"problem": {"N": 3, "s": 0.5, "lambda": -Infinity}}')
+    assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
+    assert ("config error: problem.lambda must be a finite number, got -inf"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("mode", ["subcritical", "critical_perturbed"])
+def test_solve_overflowing_lambda_metric(tmp_path, cache_dir, capsys, mode):
+    # a finite lambda whose lambda * mass overflows is a numerical failure
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 3, "s": 0.5, "lambda": -1e295, "p": 3.0, "mode": mode},
+        tmp_path / "out", cache_dir,
+        grid={"R_max": 20.0, "node_count": 64, "spacing": "graded"})
+    assert run_cli("solve", "--config", str(cfg)) == EXIT_NUMERICAL
+    assert "numerical failure: lambda metric is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_rejects_unknown_config_key(tmp_path, cache_dir, capsys):

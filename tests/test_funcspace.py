@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hypfrac.cli import RunConfig, _solve_outputs
 from hypfrac.errors import DomainError
 from hypfrac.funcspace import (RadialFunction, assemble_forms, dirichlet_sq,
-                               lp_norm, make_grid, mixed_quotient,
-                               norm_lambda_sq, schwarz_rearrange,
-                               seminorm_s_sq, sobolev_quotient)
+                               lp_norm, make_grid, norm_lambda_sq,
+                               schwarz_rearrange, seminorm_s_sq)
 from hypfrac.geometry import radial_volume_weight
 from hypfrac.kernel import build_reduced_kernel
 from hypfrac.verify import random_smooth_profiles
@@ -241,46 +241,6 @@ def test_rearrange_energy_nonincreasing(setup3):
         assert seminorm_s_sq(star, forms) <= seminorm_s_sq(u, forms) * (1 + 1e-3)
 
 
-def test_quotients_homogeneous(setup3):
-    grid, forms = setup3
-    u = gaussian(grid)
-    big = RadialFunction(grid, 7.0 * u.values)
-    assert sobolev_quotient(big, 0.5, 3.0, forms) == pytest.approx(
-        sobolev_quotient(u, 0.5, 3.0, forms), rel=1e-12)
-    assert mixed_quotient(big, 0.5, forms) == pytest.approx(
-        mixed_quotient(u, 0.5, forms), rel=1e-12)
-
-
-def test_mixed_quotient_dominates_local(setup3):
-    grid, forms = setup3
-    n_dim = grid.dim
-    two_star = 2.0 * n_dim / (n_dim - 2.0)
-    for v in random_smooth_profiles(grid, 10, seed=11):
-        u = RadialFunction(grid, v)
-        local = norm_lambda_sq(u, 0.5, forms) / lp_norm(u, two_star) ** 2
-        assert mixed_quotient(u, 0.5, forms) >= local
-
-
-def test_mixed_quotient_concentration_trend(setup3):
-    grid, forms = setup3
-    r = grid.nodes
-    vals = []
-    for eps in (0.32, 0.16, 0.08, 0.04):
-        v = (eps / (eps ** 2 + r ** 2)) ** 0.5 * np.exp(-r ** 2)
-        v[-1] = 0.0
-        vals.append(mixed_quotient(RadialFunction(grid, v), 0.5, forms))
-    assert np.all(np.diff(vals) < 0.0)
-
-
-def test_quotient_errors(setup3):
-    grid, forms = setup3
-    zero = RadialFunction(grid, np.zeros(grid.n))
-    with pytest.raises(DomainError):
-        sobolev_quotient(zero, 0.0, 3.0, forms)
-    with pytest.raises(DomainError):
-        mixed_quotient(zero, 0.0, forms)
-
-
 def test_seminorm_embedding_bound_reported(setup3):
     grid, forms = setup3
     ratios = []
@@ -291,15 +251,20 @@ def test_seminorm_embedding_bound_reported(setup3):
     assert math.isfinite(c_emb) and 0.0 < c_emb < 10.0
 
 
-def test_profile_csv_roundtrip(tmp_path, setup3):
-    grid, _ = setup3
-    u = gaussian(grid)
-    path = tmp_path / "profile.csv"
-    u.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "r,u"
-    back = RadialFunction.from_csv(path, grid)
-    assert np.array_equal(back.values, u.values)
+def test_profile_csv_roundtrip(tmp_path, subcritical_report):
+    # the solve outputs carry every node and energy to the last bit
+    spec, report = subcritical_report
+    _solve_outputs(RunConfig(problem=spec, out_dir=tmp_path), report, {})
+    for name, header, columns in (
+            ("profile.csv", "r,u",
+             (report.solution.grid.nodes, report.solution.values)),
+            ("convergence.csv", "iteration,energy",
+             (np.arange(len(report.energy_history)), report.energy_history))):
+        path = tmp_path / name
+        assert path.read_text().splitlines()[0] == header
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        for k, column in enumerate(columns):
+            assert np.array_equal(back[:, k], column)
 
 
 def test_forms_reject_mismatched_kernel():

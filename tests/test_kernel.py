@@ -1,5 +1,4 @@
 import functools
-import io
 import math
 import types
 
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypfrac._goldens import ODD_KERNEL_FD_ORACLE
+from hypfrac.cli import main as cli_main
 from hypfrac.errors import DomainError
 from hypfrac.kernel import (BesselTerm, apply_operator,
                             bessel_base, build_kernel_table,
@@ -104,10 +104,9 @@ def test_odd_kernel_near_field_slope():
 
 
 def test_odd_kernel_underflow_flag():
-    val, flagged = kernel_odd(5, 0.75, 250.0, return_underflow=True)
-    assert val == 0.0 and flagged
-    val, flagged = kernel_odd(5, 0.75, 1.0, return_underflow=True)
-    assert val > 0.0 and not flagged
+    # values below the underflow floor are flushed to exactly zero
+    assert kernel_odd(5, 0.75, 250.0) == 0.0
+    assert kernel_odd(5, 0.75, 1.0) > 0.0
 
 
 def test_odd_kernel_domain():
@@ -207,17 +206,18 @@ def test_table_validation_errors():
         build_kernel_table(3, 0.5, 2.0, 1.0, 100)
 
 
-def test_table_csv_format():
+def test_table_csv_format(tmp_path):
+    out = tmp_path / "table.csv"
+    assert cli_main(["kernel", "--dim", "3", "--s", "0.5", "--rho-min", "1e-2",
+                     "--rho-max", "10", "--points", "32", "--out", str(out)]) == 0
     table = build_kernel_table(3, 0.5, 1e-2, 10.0, 32)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    text = buf.getvalue()
-    lines = text.strip().split("\n")
+    lines = out.read_text().splitlines()
     assert lines[0] == "rho,kernel_value"
     assert len(lines) == 33
-    rho0, val0 = lines[1].split(",")
-    assert float(rho0) == pytest.approx(1e-2, rel=1e-15)
-    assert float(val0) == pytest.approx(table.values[0], rel=1e-16)
+    back = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert back[0, 0] == pytest.approx(1e-2, rel=1e-15)
+    assert np.array_equal(back[:, 0], table.rho_grid)
+    assert np.array_equal(back[:, 1], table.values)
 
 
 @functools.lru_cache(maxsize=1)

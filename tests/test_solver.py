@@ -6,14 +6,14 @@ import pytest
 from hypfrac.errors import DomainError, ThresholdNotMetError
 from hypfrac.funcspace import RadialFunction, lp_norm, norm_lambda_sq
 from hypfrac.solver import (ProblemSpec, _bubble, _functional_for,
-                            _newton_polish, _ray_max, _segment_peak,
-                            check_threshold, critical_ray_level,
-                            energy_I, energy_J, estimate_critical_constant,
-                            estimate_subcritical_constant, gradient_I,
-                            gradient_J, mountain_pass_geometry,
-                            mountain_pass_level_subcritical, nehari_project,
-                            nehari_scale, search_threshold_seed,
-                            solve_critical, solve_subcritical, weak_max_check)
+                            _nehari_scale, _newton_polish, _ray_max,
+                            _segment_peak, check_threshold, critical_ray_level,
+                            estimate_critical_constant,
+                            estimate_subcritical_constant,
+                            mountain_pass_geometry,
+                            mountain_pass_level_subcritical,
+                            search_threshold_seed, solve_critical,
+                            solve_subcritical, weak_max_check)
 from hypfrac.verify import random_smooth_profiles
 
 SPEC3 = ProblemSpec(N=3, s=0.5, lam=0.0, p=3.0, mode="subcritical")
@@ -35,76 +35,70 @@ def test_problem_spec_validation():
 
 def test_energy_zero_profile(setup3):
     grid, forms = setup3
-    zero = RadialFunction(grid, np.zeros(grid.n))
-    assert energy_I(zero, SPEC3, forms) == 0.0
+    assert _functional_for(SPEC3, forms).value(np.zeros(grid.n)) == 0.0
 
 
 def test_energy_identity_on_nehari_set(setup3):
     grid, forms = setup3
+    fn = _functional_for(SPEC3, forms)
     for v in random_smooth_profiles(grid, 5, seed=21):
-        u = nehari_project(RadialFunction(grid, v), SPEC3, forms)
+        u = RadialFunction(grid, _nehari_scale(fn, v, SPEC3.p) * v)
         rhs = (0.5 - 0.25) * lp_norm(u, 4.0) ** 4
-        assert energy_I(u, SPEC3, forms) == pytest.approx(rhs, rel=1e-8)
+        assert fn.value(u.values) == pytest.approx(rhs, rel=1e-8)
 
 
 def test_energy_gaussian_against_doubled_resolution(setup3, setup3_fine):
     grid, forms = setup3
     fine, forms_fine = setup3_fine
-    u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
-    uf = RadialFunction(fine, np.exp(-fine.nodes ** 2))
-    a = energy_I(u, SPEC3, forms)
-    b = energy_I(uf, SPEC3, forms_fine)
+    a = _functional_for(SPEC3, forms).value(np.exp(-grid.nodes ** 2))
+    b = _functional_for(SPEC3, forms_fine).value(np.exp(-fine.nodes ** 2))
     assert a == pytest.approx(b, rel=1e-2)
 
 
 def test_gradient_matches_directional_derivative(setup3):
     grid, forms = setup3
-    rng = np.random.default_rng(3)
+    fn = _functional_for(SPEC3, forms)
     h = 1e-5
     profiles = random_smooth_profiles(grid, 4, seed=22)
     for k in range(0, 4, 2):
-        u = RadialFunction(grid, profiles[k])
+        u = profiles[k]
         v = profiles[k + 1]
         v = v / np.sqrt(norm_lambda_sq(RadialFunction(grid, v), 0.0, forms))
-        g = gradient_I(u, SPEC3, forms)
-        pairing = float(g.values @ forms.lambda_metric(0.0) @ v)
-        up = RadialFunction(grid, u.values + h * v)
-        dn = RadialFunction(grid, u.values - h * v)
-        fd = (energy_I(up, SPEC3, forms) - energy_I(dn, SPEC3, forms)) / (2 * h)
+        g = fn.riesz_gradient(u)
+        pairing = float(g @ forms.lambda_metric(0.0) @ v)
+        fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
         assert pairing == pytest.approx(fd, rel=1e-5)
 
 
 def test_gradient_zero_at_zero(setup3):
     grid, forms = setup3
-    zero = RadialFunction(grid, np.zeros(grid.n))
-    assert np.all(gradient_I(zero, SPEC3, forms).values == 0.0)
+    fn = _functional_for(SPEC3, forms)
+    assert np.all(fn.riesz_gradient(np.zeros(grid.n)) == 0.0)
 
 
 def test_nehari_scale_properties(setup3):
     grid, forms = setup3
+    fn = _functional_for(SPEC3, forms)
     for v in random_smooth_profiles(grid, 10, seed=23):
-        u = RadialFunction(grid, v)
-        t = nehari_scale(u, SPEC3, forms)
-        on_set = nehari_project(u, SPEC3, forms)
-        assert nehari_scale(on_set, SPEC3, forms) == pytest.approx(1.0, abs=1e-10)
+        t = _nehari_scale(fn, v, SPEC3.p)
+        assert _nehari_scale(fn, t * v, SPEC3.p) == pytest.approx(1.0, abs=1e-10)
         # degree-two over degree-(p+1) homogeneity: t(a u) = t(u)/a
-        assert nehari_scale(RadialFunction(grid, 4.0 * v), SPEC3, forms) == \
-            pytest.approx(t / 4.0, rel=1e-12)
+        assert _nehari_scale(fn, 4.0 * v, SPEC3.p) == pytest.approx(t / 4.0, rel=1e-12)
 
 
 def test_nehari_scale_rejects_zero(setup3):
     grid, forms = setup3
     with pytest.raises(DomainError):
-        nehari_scale(RadialFunction(grid, np.zeros(grid.n)), SPEC3, forms)
+        _nehari_scale(_functional_for(SPEC3, forms), np.zeros(grid.n), SPEC3.p)
 
 
 def test_nehari_scale_gaussian_against_doubled_resolution(setup3, setup3_fine):
     grid, forms = setup3
     fine, forms_fine = setup3_fine
-    t_coarse = nehari_scale(
-        RadialFunction(grid, np.exp(-grid.nodes ** 2)), SPEC3, forms)
-    t_fine = nehari_scale(
-        RadialFunction(fine, np.exp(-fine.nodes ** 2)), SPEC3, forms_fine)
+    t_coarse = _nehari_scale(_functional_for(SPEC3, forms),
+                             np.exp(-grid.nodes ** 2), SPEC3.p)
+    t_fine = _nehari_scale(_functional_for(SPEC3, forms_fine),
+                           np.exp(-fine.nodes ** 2), SPEC3.p)
     assert t_coarse == pytest.approx(t_fine, rel=1e-2)
 
 
@@ -160,19 +154,11 @@ def test_mountain_pass_level_matches_constrained_minimum(subcritical_report, set
 def test_energy_J_ray_unbounded_below(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
-    zero = RadialFunction(grid, np.zeros(grid.n))
-    assert energy_J(zero, spec, forms) == 0.0
-    vals = [energy_J(RadialFunction(grid, z * u.values), spec, forms)
-            for z in (200.0, 400.0)]
+    fn = _functional_for(spec, forms)
+    u = np.exp(-grid.nodes ** 2)
+    assert fn.value(np.zeros(grid.n)) == 0.0
+    vals = [fn.value(z * u) for z in (200.0, 400.0)]
     assert vals[1] < vals[0] < 0.0
-
-
-def test_energy_J_requires_critical_mode(setup3):
-    grid, forms = setup3
-    u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
-    with pytest.raises(DomainError):
-        energy_J(u, SPEC3, forms)
 
 
 def test_gradient_J_finite_difference(setup5):
@@ -182,14 +168,13 @@ def test_gradient_J_finite_difference(setup5):
     # volume weights would dominate the finite-difference truncation error
     taper = np.exp(-(grid.nodes / 4.0) ** 2)
     profiles = [v * taper for v in random_smooth_profiles(grid, 2, seed=31)]
-    u = RadialFunction(grid, profiles[0])
+    fn = _functional_for(spec, forms)
+    u = profiles[0]
     v = profiles[1] / np.sqrt(norm_lambda_sq(
         RadialFunction(grid, profiles[1]), spec.lam, forms))
-    g = gradient_J(u, spec, forms)
-    pairing = float(g.values @ forms.lambda_metric(spec.lam) @ v)
+    pairing = float(fn.riesz_gradient(u) @ forms.lambda_metric(spec.lam) @ v)
     h = 1e-5
-    fd = (energy_J(RadialFunction(grid, u.values + h * v), spec, forms)
-          - energy_J(RadialFunction(grid, u.values - h * v), spec, forms)) / (2 * h)
+    fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
     assert pairing == pytest.approx(fd, rel=1e-5)
 
 
