@@ -36,7 +36,8 @@ EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
 # every key a config may carry; "io.formats" is no longer read, but older
-# configs that still have it keep loading
+# configs that still have it keep loading, and "grid.spacing" names the one
+# grid family, so its only value is "graded"
 _CONFIG_KEYS = {
     "problem": ("N", "s", "lambda", "p", "mode"),
     "grid": ("R_max", "node_count", "spacing"),
@@ -75,7 +76,6 @@ class RunConfig:
     problem: solver.ProblemSpec
     r_max: float = 20.0
     node_count: int = 400
-    spacing: str = "graded"
     tol: float = 1e-6
     max_iter: int = 400
     path_nodes: int = 48
@@ -107,6 +107,9 @@ class RunConfig:
             p=_json_number(prob.get("p", 3.0), "problem.p"), mode=mode,
         )
         grid = raw.get("grid", {})
+        spacing = grid.get("spacing", "graded")
+        if spacing != "graded":
+            raise ValueError(f'grid.spacing must be "graded", got {spacing!r}')
         sol = raw.get("solver", {})
         io = raw.get("io", {})
         cache_dir = io.get("cache_dir")
@@ -123,7 +126,6 @@ class RunConfig:
             problem=spec,
             r_max=_json_number(grid.get("R_max", 20.0), "grid.R_max"),
             node_count=_json_int(grid.get("node_count", 400), "grid.node_count"),
-            spacing=str(grid.get("spacing", "graded")),
             tol=tol,
             max_iter=max_iter,
             path_nodes=path_nodes,
@@ -190,7 +192,7 @@ def cmd_solve(args) -> int:
     try:
         grid, forms = build_forms(
             cfg.problem.N, cfg.problem.s, r_max=cfg.r_max, n=cfg.node_count,
-            spacing=cfg.spacing, cache_dir=cfg.cache_dir)
+            cache_dir=cfg.cache_dir)
     except (QuadratureError, TableRejectionError, ReducedKernelError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -227,8 +229,16 @@ def cmd_solve(args) -> int:
         print(f"threshold failure: sup_value={exc.sup_value:.8g} "
               f"threshold={exc.threshold:.8g}")
         return EXIT_THRESHOLD
-    except (ConvergenceError, QuadratureError, FloatingPointError) as exc:
+    except (ConvergenceError, QuadratureError, ArithmeticError, ValueError) as exc:
+        # the config is valid here, so a ValueError (DomainError included)
+        # or an overflow comes from the numerics, e.g. a very negative lambda
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    not_finite = [name for name, value in report.to_dict().items()
+                  if isinstance(value, float) and not math.isfinite(value)]
+    if not_finite:
+        print(f"numerical failure: {', '.join(not_finite)} not finite",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
     _solve_outputs(cfg, report, extras)

@@ -1,12 +1,13 @@
 """Radial discretization of the mixed local-nonlocal energy space.
 
-Profiles are piecewise linear on a truncated radial grid (dense near the
+Profiles are piecewise linear on one graded radial grid (dense near the
 origin, where symmetrized ground states concentrate).  Three quadratic
 forms represent the energies:
 
   * stiffness  -- the Dirichlet form of the hyperbolic gradient,
-  * mass       -- the L^2 form, lumped so nodal quadrature and the matrix
-                  form agree exactly,
+  * mass       -- the L^2 form, lumped: it is diagonal with the grid
+                  weights on its diagonal, so it is never stored as a
+                  matrix and nodal quadrature agrees with it exactly,
   * nonlocal   -- the kernel seminorm, assembled from the angularly
                   reduced two-point kernel with the singular diagonal
                   integrated analytically against the fitted near-diagonal
@@ -80,40 +81,29 @@ class RadialGrid:
         return 0.5 * (self.nodes[1:] + self.nodes[:-1])
 
 
-def make_grid(dim: int, r_max: float = 20.0, n: int = 400,
-              spacing: str = "graded") -> RadialGrid:
+def make_grid(dim: int, r_max: float = 20.0, n: int = 400) -> RadialGrid:
     """Standard solver grid, dense near the origin where symmetrized
     ground states peak.
 
-    "graded" (default): geometric refinement below r = min(1, r_max/4),
-    then cell widths growing geometrically out to the truncation radius
-    (a flat-width tail would spend half the budget where profiles are
-    already negligible).  "geomuniform" keeps the flat tail; "uniform" is
-    equispaced throughout.
+    Geometric refinement below r = min(1, r_max/4), then cell widths
+    growing geometrically out to the truncation radius (a flat-width tail
+    would spend half the budget where profiles are already negligible).
     """
     if n < 16:
         raise DomainError(f"grid needs at least 16 nodes, got {n}")
     if r_max <= 0.0:
         raise DomainError(f"truncation radius must be > 0, got {r_max}")
-    if spacing == "uniform":
-        nodes = np.linspace(0.0, r_max, n)
-    elif spacing in ("geomuniform", "graded"):
-        r_split = min(1.0, r_max / 4.0)
-        n_geo = n // 2
-        n_tail = n - 1 - n_geo
-        geo = r_split * (1e-3) ** (1.0 - np.arange(1, n_geo + 1) / n_geo)
-        if spacing == "geomuniform":
-            tail = r_split + (r_max - r_split) * np.arange(1, n_tail + 1) / n_tail
-        else:
-            h0 = geo[-1] - geo[-2]
-            ratio = _grading_ratio(h0, n_tail, r_max - r_split)
-            widths = h0 * ratio ** np.arange(n_tail)
-            widths *= (r_max - r_split) / widths.sum()
-            tail = r_split + np.cumsum(widths)
-        nodes = np.concatenate(([0.0], geo, tail))
-        nodes[-1] = r_max
-    else:
-        raise DomainError(f"unknown spacing {spacing!r}")
+    r_split = min(1.0, r_max / 4.0)
+    n_geo = n // 2
+    n_tail = n - 1 - n_geo
+    geo = r_split * (1e-3) ** (1.0 - np.arange(1, n_geo + 1) / n_geo)
+    h0 = geo[-1] - geo[-2]
+    ratio = _grading_ratio(h0, n_tail, r_max - r_split)
+    widths = h0 * ratio ** np.arange(n_tail)
+    widths *= (r_max - r_split) / widths.sum()
+    tail = r_split + np.cumsum(widths)
+    nodes = np.concatenate(([0.0], geo, tail))
+    nodes[-1] = r_max
     return RadialGrid(dim, nodes, _hat_weights(dim, nodes))
 
 
@@ -165,35 +155,36 @@ class RadialFunction:
 
 @dataclass(frozen=True)
 class QuadraticForms:
-    """The three assembled forms plus the grid and order they belong to."""
+    """The stiffness and nonlocal forms plus the grid and order they belong
+    to; the lumped mass form is diag(grid.weights), which the grid holds."""
 
     grid: RadialGrid
     s: float
     stiffness: np.ndarray
-    mass: np.ndarray
     nonlocal_mat: np.ndarray
 
     def lambda_metric(self, lam: float) -> np.ndarray:
-        """stiffness - lam mass; FloatingPointError if that overflows."""
-        metric = self.stiffness - lam * self.mass
+        """stiffness - lam diag(grid.weights); FloatingPointError if that
+        overflows."""
+        metric = self.stiffness.copy()
+        metric[np.diag_indices_from(metric)] -= lam * self.grid.weights
         if not np.isfinite(metric).all():
             raise FloatingPointError(f"lambda metric is not finite at lambda = {lam:g}")
         return metric
 
-    def validate(self, tol: float = 1e-10):
+    def validate(self):
+        """DomainError unless both stored forms are symmetric PSD (the mass
+        form is positive definite by the grid's own weight check)."""
         from scipy.linalg import eigvalsh
 
         for name, mat in (("stiffness", self.stiffness),
-                          ("mass", self.mass),
                           ("nonlocal", self.nonlocal_mat)):
             if not np.allclose(mat, mat.T, rtol=0.0, atol=0.0):
                 raise DomainError(f"{name} form is not symmetric")
             scale = float(np.abs(mat).max()) or 1.0
             lo = float(eigvalsh(mat, subset_by_index=[0, 0])[0])
-            if lo < -tol * scale:
+            if lo < -1e-10 * scale:
                 raise DomainError(f"{name} form has eigenvalue {lo:.3e} < 0")
-        if np.any(np.diag(self.mass)[1:] <= 0.0):
-            raise DomainError("mass form is not positive definite")
 
 
 def _sqrt_weight_f2(t, s):
@@ -250,7 +241,7 @@ def _adjacent_slope_matrix(h_lo, h_hi, s):
 
 
 def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> QuadraticForms:
-    """Assemble stiffness, lumped mass, and the nonlocal seminorm form.
+    """Assemble the stiffness and the nonlocal seminorm form.
 
     The reduced kernel must be built on this grid's cell midpoints.  Cell
     pairs separated by at least one full cell get the tabulated weight,
@@ -274,7 +265,7 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     n_cells = n - 1
     idx = np.arange(n_cells)
 
-    stiffness, mass = assemble_local_forms(grid)
+    stiffness = assemble_local_forms(grid)
 
     # nonlocal form, separated cell pairs
     model = reduced.diagonal_model
@@ -327,11 +318,11 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
         nonlocal_mat[k:k + 3, k:k + 3] += block
 
     nonlocal_mat = 0.5 * (nonlocal_mat + nonlocal_mat.T)
-    return QuadraticForms(grid, float(s), stiffness, mass, nonlocal_mat)
+    return QuadraticForms(grid, float(s), stiffness, nonlocal_mat)
 
 
-def assemble_local_forms(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and lumped mass only, for purely local Rayleigh probes.
+def assemble_local_forms(grid: RadialGrid) -> np.ndarray:
+    """Stiffness only, for purely local Rayleigh probes.
 
     Avoids the reduced-kernel cost when the nonlocal form is not needed
     (spectral-bottom checks on large auxiliary grids)."""
@@ -351,7 +342,7 @@ def assemble_local_forms(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     stiffness[idx + 1, idx + 1] += coef
     stiffness[idx, idx + 1] -= coef
     stiffness[idx + 1, idx] -= coef
-    return stiffness, np.diag(grid.weights)
+    return stiffness
 
 
 def lp_norm(u: RadialFunction, q: float) -> float:
@@ -362,7 +353,8 @@ def lp_norm(u: RadialFunction, q: float) -> float:
 
 
 def norm_lambda_sq(u: RadialFunction, lam: float, forms: QuadraticForms) -> float:
-    """The lambda-shifted Dirichlet form u^T (stiffness - lam mass) u.
+    """The lambda-shifted Dirichlet form u^T (stiffness - lam mass) u,
+    mass = diag(grid.weights).
 
     Only lam strictly below the spectral bottom (N-1)^2/4 keeps this an
     equivalent norm; larger values are rejected.

@@ -539,14 +539,14 @@ def _angular_weights(N, s, r1, r2, kernel_eval):
     return half_integral(low_nodes, low_w, True) + half_integral(up_nodes, up_w, False)
 
 
-def build_reduced_kernel(N: int, s: float, r_grid,
-                         validate: bool = True) -> ReducedKernel:
+def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
     """Assemble the angularly reduced two-point kernel on an increasing
     positive radial grid (typically the cell midpoints of a RadialGrid).
 
     Kernel values along the distance quadrature come from a monotone
     log-log interpolant of a dedicated dense table, which keeps the cost of
-    the O(n^2) pair loop independent of the parity of N.
+    the O(n^2) pair loop independent of the parity of N.  The result is
+    checked with ReducedKernel.validate before it is returned.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size < 4:
@@ -589,6 +589,5 @@ def build_reduced_kernel(N: int, s: float, r_grid,
     model = DiagonalModel(int(N), float(s), float(prefactor))
 
     rk = ReducedKernel(int(N), float(s), r, W, model)
-    if validate:
-        rk.validate()
+    rk.validate()
     return rk

@@ -326,15 +326,6 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         fn, spec.p, init.values, tol, max_iter, forms.grid)
     v, newton_its = _newton_polish(fn, v, tol=1e-13 * max(fn.metric_norm(v), 1.0))
 
-    # the Euler-Lagrange polish preserves sign and monotonicity up to
-    # roundoff; if it drifted, re-symmetrize once and re-polish
-    peak = float(np.abs(v).max())
-    if np.any(np.diff(v) > 1e-10 * peak) or np.any(v < -1e-10 * peak):
-        v = schwarz_rearrange(RadialFunction(forms.grid, np.abs(v))).values
-        v[-1] = 0.0
-        v, extra = _newton_polish(fn, v, tol=1e-13 * max(fn.metric_norm(v), 1.0))
-        newton_its += extra
-
     u = RadialFunction(forms.grid, v)
     residual = fn.residual_norm(v)
     nehari_value = fn.derivative_along(v)
@@ -425,15 +416,14 @@ def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
     qpath = [fn.quad @ v for v in path]  # a trial step costs one product with A
     seg = [_segment_peak(fn, path[j], path[j + 1], qpath[j], qpath[j + 1])
            for j in range(path_nodes)]
-    end_val = fn.value(end)
     etas = np.full(path_nodes + 1, 0.25)
     norm_cap = 10.0 * fn.metric_norm(end)
 
+    # path[0] = 0 never moves and J(end) < 0, so the top segment peak
+    # (at least J(0) = 0) is the path maximum
     def minimax():
         j = int(np.argmax([val for val, _ in seg]))
         level, t = seg[j]
-        if end_val > level:
-            return end_val, end
         return level, path[j] + t * (path[j + 1] - path[j])
 
     level, peak = minimax()
@@ -441,8 +431,6 @@ def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
     for _ in range(_MAX_SWEEPS):
         for j in range(1, path_nodes):
             g = fn.riesz_gradient(path[j])
-            if fn.metric_norm(g) == 0.0:
-                continue
             for _ in range(4):
                 cand = path[j] - etas[j] * g
                 cand[-1] = 0.0

@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypfrac import verify
 from hypfrac.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE_FAILURE,
-                         EXIT_THRESHOLD, EXIT_VALIDATION, main)
+                         EXIT_THRESHOLD, EXIT_VALIDATION, RunConfig, main)
 
 
 def run_cli(*argv):
@@ -152,7 +153,10 @@ def test_solve_config_errors(tmp_path, capsys):
                                 ("solver", "max_iter", -3),
                                 ("solver", "max_iter", 0),
                                 ("solver", "path_nodes", 2.5),
-                                ("solver", "path_nodes", 0)):
+                                ("solver", "path_nodes", 0),
+                                ("grid", "spacing", "uniform"),
+                                ("grid", "spacing", "geomuniform"),
+                                ("grid", "spacing", 3)):
         cfg = {"problem": {"N": 3, "s": 0.5}}
         cfg.setdefault(section, {})[key] = value
         invalid.write_text(json.dumps(cfg))
@@ -164,9 +168,21 @@ def test_solve_config_errors(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+# finite lambdas so negative that the solve overflows, or that its metric
+# does (-1e295), next to the largest that still run to a report
+_NEGATIVE_LAMBDAS = {
+    "subcritical": ((-1e10, EXIT_OK), (-1e50, EXIT_OK), (-1e150, None),
+                    (-1e200, None), (-1e250, None), (-1e290, None)),
+    "critical_perturbed": ((-1e10, EXIT_NUMERICAL), (-1e50, EXIT_NUMERICAL),
+                           (-1e100, None), (-1e150, None), (-1e200, None)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["subcritical", "critical_perturbed"])
 def test_solve_overflowing_lambda_metric(tmp_path, cache_dir, capsys, mode):
-    # a finite lambda whose lambda * mass overflows is a numerical failure
+    # a finite lambda whose lambda * weights overflows is a numerical failure
     cfg = write_config(
         tmp_path / "cfg.json",
         {"N": 3, "s": 0.5, "lambda": -1e295, "p": 3.0, "mode": mode},
@@ -175,6 +191,31 @@ def test_solve_overflowing_lambda_metric(tmp_path, cache_dir, capsys, mode):
     assert run_cli("solve", "--config", str(cfg)) == EXIT_NUMERICAL
     assert "numerical failure: lambda metric is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # so is a finite metric on which the solve overflows: no traceback, no
+    # outputs (a non-finite energy is never written to report.json)
+    for k, (lam, code) in enumerate(_NEGATIVE_LAMBDAS[mode]):
+        out = tmp_path / f"out{k}"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"N": 3, "s": 0.5, "lambda": lam, "p": 3.0, "mode": mode},
+            out, cache_dir,
+            grid={"R_max": 20.0, "node_count": 64, "spacing": "graded"})
+        got = run_cli("solve", "--config", str(cfg))
+        err = capsys.readouterr().err
+        if code is None:
+            assert got == EXIT_NUMERICAL, lam
+            assert "numerical failure:" in err, lam
+            assert not out.exists(), lam
+        else:
+            assert got == code, lam
+            assert (out / "report.json").exists(), lam
+
+
+def test_shipped_configs_load():
+    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        RunConfig.from_file(path)
 
 
 def test_solve_rejects_unknown_config_key(tmp_path, cache_dir, capsys):

@@ -41,8 +41,6 @@ def test_grid_validation():
         make_grid(3, r_max=-1.0)
     with pytest.raises(DomainError):
         make_grid(3, n=8)
-    with pytest.raises(DomainError):
-        make_grid(3, spacing="whatever")
 
 
 def test_forms_symmetric_psd(setup3):
@@ -69,7 +67,20 @@ def test_mass_hat_matches_direct_quadrature(setup3):
                     a, m, limit=100)[0]
         right = quad(lambda r: (b - r) / (b - m) * radial_volume_weight(3, r),
                      m, b, limit=100)[0]
-        assert forms.mass[k, k] == pytest.approx(left + right, rel=1e-10)
+        assert grid.weights[k] == pytest.approx(left + right, rel=1e-10)
+
+
+@pytest.mark.parametrize("setup", ["setup3", "setup5"])
+def test_lambda_metric_is_stiffness_minus_lumped_mass(request, setup):
+    # the metric shifts only the diagonal, exactly as the dense product
+    # with diag(weights) would, down to the sign of every zero
+    grid, forms = request.getfixturevalue(setup)
+    mass = np.diag(grid.weights)
+    for lam in (0.0, 0.5, 0.999, 1.0, -3.0, -1e10):
+        got = forms.lambda_metric(lam)
+        want = forms.stiffness - lam * mass
+        assert np.array_equal(got, want), lam
+        assert np.array_equal(np.signbit(got), np.signbit(want)), lam
 
 
 def test_norm_lambda_basics(setup3):
@@ -158,14 +169,6 @@ def test_lp_norm_homogeneity(setup3):
     scaled = RadialFunction(grid, -2.5 * u.values)
     for q in (1.0, 2.0, 3.5):
         assert lp_norm(scaled, q) == pytest.approx(2.5 * lp_norm(u, q), rel=1e-14)
-
-
-def test_lp_norm_mass_consistency(setup3):
-    grid, forms = setup3
-    for v in random_smooth_profiles(grid, 10, seed=7):
-        u = RadialFunction(grid, v)
-        direct = float(v @ forms.mass @ v)
-        assert abs(lp_norm(u, 2.0) ** 2 - direct) < 1e-10 * direct
 
 
 def test_lp_norm_gaussian_golden(setup3):

@@ -277,7 +277,7 @@ def test_reduced_kernel_near_diagonal_exponent():
     # refined local grid around r = 2: adjacent weights follow the
     # |r1 - r2|^-(1+2s) law
     base = np.linspace(1.0, 3.0, 400)
-    rk = build_reduced_kernel(3, 0.5, base, validate=False)
+    rk = build_reduced_kernel(3, 0.5, base)
     mid = 200
     deltas, vals = [], []
     for off in (1, 2, 4, 8):
