@@ -1,4 +1,4 @@
-"""Content-addressed disk cache for kernel tables and assembled forms.
+"""Content-addressed disk cache for the assembled nonlocal form.
 
 Keys are hashes of the defining data (dimension, order, grid nodes), so a
 stale entry can never be served for a different configuration.  The key
@@ -20,7 +20,8 @@ import numpy as np
 
 CACHE_ENV = "HYPFRAC_CACHE"
 # 2: the even-N kernel is a fixed Gauss rule (moves even-N W at 1e-13)
-_FORMAT_VERSION = 2
+# 3: entries hold only the nonlocal form, moved at 2e-16 by array assembly
+_FORMAT_VERSION = 3
 
 
 def default_cache_dir() -> Path:

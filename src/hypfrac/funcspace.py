@@ -13,6 +13,10 @@ forms represent the energies:
                   integrated analytically against the fitted near-diagonal
                   law.
 
+Weights and stiffness come from one Gauss rule over all cells, and no
+assembly loops over cells.  Only the nonlocal form is costly to build (it
+needs the reduced kernel), so pipeline caches it alone.
+
 Functions are treated as extended by zero beyond the truncation radius;
 the last node is pinned in solves, which is what makes the lambda-shifted
 norm positive definite for every admissible lambda.
@@ -25,6 +29,7 @@ estimate_critical_constant), and profiles are written to CSV by cli.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +37,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import radial_volume_weight
 from .kernel import ReducedKernel
-from .specfun import geometric_panels
-
-_CELL_GL = np.polynomial.legendre.leggauss(6)
+from .specfun import gauss_panels, geometric_panels
 
 
 def _spectral_gap_bound(n: int) -> float:
@@ -104,37 +107,36 @@ def make_grid(dim: int, r_max: float = 20.0, n: int = 400) -> RadialGrid:
     tail = r_split + np.cumsum(widths)
     nodes = np.concatenate(([0.0], geo, tail))
     nodes[-1] = r_max
-    return RadialGrid(dim, nodes, _hat_weights(dim, nodes))
+    return RadialGrid(dim, nodes, _cell_rule(dim, nodes)[0])
 
 
 def _grading_ratio(h0: float, count: int, length: float) -> float:
-    """Growth factor q with h0 (q^count - 1)/(q - 1) = length."""
+    """Growth factor q with h0 (q^count - 1)/(q - 1) = length, bisected in
+    logs since q^count overflows a float on fine grids."""
     if h0 * count >= length:
         return 1.0
     lo, hi = 1.0 + 1e-12, 2.0
     for _ in range(200):
         q = 0.5 * (lo + hi)
-        total = h0 * (q ** count - 1.0) / (q - 1.0)
-        if total < length:
+        if count * math.log(q) < math.log1p(length * (q - 1.0) / h0):
             lo = q
         else:
             hi = q
     return 0.5 * (lo + hi)
 
 
-def _hat_weights(dim: int, nodes: np.ndarray) -> np.ndarray:
-    """Integrals of the hat basis against the radial volume weight."""
-    xs, ws = _CELL_GL
-    w = np.zeros_like(nodes)
-    for k in range(nodes.size - 1):
-        a, b = nodes[k], nodes[k + 1]
-        half = 0.5 * (b - a)
-        r = 0.5 * (a + b) + half * xs
-        dens = radial_volume_weight(dim, r) * half * ws
-        t = (r - a) / (b - a)
-        w[k] += float(np.dot(dens, 1.0 - t))
-        w[k + 1] += float(np.dot(dens, t))
-    return w
+def _cell_rule(dim: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hat weights, cell volumes): the integrals of the hat basis and of
+    each cell against the radial volume weight, by gauss_panels over all
+    cells at once."""
+    r, wq = gauss_panels(nodes)
+    shape = (nodes.size - 1, -1)
+    dens = (radial_volume_weight(dim, r) * wq).reshape(shape)
+    t = (r.reshape(shape) - nodes[:-1, None]) / np.diff(nodes)[:, None]
+    weights = np.zeros_like(nodes)
+    weights[:-1] += (dens * (1.0 - t)).sum(axis=1)
+    weights[1:] += (dens * t).sum(axis=1)
+    return weights, dens.sum(axis=1)
 
 
 @dataclass
@@ -207,7 +209,7 @@ def _cell_pair_integral(a1, b1, a2, b2, s):
 
 
 def _adjacent_slope_matrix(h_lo, h_hi, s):
-    """Gram matrix of the slope pair across one shared node.
+    """Gram matrices of the slope pairs across the shared nodes.
 
     With r2 = node - b in the lower cell and r1 = node + a in the upper
     cell, linear interpolation gives u(r1) - u(r2) = s_hi a + s_lo b and
@@ -215,9 +217,12 @@ def _adjacent_slope_matrix(h_lo, h_hi, s):
 
         T_pq = integral a^p b^q (a + b)^-(1+2s)  over [0,h_hi] x [0,h_lo].
 
-    Returns ((T20, T11), (T11, T02)) acting on (s_hi, s_lo).
+    Takes width arrays, one entry per node, and returns the arrays of
+    ((T20, T11), (T11, T02)) acting on (s_hi, s_lo).
     """
     two_s = 2.0 * s
+    h_lo, h_hi = h_lo[:, None], h_hi[:, None]
+    x, wx = geometric_panels(1.0, 10)
 
     def inner_moment0(a, h):
         # integral over b in [0,h] of (a+b)^-(1+2s)
@@ -232,11 +237,11 @@ def _adjacent_slope_matrix(h_lo, h_hi, s):
         term += a * (t1 ** (-two_s) - t0 ** (-two_s)) / two_s
         return term
 
-    nodes, wq = geometric_panels(h_hi, 10)
-    t20 = float(np.dot(wq, nodes ** 2 * inner_moment0(nodes, h_lo)))
-    t11 = float(np.dot(wq, nodes * inner_moment1(nodes, h_lo)))
-    nodes, wq = geometric_panels(h_lo, 10)
-    t02 = float(np.dot(wq, nodes ** 2 * inner_moment0(nodes, h_hi)))
+    a, wq = h_hi * x, h_hi * wx
+    t20 = (wq * a ** 2 * inner_moment0(a, h_lo)).sum(axis=1)
+    t11 = (wq * a * inner_moment1(a, h_lo)).sum(axis=1)
+    b, wq = h_lo * x, h_lo * wx
+    t02 = (wq * b ** 2 * inner_moment0(b, h_hi)).sum(axis=1)
     return t20, t11, t02
 
 
@@ -265,29 +270,26 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     n_cells = n - 1
     idx = np.arange(n_cells)
 
-    stiffness = assemble_local_forms(grid)
-
-    # nonlocal form, separated cell pairs
+    # nonlocal form, separated cell pairs i < j - 1
     model = reduced.diagonal_model
-    expo = model.exponent
-    W = reduced.W
+    i, j = np.triu_indices(n_cells, 2)
+    # rescale the midpoint weight by the exact singular-law integral over
+    # the cell rectangle; the model amplitude cancels in the ratio
+    cell_int = _cell_pair_integral(nodes[j], nodes[j + 1], nodes[i], nodes[i + 1], s)
     omega = np.zeros((n_cells, n_cells))
-    lo = nodes[:-1]
-    hi = nodes[1:]
-    for k in range(n_cells - 2):
-        l = np.arange(k + 2, n_cells)
-        delta = mids[l] - mids[k]
-        # rescale the midpoint weight by the exact singular-law integral
-        # over the cell rectangle; the model amplitude cancels in the ratio
-        cell_int = _cell_pair_integral(lo[l], hi[l], lo[k], hi[k], s)
-        omega[k, l] = W[k, k + 2:] * cell_int * delta ** expo
-        omega[l, k] = omega[k, l]
-
-    avg = np.zeros((n_cells, n))
-    avg[idx, idx] = 0.5
-    avg[idx, idx + 1] = 0.5
+    omega[i, j] = reduced.W[i, j] * cell_int * (mids[j] - mids[i]) ** model.exponent
+    omega[j, i] = omega[i, j]
     lap = np.diag(omega.sum(axis=1)) - omega
-    nonlocal_mat = 2.0 * avg.T @ lap @ avg
+
+    # 2 avg^T lap avg, where avg takes node values to cell averages
+    # (u_k + u_{k+1})/2: sum the four shifted copies of lap, then halve
+    node_lap = np.zeros((n_cells, n))
+    node_lap[:, :-1] += lap
+    node_lap[:, 1:] += lap
+    nonlocal_mat = np.zeros((n, n))
+    nonlocal_mat[:-1] += node_lap
+    nonlocal_mat[1:] += node_lap
+    nonlocal_mat *= 0.5
 
     # singular band: same-cell term in the slope, shared-node term in the
     # slope pair, both against the diagonal model
@@ -299,45 +301,37 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     nonlocal_mat[idx, idx + 1] -= same
     nonlocal_mat[idx + 1, idx] -= same
 
-    for k in range(n_cells - 1):
-        c_node = float(model.amplitude(nodes[k + 1]))
-        t20, t11, t02 = _adjacent_slope_matrix(h[k], h[k + 1], s)
-        g_hh = 2.0 * c_node * t20 / h[k + 1] ** 2
-        g_ll = 2.0 * c_node * t02 / h[k] ** 2
-        g_hl = 2.0 * c_node * t11 / (h[k] * h[k + 1])
-        # slopes s_lo = (u_{k+1}-u_k)/h_k, s_hi = (u_{k+2}-u_{k+1})/h_{k+1}
-        d_lo = np.zeros(3)
-        d_lo[0], d_lo[1] = -1.0, 1.0
-        d_hi = np.zeros(3)
-        d_hi[1], d_hi[2] = -1.0, 1.0
-        block = (
-            g_hh * np.outer(d_hi, d_hi)
-            + g_ll * np.outer(d_lo, d_lo)
-            + g_hl * (np.outer(d_hi, d_lo) + np.outer(d_lo, d_hi))
-        )
-        nonlocal_mat[k:k + 3, k:k + 3] += block
+    # slope pairs s_lo = (u_{k+1}-u_k)/h_k, s_hi = (u_{k+2}-u_{k+1})/h_{k+1}
+    # across node k + 1; each adds g_ll s_lo^2 + 2 g_hl s_lo s_hi + g_hh s_hi^2
+    h_lo, h_hi = h[:-1], h[1:]
+    c_node = 2.0 * model.amplitude(nodes[1:-1])
+    t20, t11, t02 = _adjacent_slope_matrix(h_lo, h_hi, s)
+    g_hh = c_node * t20 / h_hi ** 2
+    g_ll = c_node * t02 / h_lo ** 2
+    g_hl = c_node * t11 / (h_lo * h_hi)
+    k = idx[:-1]
+    nonlocal_mat[k + 2, k + 2] += g_hh
+    nonlocal_mat[k + 1, k + 1] += g_hh + g_ll - 2.0 * g_hl
+    nonlocal_mat[k, k] += g_ll
+    nonlocal_mat[k + 1, k + 2] += g_hl - g_hh
+    nonlocal_mat[k + 2, k + 1] += g_hl - g_hh
+    nonlocal_mat[k, k + 1] += g_hl - g_ll
+    nonlocal_mat[k + 1, k] += g_hl - g_ll
+    nonlocal_mat[k, k + 2] -= g_hl
+    nonlocal_mat[k + 2, k] -= g_hl
 
     nonlocal_mat = 0.5 * (nonlocal_mat + nonlocal_mat.T)
-    return QuadraticForms(grid, float(s), stiffness, nonlocal_mat)
+    return QuadraticForms(grid, float(s), assemble_local_forms(grid), nonlocal_mat)
 
 
 def assemble_local_forms(grid: RadialGrid) -> np.ndarray:
-    """Stiffness only, for purely local Rayleigh probes.
-
-    Avoids the reduced-kernel cost when the nonlocal form is not needed
-    (spectral-bottom checks on large auxiliary grids)."""
-    n = grid.n
+    """The stiffness, tridiagonal and stored dense.  Cheap to rebuild from
+    the grid, so it is never cached, and it serves local Rayleigh probes on
+    large grids without the reduced-kernel cost of the nonlocal form."""
     h = grid.cell_widths
-    mids = grid.cell_midpoints
-    xs, ws = _CELL_GL
-    cell_vol = np.zeros(n - 1)
-    for k in range(n - 1):
-        half = 0.5 * h[k]
-        r = mids[k] + half * xs
-        cell_vol[k] = float(np.dot(half * ws, radial_volume_weight(grid.dim, r)))
-    stiffness = np.zeros((n, n))
-    coef = cell_vol / h ** 2
-    idx = np.arange(n - 1)
+    coef = _cell_rule(grid.dim, grid.nodes)[1] / h ** 2
+    stiffness = np.zeros((grid.n, grid.n))
+    idx = np.arange(grid.n - 1)
     stiffness[idx, idx] += coef
     stiffness[idx + 1, idx + 1] += coef
     stiffness[idx, idx + 1] -= coef

@@ -554,8 +554,9 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
     if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
         raise DomainError("reduced-kernel grid must be positive and increasing")
 
-    gaps = np.diff(r)
-    d_lo = 0.45 * float(gaps.min())
+    # the table reaches below NEAR_WINDOW_MAX on every grid, so the fitted
+    # near-field amplitude of the diagonal model always exists
+    d_lo = min(0.45 * float(np.diff(r).min()), 0.2 * NEAR_WINDOW_MAX)
     d_hi = 2.10 * float(r[-1])
     table = build_kernel_table(N, s, d_lo, d_hi, 800)
     kernel_eval = table.interpolator()
@@ -579,13 +580,7 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
         W[i, i + 1:] = row
         W[i + 1:, i] = row
 
-    kappa0 = table.near_amplitude
-    if not math.isfinite(kappa0):
-        # grid too coarse to reach the fitting window; fall back to a direct
-        # sample of the kernel deep in the power-law regime
-        probe = min(1e-3, 0.5 * d_lo + 1e-4)
-        kappa0 = float(kernel(N, s, probe)) * probe ** (N + 2.0 * s)
-    prefactor = surface * kappa0 * _sin_integral_const(N, s)
+    prefactor = surface * table.near_amplitude * _sin_integral_const(N, s)
     model = DiagonalModel(int(N), float(s), float(prefactor))
 
     rk = ReducedKernel(int(N), float(s), r, W, model)

@@ -562,7 +562,8 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     """(beta, radius) of the small sphere on which J stays above beta.
 
     Maximizes the lower envelope rho^2/2 - C1 rho^{2*}/2* - C2 rho^{p+1}/(p+1)
-    built from the estimated embedding constants.
+    built from the estimated embedding constants; FloatingPointError if that
+    overflows.
     """
     s_crit = estimate_critical_constant(spec, forms, include_nonlocal=False)
     s_sub = estimate_subcritical_constant(spec, forms)
@@ -573,14 +574,18 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     def slope(rho):
         return 1.0 - c1 * rho ** (two_star - 2.0) - c2 * rho ** (spec.p - 1.0)
 
-    hi = 1.0
-    while slope(hi) > 0.0:
-        hi *= 2.0
-    lo = hi / 2.0 ** 40
-    rho_star = brentq(slope, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    beta = (rho_star ** 2 / 2.0
-            - c1 * rho_star ** two_star / two_star
-            - c2 * rho_star ** (spec.p + 1.0) / (spec.p + 1.0))
+    try:
+        hi = 1.0
+        while slope(hi) > 0.0:
+            hi *= 2.0
+        lo = hi / 2.0 ** 40
+        rho_star = brentq(slope, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        beta = (rho_star ** 2 / 2.0
+                - c1 * rho_star ** two_star / two_star
+                - c2 * rho_star ** (spec.p + 1.0) / (spec.p + 1.0))
+    except OverflowError:  # tiny constants, from a very negative lambda
+        raise FloatingPointError(
+            f"mountain-pass envelope is not finite at lambda = {spec.lam:g}") from None
     return float(beta), float(rho_star)
 
 

@@ -48,27 +48,20 @@ def test_load_npz_closes_its_file(tmp_path):
 
 
 def test_pipeline_cache_hit_reproduces(tmp_path):
-    grid, built = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
+    _, built = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
     _, hit = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
-    names = ("stiffness", "nonlocal_mat")
-    for name in names:
+    for name in ("stiffness", "nonlocal_mat"):
         assert np.array_equal(getattr(hit, name), getattr(built, name)), name
     entries = list(tmp_path.glob("forms_*.npz"))
     assert len(entries) == 1
-    assert sorted(load_npz(entries[0])) == sorted(names)
-    # an entry in the earlier layout, which also stored the dense lumped
-    # mass, is still served as it stands
-    atomic_write_npz(entries[0], stiffness=built.stiffness,
-                     mass=np.diag(grid.weights), nonlocal_mat=built.nonlocal_mat)
-    _, old = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
-    for name in names:
-        assert np.array_equal(getattr(old, name), getattr(built, name)), name
-    assert "mass" in load_npz(entries[0])
+    # the stiffness is rebuilt from the grid on a hit, never stored
+    assert tuple(load_npz(entries[0])) == ("nonlocal_mat",)
 
 
 def test_pipeline_recovers_from_corrupt_entry(tmp_path):
-    build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
+    _, built = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
     entry = next(tmp_path.glob("forms_*.npz"))
     entry.write_bytes(b"garbage")
     _, rebuilt = build_forms(3, 0.25, r_max=8.0, n=64, cache_dir=tmp_path)
-    assert rebuilt.stiffness.shape == (64, 64)
+    for name in ("stiffness", "nonlocal_mat"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(built, name)), name

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from hypfrac.cli import RunConfig, _solve_outputs
 from hypfrac.errors import DomainError
-from hypfrac.funcspace import (RadialFunction, assemble_forms, dirichlet_sq,
+from hypfrac.funcspace import (RadialFunction, _adjacent_slope_matrix,
+                               _cell_pair_integral, assemble_forms, dirichlet_sq,
                                lp_norm, make_grid, norm_lambda_sq,
                                schwarz_rearrange, seminorm_s_sq)
 from hypfrac.geometry import radial_volume_weight
@@ -41,6 +42,11 @@ def test_grid_validation():
         make_grid(3, r_max=-1.0)
     with pytest.raises(DomainError):
         make_grid(3, n=8)
+    # the tail grading ratio q^count would overflow a float here
+    big = make_grid(3, 20.0, 4000)
+    assert np.all(np.diff(big.nodes) > 0.0)
+    assert big.nodes[-1] == 20.0
+    assert np.all(big.weights[1:] > 0.0)
 
 
 def test_forms_symmetric_psd(setup3):
@@ -57,7 +63,8 @@ def test_constant_annihilated(setup3):
 
 
 def test_mass_hat_matches_direct_quadrature(setup3):
-    # lumped entry = integral of the hat against the volume weight
+    # lumped entry = integral of the hat against the volume weight, and the
+    # stiffness coupling of a cell = its volume over its squared width
     grid, forms = setup3
     for k in (5, 120, 300):
         a = grid.nodes[k - 1]
@@ -68,6 +75,9 @@ def test_mass_hat_matches_direct_quadrature(setup3):
         right = quad(lambda r: (b - r) / (b - m) * radial_volume_weight(3, r),
                      m, b, limit=100)[0]
         assert grid.weights[k] == pytest.approx(left + right, rel=1e-10)
+        cell = quad(lambda r: radial_volume_weight(3, r), m, b, limit=100)[0]
+        assert -forms.stiffness[k, k + 1] * (b - m) ** 2 == pytest.approx(
+            cell, rel=1e-10)
 
 
 @pytest.mark.parametrize("setup", ["setup3", "setup5"])
@@ -268,6 +278,45 @@ def test_profile_csv_roundtrip(tmp_path, subcritical_report):
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         for k, column in enumerate(columns):
             assert np.array_equal(back[:, k], column)
+
+
+def _nonlocal_loop_reference(grid, s, reduced):
+    """assemble_forms's nonlocal form, one cell pair and one node at a time."""
+    n, h, mids, nodes = grid.n, grid.cell_widths, grid.cell_midpoints, grid.nodes
+    model = reduced.diagonal_model
+    omega = np.zeros((n - 1, n - 1))
+    for k in range(n - 1):
+        for l in range(k + 2, n - 1):
+            omega[k, l] = omega[l, k] = (
+                reduced.W[k, l] * (mids[l] - mids[k]) ** model.exponent
+                * _cell_pair_integral(nodes[l], nodes[l + 1], nodes[k], nodes[k + 1], s))
+    avg = np.zeros((n - 1, n))
+    for k in range(n - 1):
+        avg[k, k] = avg[k, k + 1] = 0.5
+    mat = 2.0 * avg.T @ (np.diag(omega.sum(axis=1)) - omega) @ avg
+    for k in range(n - 1):
+        d = np.zeros(n)
+        d[k], d[k + 1] = -1.0 / h[k], 1.0 / h[k]
+        mat += (model.amplitude(mids[k]) * 2.0 * h[k] ** (3.0 - 2.0 * s)
+                / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s)) * np.outer(d, d))
+    for k in range(n - 2):
+        t20, t11, t02 = _adjacent_slope_matrix(h[k:k + 1], h[k + 1:k + 2], s)
+        d_lo, d_hi = np.zeros(n), np.zeros(n)
+        d_lo[k], d_lo[k + 1] = -1.0 / h[k], 1.0 / h[k]
+        d_hi[k + 1], d_hi[k + 2] = -1.0 / h[k + 1], 1.0 / h[k + 1]
+        mat += 2.0 * model.amplitude(nodes[k + 1]) * (
+            t20[0] * np.outer(d_hi, d_hi) + t02[0] * np.outer(d_lo, d_lo)
+            + t11[0] * (np.outer(d_hi, d_lo) + np.outer(d_lo, d_hi)))
+    return 0.5 * (mat + mat.T)
+
+
+def test_nonlocal_form_matches_loop_reference():
+    grid = make_grid(3, r_max=8.0, n=64)
+    for s in (0.25, 0.5):
+        reduced = build_reduced_kernel(3, s, grid.cell_midpoints)
+        got = assemble_forms(grid, s, reduced).nonlocal_mat
+        want = _nonlocal_loop_reference(grid, s, reduced)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), s
 
 
 def test_forms_reject_mismatched_kernel():
