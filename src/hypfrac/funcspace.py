@@ -18,8 +18,10 @@ assembly loops over cells.  Only the nonlocal form is costly to build (it
 needs the reduced kernel), so pipeline caches it alone.
 
 Functions are treated as extended by zero beyond the truncation radius;
-the last node is pinned in solves, which is what makes the lambda-shifted
-norm positive definite for every admissible lambda.
+the last node is pinned in solves.  The lambda-shifted metric, held as two
+bands, is then positive definite for lambda below the discrete spectral
+bottom, which a coarse grid puts under (N-1)^2/4 (N = 3, 64 nodes: 0.954),
+so lambda_metric checks it.
 
 This module holds the forms and the norms built from them.  The energy
 functionals and the best constants of their quotients live in solver
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky_banded
 
 from .errors import DomainError
 from .geometry import radial_volume_weight
@@ -157,8 +160,9 @@ class RadialFunction:
 
 @dataclass(frozen=True)
 class QuadraticForms:
-    """The stiffness and nonlocal forms plus the grid and order they belong
-    to; the lumped mass form is diag(grid.weights), which the grid holds."""
+    """The stiffness (the cell coefficients c_k of sum c_k (u_{k+1} - u_k)^2)
+    and nonlocal forms plus the grid and order they belong to; the lumped
+    mass form is diag(grid.weights), which the grid holds."""
 
     grid: RadialGrid
     s: float
@@ -166,27 +170,40 @@ class QuadraticForms:
     nonlocal_mat: np.ndarray
 
     def lambda_metric(self, lam: float) -> np.ndarray:
-        """stiffness - lam diag(grid.weights); FloatingPointError if that
-        overflows."""
-        metric = self.stiffness.copy()
-        metric[np.diag_indices_from(metric)] -= lam * self.grid.weights
-        if not np.isfinite(metric).all():
+        """stiffness - lam diag(grid.weights) as (superdiagonal, diagonal)
+        rows, solveh_banded's upper layout; FloatingPointError if that
+        overflows or is not positive definite on the free nodes."""
+        c = np.concatenate(([0.0], self.stiffness, [0.0]))
+        bands = np.stack((-c[:-1], c[1:] + c[:-1] - lam * self.grid.weights))
+        if not np.isfinite(bands).all():
             raise FloatingPointError(f"lambda metric is not finite at lambda = {lam:g}")
-        return metric
+        try:
+            cholesky_banded(bands[:, :-1])
+        except LinAlgError:
+            raise FloatingPointError(
+                f"lambda metric is not positive definite at lambda = {lam:g}") from None
+        return bands
 
     def validate(self):
-        """DomainError unless both stored forms are symmetric PSD (the mass
-        form is positive definite by the grid's own weight check)."""
+        """DomainError unless the stiffness coefficients are positive and the
+        nonlocal form is symmetric PSD (the mass form is positive definite by
+        the grid's own weight check)."""
         from scipy.linalg import eigvalsh
 
-        for name, mat in (("stiffness", self.stiffness),
-                          ("nonlocal", self.nonlocal_mat)):
-            if not np.allclose(mat, mat.T, rtol=0.0, atol=0.0):
-                raise DomainError(f"{name} form is not symmetric")
-            scale = float(np.abs(mat).max()) or 1.0
-            lo = float(eigvalsh(mat, subset_by_index=[0, 0])[0])
-            if lo < -1e-10 * scale:
-                raise DomainError(f"{name} form has eigenvalue {lo:.3e} < 0")
+        if not np.all(self.stiffness > 0.0):
+            raise DomainError("stiffness form has a nonpositive cell coefficient")
+        mat = self.nonlocal_mat
+        if not np.allclose(mat, mat.T, rtol=0.0, atol=0.0):
+            raise DomainError("nonlocal form is not symmetric")
+        scale = float(np.abs(mat).max()) or 1.0
+        lo = float(eigvalsh(mat, subset_by_index=[0, 0])[0])
+        if lo < -1e-10 * scale:
+            raise DomainError(f"nonlocal form has eigenvalue {lo:.3e} < 0")
+
+
+def metric_pair(bands: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """u^T M v for the symmetric tridiagonal M held as lambda_metric's bands."""
+    return float(bands[1] @ (u * v) + bands[0, 1:] @ (u[1:] * v[:-1] + u[:-1] * v[1:]))
 
 
 def _sqrt_weight_f2(t, s):
@@ -325,18 +342,11 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
 
 
 def assemble_local_forms(grid: RadialGrid) -> np.ndarray:
-    """The stiffness, tridiagonal and stored dense.  Cheap to rebuild from
-    the grid, so it is never cached, and it serves local Rayleigh probes on
-    large grids without the reduced-kernel cost of the nonlocal form."""
-    h = grid.cell_widths
-    coef = _cell_rule(grid.dim, grid.nodes)[1] / h ** 2
-    stiffness = np.zeros((grid.n, grid.n))
-    idx = np.arange(grid.n - 1)
-    stiffness[idx, idx] += coef
-    stiffness[idx + 1, idx + 1] += coef
-    stiffness[idx, idx + 1] -= coef
-    stiffness[idx + 1, idx] -= coef
-    return stiffness
+    """The stiffness: cell volumes over squared cell widths.  Cheap to
+    rebuild from the grid, so it is never cached, and it serves local
+    Rayleigh probes on large grids without the reduced-kernel cost of the
+    nonlocal form."""
+    return _cell_rule(grid.dim, grid.nodes)[1] / grid.cell_widths ** 2
 
 
 def lp_norm(u: RadialFunction, q: float) -> float:
@@ -357,7 +367,7 @@ def norm_lambda_sq(u: RadialFunction, lam: float, forms: QuadraticForms) -> floa
     if not lam < bound:
         raise DomainError(f"lambda must be < (N-1)^2/4 = {bound}, got {lam}")
     v = u.values
-    return float(v @ forms.lambda_metric(lam) @ v)
+    return metric_pair(forms.lambda_metric(lam), v, v)
 
 
 def seminorm_s_sq(u: RadialFunction, forms: QuadraticForms) -> float:
@@ -367,8 +377,7 @@ def seminorm_s_sq(u: RadialFunction, forms: QuadraticForms) -> float:
 
 
 def dirichlet_sq(u: RadialFunction, forms: QuadraticForms) -> float:
-    v = u.values
-    return float(v @ forms.stiffness @ v)
+    return float(forms.stiffness @ np.diff(u.values) ** 2)
 
 
 def schwarz_rearrange(u: RadialFunction) -> RadialFunction:

@@ -492,8 +492,7 @@ def _angular_weights(N, s, r1, r2, kernel_eval):
     distance substitution: with cosh d = cosh r1 cosh r2 - B cos(gamma),
     the angle integral of K_s(d) sin^(N-2)(gamma) becomes an integral in d
     over [delta, Sigma] against sin^(N-3)(gamma(d)) sinh(d) / B, and the
-    sqrt substitutions at both endpoints keep every factor regular -- for
-    N = 2 the endpoint sin^(-1) singularities cancel exactly.
+    sqrt substitutions at both endpoints keep every factor regular (N >= 3).
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
@@ -530,9 +529,7 @@ def _angular_weights(N, s, r1, r2, kernel_eval):
         sin2 = np.maximum(sin2, 0.0)
         kern = kernel_eval(d)
         body = kern * np.sinh(d) / b_fac[:, None] * 2.0 * v
-        if N == 2:
-            body = body / np.sqrt(sin2)
-        elif N > 3:
+        if N > 3:
             body = body * sin2 ** ((N - 3) / 2.0)
         return np.sum(body * wq, axis=1)
 
@@ -548,6 +545,8 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
     the O(n^2) pair loop independent of the parity of N.  The result is
     checked with ReducedKernel.validate before it is returned.
     """
+    if N < 3:
+        raise DomainError(f"reduced kernel needs dimension >= 3, got {N}")
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size < 4:
         raise DomainError("reduced kernel needs a 1-d grid with >= 4 points")
@@ -562,7 +561,7 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
     kernel_eval = table.interpolator()
 
     n = r.size
-    # omega_{N-1} * omega_{N-2}; sphere_area(1) = 2 covers the N = 2 case
+    # omega_{N-1} * omega_{N-2}
     surface = sphere_area(N) * sphere_area(N - 1)
     vol = np.sinh(r) ** (N - 1)
 

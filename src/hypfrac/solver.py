@@ -24,10 +24,12 @@ Newton polish.
 Each energy functional -- I_lambda, and J_lambda with its critical power
 term -- is one _Functional, built once per (spec, forms) by
 _functional_for; values, Riesz gradients and Nehari scales are evaluated on
-that object, never by rebuilding it per profile.
+that object, never by rebuilding it per profile (the seed search and the
+critical solve each build J and its threshold once).
 
 Vectors live on a RadialGrid with the last node pinned to zero (truncation
-of decaying profiles), which keeps the lambda metric positive definite.
+of decaying profiles).  The lambda metric is held as its two bands, which
+QuadraticForms.lambda_metric checks to be positive definite.
 """
 
 from __future__ import annotations
@@ -36,15 +38,14 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve as lin_solve
+from scipy.linalg import solve as lin_solve, solveh_banded
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, ThresholdNotMetError
-from .funcspace import (QuadraticForms, RadialFunction, norm_lambda_sq,
-                        schwarz_rearrange, seminorm_s_sq)
+from .funcspace import (QuadraticForms, RadialFunction, metric_pair,
+                        norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
@@ -137,20 +138,17 @@ class _Functional:
     """Quadratic part plus power nonlinearities of an energy functional.
 
     value(v) = 1/2 v^T A v - sum_t (1/e_t) integral |v|^{e_t};
-    the gradient and Hessian are exact on the nodal quadrature.
+    the gradient and Hessian are exact on the nodal quadrature.  A, the
+    one dense matrix, is the banded lambda metric plus nonlocal_mat.
     """
 
-    def __init__(self, quad: np.ndarray, metric: np.ndarray,
-                 weights: np.ndarray, exponents):
-        self.quad = quad
+    def __init__(self, grid, metric: np.ndarray, nonlocal_mat, exponents):
+        self.grid = grid
+        self.weights = grid.weights
         self.metric = metric
-        self.weights = weights
+        self.quad = (np.diag(metric[1]) + np.diag(metric[0, 1:], 1)
+                     + np.diag(metric[0, 1:], -1) + nonlocal_mat)
         self.exponents = tuple(exponents)
-
-    @cached_property
-    def _chol(self):
-        # factored on first use: values, powers and ray maxima never need it
-        return cho_factor(self.metric[:-1, :-1])
 
     def power_integral(self, v, e) -> float:
         return float(np.sum(self.weights * np.abs(v) ** e))
@@ -187,16 +185,16 @@ class _Functional:
 
     def riesz_gradient(self, v) -> np.ndarray:
         g = np.zeros_like(v)
-        g[:-1] = cho_solve(self._chol, self.residual_vec(v)[:-1])
+        g[:-1] = solveh_banded(self.metric[:, :-1], self.residual_vec(v)[:-1])
         return g
 
     def residual_norm(self, v) -> float:
         r = self.residual_vec(v)[:-1]
-        g = cho_solve(self._chol, r)
+        g = solveh_banded(self.metric[:, :-1], r)
         return math.sqrt(max(float(g @ r), 0.0))
 
     def metric_norm(self, v) -> float:
-        return math.sqrt(max(float(v @ self.metric @ v), 0.0))
+        return math.sqrt(max(metric_pair(self.metric, v, v), 0.0))
 
 
 def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
@@ -205,8 +203,7 @@ def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
     exponents = [spec.p + 1.0]
     if spec.mode == "critical_perturbed":
         exponents.insert(0, spec.critical_exponent)
-    return _Functional(metric + forms.nonlocal_mat, metric,
-                       forms.grid.weights, exponents)
+    return _Functional(forms.grid, metric, forms.nonlocal_mat, exponents)
 
 
 def _nehari_scale(fn: _Functional, v: np.ndarray, p: float) -> float:
@@ -214,7 +211,10 @@ def _nehari_scale(fn: _Functional, v: np.ndarray, p: float) -> float:
     denom = fn.power_integral(v, p + 1.0)
     if denom <= 0.0 or q <= 0.0:
         raise DomainError("Nehari scale undefined: zero profile or vanishing integral")
-    return (q / denom) ** (1.0 / (p - 1.0))
+    try:
+        return (q / denom) ** (1.0 / (p - 1.0))
+    except OverflowError:  # p close to 1
+        raise FloatingPointError(f"Nehari scale overflows at p = {p!r}") from None
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray,
@@ -258,11 +258,10 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
 
 
 def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
-                    tol: float, max_iter: int,
-                    grid) -> tuple[np.ndarray, int, list]:
+                    tol: float, max_iter: int) -> tuple[np.ndarray, int, list]:
     """Projected gradient descent on the Nehari set for a functional with a
     single superquadratic power term (exponent spec_p + 1); every
-    _REARRANGE_EVERY steps it tries the decreasing rearrangement on grid."""
+    _REARRANGE_EVERY steps it tries the decreasing rearrangement."""
 
     def project(v):
         return _nehari_scale(fn, v, spec_p) * v
@@ -276,14 +275,14 @@ def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
     for it in range(1, max_iter + 1):
         iterations = it
         if it % _REARRANGE_EVERY == 0:
-            cand = schwarz_rearrange(RadialFunction(grid, np.abs(v))).values
+            cand = schwarz_rearrange(RadialFunction(fn.grid, np.abs(v))).values
             cand[-1] = 0.0
             cand = project(cand)
             if fn.value(cand) <= history[-1] + 1e-12 * abs(history[-1]):
                 v = cand
                 history.append(fn.value(v))
         g = fn.riesz_gradient(v)
-        gnorm_sq = float(g @ fn.metric @ g)
+        gnorm_sq = metric_pair(fn.metric, g, g)
         if math.sqrt(max(gnorm_sq, 0.0)) < tol * max(fn.metric_norm(v), 1e-30):
             break
         accepted = False
@@ -322,8 +321,7 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         raise DomainError("initial profile must be nonzero")
     fn = _functional_for(spec, forms)
 
-    v, outer_its, history = _nehari_descent(
-        fn, spec.p, init.values, tol, max_iter, forms.grid)
+    v, outer_its, history = _nehari_descent(fn, spec.p, init.values, tol, max_iter)
     v, newton_its = _newton_polish(fn, v, tol=1e-13 * max(fn.metric_norm(v), 1.0))
 
     u = RadialFunction(forms.grid, v)
@@ -491,10 +489,9 @@ def _bubble(grid, eps: float) -> np.ndarray:
     return prof
 
 
-def estimate_critical_constant(spec: ProblemSpec, forms: QuadraticForms,
-                               include_nonlocal: bool = True) -> ConstantEstimate:
-    """Best constant of the critical quotient by concentration
-    extrapolation over a family of shrinking bubbles.
+def estimate_critical_constant(fn: _Functional, two_star: float) -> ConstantEstimate:
+    """Best constant of the critical quotient of fn's quadratic part by
+    concentration extrapolation over a family of shrinking bubbles.
 
     The quotient decreases along the family like S + c eps^q with an
     effective order q that carries slowly varying (logarithmic)
@@ -503,16 +500,11 @@ def estimate_critical_constant(spec: ProblemSpec, forms: QuadraticForms,
     attainment claim is made, only the fitted limit and the family minimum
     are reported.
     """
-    lam_metric = forms.lambda_metric(spec.lam)
-    quad = lam_metric + forms.nonlocal_mat if include_nonlocal else lam_metric
-    two_star = spec.critical_exponent
-    w = forms.grid.weights
     quotients = []
     for eps in _CONCENTRATION_SCALES:
-        v = _bubble(forms.grid, eps)
-        num = float(v @ quad @ v)
-        den = float(np.sum(w * np.abs(v) ** two_star) ** (2.0 / two_star))
-        quotients.append(num / den)
+        v = _bubble(fn.grid, eps)
+        den = fn.power_integral(v, two_star) ** (2.0 / two_star)
+        quotients.append(fn.quad_form(v) / den)
     d1 = quotients[-3] - quotients[-2]
     d2 = quotients[-2] - quotients[-1]
     family_min = float(min(quotients))
@@ -543,30 +535,28 @@ def origin_mass_share(v: np.ndarray, forms: QuadraticForms,
     return float(dens[:_ORIGIN_NODES].sum()) / total
 
 
-def estimate_subcritical_constant(spec: ProblemSpec,
-                                  forms: QuadraticForms) -> float:
-    """Best constant of the subcritical quotient via the ground state of
-    the purely local problem (the minimizer of the quotient itself)."""
-    metric = forms.lambda_metric(spec.lam)
-    fn = _Functional(metric, metric, forms.grid.weights, [spec.p + 1.0])
-    init = np.exp(-forms.grid.nodes ** 2)
+def estimate_subcritical_constant(fn: _Functional, p: float) -> float:
+    """Best constant of the subcritical quotient of fn (power term
+    |v|^{p+1}) via its ground state (the minimizer of the quotient itself)."""
+    init = np.exp(-fn.grid.nodes ** 2)
     init[-1] = 0.0
-    v, _, _ = _nehari_descent(fn, spec.p, init, 1e-8, 400, forms.grid)
+    v, _, _ = _nehari_descent(fn, p, init, 1e-8, 400)
     v, _ = _newton_polish(fn, v, tol=1e-12 * max(fn.metric_norm(v), 1.0))
     q = fn.quad_form(v)
-    pw = fn.power_integral(v, spec.p + 1.0)
-    return float(q / pw ** (2.0 / (spec.p + 1.0)))
+    pw = fn.power_integral(v, p + 1.0)
+    return float(q / pw ** (2.0 / (p + 1.0)))
 
 
 def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[float, float]:
     """(beta, radius) of the small sphere on which J stays above beta.
 
     Maximizes the lower envelope rho^2/2 - C1 rho^{2*}/2* - C2 rho^{p+1}/(p+1)
-    built from the estimated embedding constants; FloatingPointError if that
-    overflows.
+    built from the embedding constants of the local functional (no nonlocal
+    form); FloatingPointError if that overflows.
     """
-    s_crit = estimate_critical_constant(spec, forms, include_nonlocal=False)
-    s_sub = estimate_subcritical_constant(spec, forms)
+    local = _Functional(forms.grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
+    s_crit = estimate_critical_constant(local, spec.critical_exponent)
+    s_sub = estimate_subcritical_constant(local, spec.p)
     two_star = spec.critical_exponent
     c1 = s_crit.estimate ** (-two_star / 2.0)
     c2 = s_sub ** (-(spec.p + 1.0) / 2.0)
@@ -595,7 +585,6 @@ class ThresholdCheck:
     threshold: float
     passes: bool
     zeta_star: float
-    constant: ConstantEstimate
 
 
 def _ray_max(fn: _Functional, v: np.ndarray,
@@ -635,19 +624,22 @@ def _ray_max(fn: _Functional, v: np.ndarray,
     return fn.value(zeta * v), zeta
 
 
-def check_threshold(u0: RadialFunction, spec: ProblemSpec,
-                    forms: QuadraticForms) -> ThresholdCheck:
-    """Ray supremum of J against the compactness threshold S^(N/2)/N."""
+def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
+    """The compactness threshold S^(N/2)/N, S estimated on J = fn."""
     if spec.mode != "critical_perturbed":
         raise DomainError("threshold check requires a critical_perturbed spec")
-    v = u0.values
+    const = estimate_critical_constant(fn, spec.critical_exponent)
+    return const.estimate ** (spec.N / 2.0) / spec.N
+
+
+def check_threshold(fn: _Functional, threshold: float, v: np.ndarray,
+                    spec: ProblemSpec) -> ThresholdCheck:
+    """Ray supremum of J = fn through v against the threshold (_threshold)."""
     if not np.any(v != 0.0) or np.any(v < 0.0):
         raise DomainError("seed profile must be nonzero and nonnegative")
-    sup_value, zeta = _ray_max(_functional_for(spec, forms), v, spec)
-    const = estimate_critical_constant(spec, forms, include_nonlocal=True)
-    threshold = const.estimate ** (spec.N / 2.0) / spec.N
+    sup_value, zeta = _ray_max(fn, v, spec)
     return ThresholdCheck(float(sup_value), float(threshold),
-                          bool(sup_value < threshold), float(zeta), const)
+                          bool(sup_value < threshold), float(zeta))
 
 
 @dataclass(frozen=True)
@@ -675,15 +667,15 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearc
         v = np.exp(-(forms.grid.nodes / sig) ** 2)
         v[-1] = 0.0
         candidates.append(v)
+    fn = _functional_for(spec, forms)
+    threshold = _threshold(fn, spec)
     best = None
     for v in candidates:
-        u0 = RadialFunction(forms.grid, v)
-        check = check_threshold(u0, spec, forms)
+        check = check_threshold(fn, threshold, v, spec)
         if best is None or check.sup_value < best[1].sup_value:
-            best = (u0, check)
-    if best[1].passes:
-        return SeedSearch(best[0], best[1], len(candidates))
-    return SeedSearch(None, best[1], len(candidates))
+            best = (v, check)
+    seed = RadialFunction(forms.grid, best[0]) if best[1].passes else None
+    return SeedSearch(seed, best[1], len(candidates))
 
 
 def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
@@ -746,13 +738,13 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     Fails loudly (ThresholdNotMetError) when the seed violates the energy
     threshold.
     """
-    check = check_threshold(u0, spec, forms)
+    fn = _functional_for(spec, forms)
+    check = check_threshold(fn, _threshold(fn, spec), u0.values, spec)
     if not check.passes:
         raise ThresholdNotMetError(
             f"sup_ray J = {check.sup_value:.6g} >= threshold {check.threshold:.6g}",
             sup_value=check.sup_value, threshold=check.threshold,
         )
-    fn = _functional_for(spec, forms)
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
     v0 = u0.values
     end = _path_endpoint(fn, v0, 2.0 * check.zeta_star, min_norm=mp_radius)

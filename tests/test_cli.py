@@ -216,6 +216,45 @@ def test_solve_overflowing_lambda_metric(tmp_path, cache_dir, capsys, mode):
             assert (out / "report.json").exists(), lam
 
 
+_COARSE_GRID = {"R_max": 20.0, "node_count": 64, "spacing": "graded"}
+
+
+@pytest.mark.parametrize("mode,admissible_exit", [("subcritical", EXIT_OK),
+                                                  ("critical_perturbed", EXIT_THRESHOLD)])
+def test_solve_indefinite_lambda_metric(tmp_path, cache_dir, capsys, mode,
+                                        admissible_exit):
+    # on 64 nodes the discrete spectral bottom at N = 3 is 0.954, below
+    # (N-1)^2/4 = 1: lambda = 0.96 passes validation, but the lambda metric
+    # is no norm there, and neither mode may solve on it
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 3, "s": 0.5, "lambda": 0.96, "p": 3.0, "mode": mode},
+        out, cache_dir, grid=_COARSE_GRID)
+    assert run_cli("solve", "--config", str(cfg)) == EXIT_NUMERICAL
+    assert ("numerical failure: lambda metric is not positive definite at "
+            "lambda = 0.96") in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 3, "s": 0.5, "lambda": 0.9, "p": 3.0, "mode": mode},
+        out, cache_dir, grid=_COARSE_GRID)
+    assert run_cli("solve", "--config", str(cfg)) == admissible_exit
+
+
+def test_solve_overflowing_nehari_scale(tmp_path, cache_dir, capsys):
+    # (q / denom)^(1/(p-1)) overflows a float for p this close to 1
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 3, "s": 0.5, "lambda": 0.0, "p": 1.0000001, "mode": "subcritical"},
+        out, cache_dir, grid=_COARSE_GRID)
+    assert run_cli("solve", "--config", str(cfg)) == EXIT_NUMERICAL
+    assert ("numerical failure: Nehari scale overflows at p = 1.0000001"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_shipped_configs_load():
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
     assert configs

@@ -76,19 +76,27 @@ def test_mass_hat_matches_direct_quadrature(setup3):
                      m, b, limit=100)[0]
         assert grid.weights[k] == pytest.approx(left + right, rel=1e-10)
         cell = quad(lambda r: radial_volume_weight(3, r), m, b, limit=100)[0]
-        assert -forms.stiffness[k, k + 1] * (b - m) ** 2 == pytest.approx(
-            cell, rel=1e-10)
+        assert forms.stiffness[k] * (b - m) ** 2 == pytest.approx(cell, rel=1e-10)
 
 
 @pytest.mark.parametrize("setup", ["setup3", "setup5"])
 def test_lambda_metric_is_stiffness_minus_lumped_mass(request, setup):
-    # the metric shifts only the diagonal, exactly as the dense product
-    # with diag(weights) would, down to the sign of every zero
+    # the bands shift only the diagonal, exactly as the dense product with
+    # diag(weights) would, down to the sign of every zero
     grid, forms = request.getfixturevalue(setup)
+    coef, k = forms.stiffness, np.arange(grid.n - 1)
+    assert coef.shape == (grid.n - 1,)
+    stiffness = np.zeros((grid.n, grid.n))
+    stiffness[k, k] += coef
+    stiffness[k + 1, k + 1] += coef
+    stiffness[k, k + 1] -= coef
+    stiffness[k + 1, k] -= coef
     mass = np.diag(grid.weights)
     for lam in (0.0, 0.5, 0.999, 1.0, -3.0, -1e10):
-        got = forms.lambda_metric(lam)
-        want = forms.stiffness - lam * mass
+        bands = forms.lambda_metric(lam)
+        assert bands.shape == (2, grid.n), lam
+        got = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[0, 1:], -1)
+        want = stiffness - lam * mass
         assert np.array_equal(got, want), lam
         assert np.array_equal(np.signbit(got), np.signbit(want)), lam
 

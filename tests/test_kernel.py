@@ -304,3 +304,6 @@ def test_reduced_kernel_rejects_bad_grid():
         build_reduced_kernel(3, 0.5, np.array([0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(DomainError):
         build_reduced_kernel(3, 0.5, np.array([1.0, 0.5, 2.0, 3.0]))
+    # the angular reduction is written for N >= 3
+    with pytest.raises(DomainError):
+        build_reduced_kernel(2, 0.5, np.array([0.5, 1.0, 2.0, 3.0]))

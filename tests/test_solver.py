@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hypfrac import solver
 from hypfrac.errors import DomainError, ThresholdNotMetError
-from hypfrac.funcspace import RadialFunction, lp_norm, norm_lambda_sq
-from hypfrac.solver import (ProblemSpec, _bubble, _functional_for,
+from hypfrac.funcspace import (QuadraticForms, RadialFunction, lp_norm,
+                               metric_pair, norm_lambda_sq)
+from hypfrac.solver import (ProblemSpec, _bubble, _functional_for, _Functional,
                             _nehari_scale, _newton_polish, _ray_max,
-                            _segment_peak, check_threshold, critical_ray_level,
+                            _segment_peak, _threshold,
+                            check_threshold, critical_ray_level,
                             estimate_critical_constant,
                             estimate_subcritical_constant,
                             mountain_pass_geometry,
@@ -65,7 +68,7 @@ def test_gradient_matches_directional_derivative(setup3):
         v = profiles[k + 1]
         v = v / np.sqrt(norm_lambda_sq(RadialFunction(grid, v), 0.0, forms))
         g = fn.riesz_gradient(u)
-        pairing = float(g @ forms.lambda_metric(0.0) @ v)
+        pairing = metric_pair(forms.lambda_metric(0.0), g, v)
         fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
         assert pairing == pytest.approx(fd, rel=1e-5)
 
@@ -145,7 +148,8 @@ def test_mountain_pass_level_matches_constrained_minimum(subcritical_report, set
     assert level > 0.0
     assert abs(level - report.c_star) < 1e-9 * report.c_star
     assert level >= report.c_star * (1.0 - 1e-12)
-    s_sub = estimate_subcritical_constant(spec, forms)
+    local = _Functional(grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
+    s_sub = estimate_subcritical_constant(local, spec.p)
     lower = 0.25 * ((spec.p + 1.0) * s_sub ** ((spec.p + 1.0) / 2.0) / 4.0) \
         ** (2.0 / (spec.p - 1.0))
     assert level >= lower
@@ -172,7 +176,7 @@ def test_gradient_J_finite_difference(setup5):
     u = profiles[0]
     v = profiles[1] / np.sqrt(norm_lambda_sq(
         RadialFunction(grid, profiles[1]), spec.lam, forms))
-    pairing = float(fn.riesz_gradient(u) @ forms.lambda_metric(spec.lam) @ v)
+    pairing = metric_pair(forms.lambda_metric(spec.lam), fn.riesz_gradient(u), v)
     h = 1e-5
     fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
     assert pairing == pytest.approx(fd, rel=1e-5)
@@ -196,10 +200,10 @@ def test_check_threshold_positive_and_scale_invariant(setup5):
     r = grid.nodes
     v = (0.02 / (0.02 ** 2 + r ** 2)) ** 1.5 * np.exp(-r ** 2)
     v[-1] = 0.0
-    u0 = RadialFunction(grid, v)
-    check = check_threshold(u0, spec, forms)
+    fn = _functional_for(spec, forms)
+    check = check_threshold(fn, _threshold(fn, spec), v, spec)
     assert check.sup_value > 0.0
-    scaled = check_threshold(RadialFunction(grid, 3.7 * v), spec, forms)
+    scaled = check_threshold(fn, _threshold(fn, spec), 3.7 * v, spec)
     assert scaled.sup_value == pytest.approx(check.sup_value, rel=1e-9)
     assert scaled.threshold == check.threshold
 
@@ -207,11 +211,13 @@ def test_check_threshold_positive_and_scale_invariant(setup5):
 def test_check_threshold_rejects_bad_seed(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    fn = _functional_for(spec, forms)
+    threshold = _threshold(fn, spec)
     with pytest.raises(DomainError):
-        check_threshold(RadialFunction(grid, np.zeros(grid.n)), spec, forms)
+        check_threshold(fn, threshold, np.zeros(grid.n), spec)
     bad = -np.exp(-grid.nodes ** 2)
     with pytest.raises(DomainError):
-        check_threshold(RadialFunction(grid, bad), spec, forms)
+        check_threshold(fn, threshold, bad, spec)
 
 
 def test_pinned_configuration_documents_threshold_failure(setup3):
@@ -293,6 +299,35 @@ def test_segment_peak_matches_dense_sampling(setup5):
     assert peak - dense.max() <= spacing_err + 1e-12 * abs(dense.max())
 
 
+def _counting(monkeypatch, owner, name, counts):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_critical_path_builds_each_functional_once(setup5, monkeypatch):
+    # the seed search builds J and the threshold once for all candidates,
+    # and the mountain-pass geometry forms the lambda metric once for both
+    # embedding constants
+    _, forms = setup5
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    counts = {}
+    for name in ("_functional_for", "estimate_critical_constant", "check_threshold"):
+        _counting(monkeypatch, solver, name, counts)
+    search = search_threshold_seed(spec, forms)
+    assert search.tried == 11
+    assert counts == {"_functional_for": 1, "estimate_critical_constant": 1,
+                      "check_threshold": 11}
+    counts.clear()
+    _counting(monkeypatch, QuadraticForms, "lambda_metric", counts)
+    mountain_pass_geometry(spec, forms)
+    assert counts == {"estimate_critical_constant": 1, "lambda_metric": 1}
+
+
 def test_mountain_pass_geometry_positive(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
@@ -303,8 +338,9 @@ def test_mountain_pass_geometry_positive(setup5):
 def test_estimate_critical_constant_deterministic(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    a = estimate_critical_constant(spec, forms)
-    b = estimate_critical_constant(spec, forms)
+    fn = _functional_for(spec, forms)
+    a = estimate_critical_constant(fn, spec.critical_exponent)
+    b = estimate_critical_constant(fn, spec.critical_exponent)
     assert a == b
     assert a.estimate > 0.0
     assert np.all(np.diff(a.quotients) < 0.0)
