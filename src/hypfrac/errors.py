@@ -6,15 +6,8 @@ class DomainError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the best value and the error estimate at the point of failure.
-    """
-
-    def __init__(self, message, value=None, estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.estimate = estimate
+    """Adaptive quadrature failed to reach the requested tolerance; the
+    message names the value and the error estimate at the point of failure."""
 
 
 class BesselOverflowError(ArithmeticError):
@@ -32,10 +25,6 @@ class TableRejectionError(RuntimeError):
 
 class ReducedKernelError(RuntimeError):
     """Angular reduction of the two-point kernel failed at a node pair."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
 
 
 class ThresholdNotMetError(RuntimeError):

@@ -184,22 +184,6 @@ class QuadraticForms:
                 f"lambda metric is not positive definite at lambda = {lam:g}") from None
         return bands
 
-    def validate(self):
-        """DomainError unless the stiffness coefficients are positive and the
-        nonlocal form is symmetric PSD (the mass form is positive definite by
-        the grid's own weight check)."""
-        from scipy.linalg import eigvalsh
-
-        if not np.all(self.stiffness > 0.0):
-            raise DomainError("stiffness form has a nonpositive cell coefficient")
-        mat = self.nonlocal_mat
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=0.0):
-            raise DomainError("nonlocal form is not symmetric")
-        scale = float(np.abs(mat).max()) or 1.0
-        lo = float(eigvalsh(mat, subset_by_index=[0, 0])[0])
-        if lo < -1e-10 * scale:
-            raise DomainError(f"nonlocal form has eigenvalue {lo:.3e} < 0")
-
 
 def metric_pair(bands: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """u^T M v for the symmetric tridiagonal M held as lambda_metric's bands."""

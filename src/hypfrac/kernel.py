@@ -290,9 +290,7 @@ def kernel_even(N: int, s: float, rho):
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmin(np.isfinite(vals)))
         raise QuadratureError(
-            f"even-dimension kernel quadrature returned {vals[bad]} at rho={flat[bad]}",
-            value=float(vals[bad]),
-        )
+            f"even-dimension kernel quadrature returned {vals[bad]} at rho={flat[bad]}")
     vals = vals.reshape(rho_v.shape)
     vals = np.where(vals < UNDERFLOW_FLOOR, 0.0, vals)
     return vals if np.ndim(rho) else float(vals[0])
@@ -456,10 +454,12 @@ class ReducedKernel:
         if not np.array_equal(self.W, self.W.T):
             raise ReducedKernelError("weight matrix is not symmetric")
         off = ~np.eye(n, dtype=bool)
-        if np.any(self.W[off] <= 0.0) or not np.all(np.isfinite(self.W[off])):
-            bad = np.argwhere((self.W <= 0.0) & off)
-            loc = tuple(self.r_grid[bad[0]]) if bad.size else None
-            raise ReducedKernelError("non-positive off-diagonal weight", location=loc)
+        bad = np.argwhere(off & ~((self.W > 0.0) & np.isfinite(self.W)))
+        if bad.size:
+            i, j = bad[0]
+            raise ReducedKernelError(
+                f"non-positive off-diagonal weight {self.W[i, j]:.6g} at "
+                f"(r1, r2) = ({self.r_grid[i]:.6g}, {self.r_grid[j]:.6g})")
         # near-diagonal law: adjacent pairs should match the model where the
         # separation is small both absolutely (kernel power-law regime) and
         # relative to the radius (angular slab regime)
@@ -473,9 +473,8 @@ class ReducedKernel:
             if abs(actual - model) > 0.10 * model:
                 raise ReducedKernelError(
                     f"near-diagonal weight off by {abs(actual / model - 1.0):.2%} "
-                    f"at r = {mid:.4g}",
-                    location=(float(self.r_grid[i]), float(self.r_grid[i + 1])),
-                )
+                    f"at r = {mid:.4g} (pair {self.r_grid[i]:.6g}, "
+                    f"{self.r_grid[i + 1]:.6g})")
 
 
 # Normalized node/weight layout shared by every node pair: the lower half
@@ -573,9 +572,7 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
         if not np.all(np.isfinite(row)):
             bad = j[~np.isfinite(row)][0]
             raise ReducedKernelError(
-                "angular quadrature failed",
-                location=(float(r[i]), float(r[bad])),
-            )
+                f"angular quadrature failed at (r1, r2) = ({r[i]:.6g}, {r[bad]:.6g})")
         W[i, i + 1:] = row
         W[i + 1:, i] = row
 

@@ -4,12 +4,18 @@ The subcritical ground state minimizes the energy on the Nehari set: a
 projected gradient descent (absolute value, periodic decreasing
 rearrangement, ray re-projection after every step) drives the iterate into
 the basin, and a Newton polish on the full Euler-Lagrange system finishes
-to near machine residual.  The polish is plain damped Newton: it stops at
-its tolerance, or at the round-off floor where its line search can no
-longer lower the residual, and keeps the best iterate either way; a
-tolerance below that floor costs a few Newton steps, nothing more.  The
-critically perturbed problem runs a
-steepest-descent deformation of a discretized path from zero past the
+to near machine residual.  That descent (_nehari_descent) is the one
+descent of the module: it lowers the ray maximum of whichever functional
+it is given, so it also serves estimate_subcritical_constant and, on J,
+the ray-level cross-check critical_ray_level.  One ray root (_ray_root)
+serves every ray maximization (_ray_max) and the mountain-pass envelope
+of mountain_pass_geometry: the closed-form Nehari scale for one power
+term, a bracketed brentq root for two.  The polish is plain damped
+Newton: it stops at its tolerance, or at the round-off floor where its
+line search can no longer lower the residual, and keeps the best iterate
+either way; a tolerance below that floor costs a few Newton steps,
+nothing more.  The critically perturbed problem runs a steepest-descent
+deformation of a discretized path from zero past the
 energy barrier, with the path peak polished the same way; the energy
 threshold that guards compactness is estimated by concentration
 extrapolation of the critical quotient.  One deformation core
@@ -64,9 +70,8 @@ _CONCENTRATION_SCALES = (0.16, 0.08, 0.04, 0.02, 0.01)
 # the family search_threshold_seed visits, in this order
 _SEED_BUBBLE_SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16)
 _SEED_GAUSSIAN_WIDTHS = (0.25, 0.5, 1.0, 2.0)
-# envelope descent of critical_ray_level: step budget and relative stop
+# step budget of the descent in critical_ray_level
 _RAY_MAX_ITER = 300
-_RAY_TOL = 1e-9
 _log = logging.getLogger(__name__)
 
 
@@ -163,7 +168,11 @@ class _Functional:
         return out
 
     def residual_vec(self, v) -> np.ndarray:
-        r = self.quad @ v
+        return self.residual_from(v, self.quad @ v)
+
+    def residual_from(self, v, qv) -> np.ndarray:
+        """The residual at v from qv = A v, a product the caller holds."""
+        r = qv.copy()
         for e in self.exponents:
             r -= self.weights * np.abs(v) ** (e - 2.0) * v
         return r
@@ -183,9 +192,10 @@ class _Functional:
         h[np.diag_indices_from(h)] -= diag
         return h
 
-    def riesz_gradient(self, v) -> np.ndarray:
+    def riesz_gradient(self, v, qv) -> np.ndarray:
+        """Riesz representative of the residual at v, given qv = A v."""
         g = np.zeros_like(v)
-        g[:-1] = solveh_banded(self.metric[:, :-1], self.residual_vec(v)[:-1])
+        g[:-1] = solveh_banded(self.metric[:, :-1], self.residual_from(v, qv)[:-1])
         return g
 
     def residual_norm(self, v) -> float:
@@ -206,15 +216,52 @@ def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
     return _Functional(forms.grid, metric, forms.nonlocal_mat, exponents)
 
 
-def _nehari_scale(fn: _Functional, v: np.ndarray, p: float) -> float:
+def _ray_root(q: float, coeffs, exponents) -> float:
+    """The z > 0 with q = sum_t c_t z^(e_t - 2): where the ray energy
+    z^2 q / 2 - sum_t c_t z^e_t / e_t peaks.  It is unique, since every
+    e_t > 2.  One term has the closed form (the Nehari scale); two are
+    bracketed, with both bracket searches capped, and solved by brentq."""
+    if len(exponents) == 1:
+        try:
+            return (q / coeffs[0]) ** (1.0 / (exponents[0] - 2.0))
+        except OverflowError:  # p close to 1
+            raise FloatingPointError(
+                f"Nehari scale overflows at p = {exponents[0] - 1.0:.12g}") from None
+
+    def dphi(z):
+        out = q
+        for c, e in zip(coeffs, exponents):
+            out -= z ** (e - 2.0) * c
+        return out
+
+    hi = 1.0
+    for _ in range(200):
+        if dphi(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceError(f"ray maximization failed to bracket, q={q:.3e}, "
+                               f"c={coeffs[0]:.3e}")
+    lo = hi * 2.0 ** -60
+    while dphi(lo) < 0.0:
+        lo *= 0.5
+        if lo < 1e-280:
+            raise ConvergenceError("ray maximization failed near zero")
+    return brentq(dphi, lo, hi, xtol=1e-300, rtol=8.9e-16)
+
+
+def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float]:
+    """(max_z fn(z v), maximizing z) along the ray through v.
+
+    With one power term the maximizer is the Nehari scale of v and z v
+    lies on the Nehari set; the result is deterministic either way.
+    """
     q = fn.quad_form(v)
-    denom = fn.power_integral(v, p + 1.0)
-    if denom <= 0.0 or q <= 0.0:
-        raise DomainError("Nehari scale undefined: zero profile or vanishing integral")
-    try:
-        return (q / denom) ** (1.0 / (p - 1.0))
-    except OverflowError:  # p close to 1
-        raise FloatingPointError(f"Nehari scale overflows at p = {p!r}") from None
+    coeffs = [fn.power_integral(v, e) for e in fn.exponents]
+    if q <= 0.0 or max(coeffs) <= 0.0:
+        raise DomainError("ray maximum undefined: zero profile or vanishing integral")
+    zeta = _ray_root(q, coeffs, fn.exponents)
+    return fn.value(zeta * v), zeta
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray,
@@ -257,19 +304,29 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
     return v, steps
 
 
-def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
-                    tol: float, max_iter: int) -> tuple[np.ndarray, int, list]:
-    """Projected gradient descent on the Nehari set for a functional with a
-    single superquadratic power term (exponent spec_p + 1); every
-    _REARRANGE_EVERY steps it tries the decreasing rearrangement."""
+def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
+                    max_iter: int) -> tuple[np.ndarray, int, list]:
+    """Projected gradient descent of the ray maximum of fn.
+
+    Every iterate is the peak of its own ray (_ray_max), so the levels in
+    the returned history are ray maxima: the Nehari level for I_lambda, the
+    inf-of-ray-max level for J_lambda.  Every _REARRANGE_EVERY steps it
+    tries the decreasing rearrangement.  A trial step halves eta when the
+    projection refuses it, when it misses the Armijo decrease, or, for J,
+    when it concentrates the critical integral below the mesh scale
+    (origin_mass_share).  I_lambda has no such guard: at a very negative
+    lambda its ground state is itself a sub-grid spike.
+    """
+    guard_origin = len(fn.exponents) > 1
 
     def project(v):
-        return _nehari_scale(fn, v, spec_p) * v
+        level, zeta = _ray_max(fn, v)
+        return zeta * v, level
 
-    v = np.abs(v0.copy())
+    v = np.abs(v0)
     v[-1] = 0.0
-    v = project(v)
-    history = [fn.value(v)]
+    v, level = project(v)
+    history = [level]
     eta = 1.0
     iterations = 0
     for it in range(1, max_iter + 1):
@@ -277,31 +334,29 @@ def _nehari_descent(fn: _Functional, spec_p: float, v0: np.ndarray,
         if it % _REARRANGE_EVERY == 0:
             cand = schwarz_rearrange(RadialFunction(fn.grid, np.abs(v))).values
             cand[-1] = 0.0
-            cand = project(cand)
-            if fn.value(cand) <= history[-1] + 1e-12 * abs(history[-1]):
+            cand, level = project(cand)
+            if level <= history[-1] + 1e-12 * abs(history[-1]):
                 v = cand
-                history.append(fn.value(v))
-        g = fn.riesz_gradient(v)
+                history.append(level)
+        g = fn.riesz_gradient(v, fn.quad @ v)
         gnorm_sq = metric_pair(fn.metric, g, g)
         if math.sqrt(max(gnorm_sq, 0.0)) < tol * max(fn.metric_norm(v), 1e-30):
             break
-        accepted = False
         for _ in range(40):
             cand = np.abs(v - eta * g)
             cand[-1] = 0.0
             try:
-                cand = project(cand)
-            except DomainError:
-                eta *= 0.5
-                continue
-            if fn.value(cand) <= history[-1] - _ARMIJO * eta * gnorm_sq:
+                cand, level = project(cand)
+            except (DomainError, ConvergenceError):
+                level = math.inf
+            if (level <= history[-1] - _ARMIJO * eta * gnorm_sq
+                    and not (guard_origin and origin_mass_share(fn, cand) > 0.5)):
                 v = cand
-                history.append(fn.value(v))
-                accepted = True
+                history.append(level)
                 eta = min(eta * 1.5, 64.0)
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             break
     return v, iterations, history
 
@@ -321,7 +376,7 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         raise DomainError("initial profile must be nonzero")
     fn = _functional_for(spec, forms)
 
-    v, outer_its, history = _nehari_descent(fn, spec.p, init.values, tol, max_iter)
+    v, outer_its, history = _nehari_descent(fn, init.values, tol, max_iter)
     v, newton_its = _newton_polish(fn, v, tol=1e-13 * max(fn.metric_norm(v), 1.0))
 
     u = RadialFunction(forms.grid, v)
@@ -400,8 +455,7 @@ def _segment_peak(fn: _Functional, a: np.ndarray, b: np.ndarray,
     return best, t_best
 
 
-def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
-                 path_nodes: int):
+def _deform_path(fn: _Functional, end: np.ndarray, path_nodes: int):
     """Deform the segment path from 0 to end (policy: solve_critical).
 
     Stops after the first sweep that does not lower the exact path level
@@ -409,9 +463,9 @@ def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
     point, levels before and after every sweep): they decrease strictly
     up to the last sweep, which repeats the level before it.
     """
-    top = max(fn.exponents)
     path = [tau * end for tau in np.linspace(0.0, 1.0, path_nodes + 1)]
-    qpath = [fn.quad @ v for v in path]  # a trial step costs one product with A
+    # A v of every node: a trial step costs one product with A, a gradient none
+    qpath = [fn.quad @ v for v in path]
     seg = [_segment_peak(fn, path[j], path[j + 1], qpath[j], qpath[j + 1])
            for j in range(path_nodes)]
     etas = np.full(path_nodes + 1, 0.25)
@@ -428,12 +482,12 @@ def _deform_path(fn: _Functional, forms: QuadraticForms, end: np.ndarray,
     history = [level]
     for _ in range(_MAX_SWEEPS):
         for j in range(1, path_nodes):
-            g = fn.riesz_gradient(path[j])
+            g = fn.riesz_gradient(path[j], qpath[j])
             for _ in range(4):
                 cand = path[j] - etas[j] * g
                 cand[-1] = 0.0
                 if (fn.metric_norm(cand) > norm_cap
-                        or origin_mass_share(cand, forms, top) > 0.5):
+                        or origin_mass_share(fn, cand) > 0.5):
                     etas[j] *= 0.5
                     continue
                 q_cand = fn.quad @ cand
@@ -464,10 +518,10 @@ def mountain_pass_level_subcritical(spec: ProblemSpec, solution: RadialFunction,
     fn = _functional_for(spec, forms)
     u = solution.values
     # ray energy crosses zero at t_u ((p+1)/2)^(1/(p-1)); overshoot past it
-    t_u = _nehari_scale(fn, u, spec.p)
+    t_u = _ray_max(fn, u)[1]
     t_zero = t_u * ((spec.p + 1.0) / 2.0) ** (1.0 / (spec.p - 1.0))
     end = _path_endpoint(fn, u, 1.5 * t_zero)
-    return _deform_path(fn, forms, end, path_nodes=32)[0]
+    return _deform_path(fn, end, path_nodes=32)[0]
 
 
 @dataclass(frozen=True)
@@ -521,14 +575,12 @@ def estimate_critical_constant(fn: _Functional, two_star: float) -> ConstantEsti
                             tuple(float(q) for q in quotients))
 
 
-def origin_mass_share(v: np.ndarray, forms: QuadraticForms,
-                      exponent: float) -> float:
-    """Fraction of the |v|^exponent integral carried by the first few
+def origin_mass_share(fn: _Functional, v: np.ndarray) -> float:
+    """Fraction of fn's top power integral of v carried by the first few
     nodes.  Profiles concentrating below the mesh scale at the origin are
     quadrature artifacts, not functions the grid can represent; descent
     steps are rejected once this share grows past 1/2."""
-    w = forms.grid.weights
-    dens = w * np.abs(v) ** exponent
+    dens = fn.weights * np.abs(v) ** max(fn.exponents)
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
@@ -540,7 +592,7 @@ def estimate_subcritical_constant(fn: _Functional, p: float) -> float:
     |v|^{p+1}) via its ground state (the minimizer of the quotient itself)."""
     init = np.exp(-fn.grid.nodes ** 2)
     init[-1] = 0.0
-    v, _, _ = _nehari_descent(fn, p, init, 1e-8, 400)
+    v, _, _ = _nehari_descent(fn, init, 1e-8, 400)
     v, _ = _newton_polish(fn, v, tol=1e-12 * max(fn.metric_norm(v), 1.0))
     q = fn.quad_form(v)
     pw = fn.power_integral(v, p + 1.0)
@@ -552,7 +604,8 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
 
     Maximizes the lower envelope rho^2/2 - C1 rho^{2*}/2* - C2 rho^{p+1}/(p+1)
     built from the embedding constants of the local functional (no nonlocal
-    form); FloatingPointError if that overflows.
+    form); its maximizer is the ray root (_ray_root) at q = 1 with
+    coefficients C1 and C2.  FloatingPointError if that has no finite root.
     """
     local = _Functional(forms.grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
     s_crit = estimate_critical_constant(local, spec.critical_exponent)
@@ -560,20 +613,12 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     two_star = spec.critical_exponent
     c1 = s_crit.estimate ** (-two_star / 2.0)
     c2 = s_sub ** (-(spec.p + 1.0) / 2.0)
-
-    def slope(rho):
-        return 1.0 - c1 * rho ** (two_star - 2.0) - c2 * rho ** (spec.p - 1.0)
-
     try:
-        hi = 1.0
-        while slope(hi) > 0.0:
-            hi *= 2.0
-        lo = hi / 2.0 ** 40
-        rho_star = brentq(slope, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        rho_star = _ray_root(1.0, (c1, c2), (two_star, spec.p + 1.0))
         beta = (rho_star ** 2 / 2.0
                 - c1 * rho_star ** two_star / two_star
                 - c2 * rho_star ** (spec.p + 1.0) / (spec.p + 1.0))
-    except OverflowError:  # tiny constants, from a very negative lambda
+    except (OverflowError, ConvergenceError):  # tiny constants, very negative lambda
         raise FloatingPointError(
             f"mountain-pass envelope is not finite at lambda = {spec.lam:g}") from None
     return float(beta), float(rho_star)
@@ -587,43 +632,6 @@ class ThresholdCheck:
     zeta_star: float
 
 
-def _ray_max(fn: _Functional, v: np.ndarray,
-             spec: ProblemSpec) -> tuple[float, float]:
-    """(max_z J(z v), maximizing z) along the ray through v.
-
-    The ray energy has a unique interior maximum (its scaled derivative is
-    strictly decreasing), located by bracketed root finding -- the leftmost
-    maximizer by construction, so the result is deterministic.  Both
-    bracket searches are capped.
-    """
-    q = fn.quad_form(v)
-    c_crit = fn.power_integral(v, spec.critical_exponent)
-    c_sub = fn.power_integral(v, spec.p + 1.0)
-    if c_crit <= 0.0 or q <= 0.0:
-        raise DomainError("ray maximum undefined: vanishing quadratic form "
-                          "or critical integral")
-
-    def dphi(z):
-        return q - z ** (spec.critical_exponent - 2.0) * c_crit \
-            - z ** (spec.p - 1.0) * c_sub
-
-    hi = 1.0
-    for _ in range(200):
-        if dphi(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("ray maximization failed to bracket, "
-                               f"q={q:.3e}, c_crit={c_crit:.3e}")
-    lo = hi * 2.0 ** -60
-    while dphi(lo) < 0.0:
-        lo *= 0.5
-        if lo < 1e-280:
-            raise ConvergenceError("ray maximization failed near zero")
-    zeta = brentq(dphi, lo, hi, xtol=1e-300, rtol=8.9e-16)
-    return fn.value(zeta * v), zeta
-
-
 def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
     """The compactness threshold S^(N/2)/N, S estimated on J = fn."""
     if spec.mode != "critical_perturbed":
@@ -632,12 +640,12 @@ def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
     return const.estimate ** (spec.N / 2.0) / spec.N
 
 
-def check_threshold(fn: _Functional, threshold: float, v: np.ndarray,
-                    spec: ProblemSpec) -> ThresholdCheck:
+def check_threshold(fn: _Functional, threshold: float,
+                    v: np.ndarray) -> ThresholdCheck:
     """Ray supremum of J = fn through v against the threshold (_threshold)."""
     if not np.any(v != 0.0) or np.any(v < 0.0):
         raise DomainError("seed profile must be nonzero and nonnegative")
-    sup_value, zeta = _ray_max(fn, v, spec)
+    sup_value, zeta = _ray_max(fn, v)
     return ThresholdCheck(float(sup_value), float(threshold),
                           bool(sup_value < threshold), float(zeta))
 
@@ -671,7 +679,7 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearc
     threshold = _threshold(fn, spec)
     best = None
     for v in candidates:
-        check = check_threshold(fn, threshold, v, spec)
+        check = check_threshold(fn, threshold, v)
         if best is None or check.sup_value < best[1].sup_value:
             best = (v, check)
     seed = RadialFunction(forms.grid, best[0]) if best[1].passes else None
@@ -680,40 +688,10 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearc
 
 def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
                        forms: QuadraticForms) -> float:
-    """Independent level estimate: minimize the ray maximum of J over
-    profile directions by envelope gradient descent."""
+    """Independent level estimate: the last ray maximum of J after the
+    shared descent (_nehari_descent) from seed, _RAY_MAX_ITER steps at most."""
     fn = _functional_for(spec, forms)
-    v = seed.values / max(fn.metric_norm(seed.values), 1e-300)
-    level, zeta = _ray_max(fn, v, spec)
-    eta = 0.5
-    for _ in range(_RAY_MAX_ITER):
-        g = fn.riesz_gradient(zeta * v)
-        gnorm = fn.metric_norm(g)
-        if gnorm * zeta < _RAY_TOL * max(level, 1e-30):
-            break
-        accepted = False
-        for _ in range(30):
-            cand = zeta * v - eta * g
-            cand[-1] = 0.0
-            norm = fn.metric_norm(cand)
-            if norm > 0.0:
-                cand = cand / norm
-                if origin_mass_share(cand, forms, spec.critical_exponent) > 0.5:
-                    eta *= 0.5
-                    continue
-                try:
-                    cand_level, cand_zeta = _ray_max(fn, cand, spec)
-                except (ValueError, ConvergenceError):
-                    cand_level = math.inf
-                if cand_level < level - 1e-14 * abs(level):
-                    v, level, zeta = cand, cand_level, cand_zeta
-                    accepted = True
-                    eta = min(eta * 1.3, 8.0)
-                    break
-            eta *= 0.5
-        if not accepted:
-            break
-    return level
+    return _nehari_descent(fn, seed.values, 0.0, _RAY_MAX_ITER)[2][-1]
 
 
 def solve_critical(spec: ProblemSpec, u0: RadialFunction,
@@ -739,7 +717,7 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     threshold.
     """
     fn = _functional_for(spec, forms)
-    check = check_threshold(fn, _threshold(fn, spec), u0.values, spec)
+    check = check_threshold(fn, _threshold(fn, spec), u0.values)
     if not check.passes:
         raise ThresholdNotMetError(
             f"sup_ray J = {check.sup_value:.6g} >= threshold {check.threshold:.6g}",
@@ -748,7 +726,7 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
     v0 = u0.values
     end = _path_endpoint(fn, v0, 2.0 * check.zeta_star, min_norm=mp_radius)
-    _, peak, history = _deform_path(fn, forms, end, path_nodes)
+    _, peak, history = _deform_path(fn, end, path_nodes)
 
     v_inf, newton_its = _newton_polish(
         fn, peak, tol=1e-12 * max(fn.metric_norm(peak), 1.0))
@@ -756,7 +734,7 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     m = fn.value(v_inf)
     residual = fn.residual_norm(v_inf)
     nontrivial = fn.metric_norm(v_inf) > 0.01 * fn.metric_norm(v0)
-    resolved = origin_mass_share(v_inf, forms, spec.critical_exponent) <= 0.5
+    resolved = origin_mass_share(fn, v_inf) <= 0.5
 
     # the envelope estimate of beta is only as good as the embedding
     # constants; the solution ray crosses the small sphere below its own

@@ -105,9 +105,8 @@ def _panel_estimates(f, a, b):
     i_lo = half * float(np.dot(_GL_LO[1], y_lo))
     if not (math.isfinite(i_hi) and math.isfinite(i_lo)):
         raise QuadratureError(
-            f"non-finite integrand on panel [{a:.6g}, {b:.6g}]",
-            value=i_hi, estimate=math.inf,
-        )
+            f"non-finite integrand on panel [{a:.6g}, {b:.6g}]: "
+            f"15-point value {i_hi}, 7-point value {i_lo}")
     return i_hi, abs(i_hi - i_lo)
 
 
@@ -132,10 +131,8 @@ def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0):
         neg_err, pa, pb, pval, depth = heapq.heappop(heap)
         if depth >= MAX_BISECTIONS:
             raise QuadratureError(
-                f"refinement depth {MAX_BISECTIONS} exhausted; error estimate "
-                f"{total_err:.3e} > tol {tol:.3e}",
-                value=total_val, estimate=total_err,
-            )
+                f"refinement depth {MAX_BISECTIONS} exhausted at value "
+                f"{total_val:.6g}; error estimate {total_err:.3e} > tol {tol:.3e}")
         mid = 0.5 * (pa + pb)
         lv, le = _panel_estimates(f, pa, mid)
         rv, re = _panel_estimates(f, mid, pb)

@@ -198,13 +198,13 @@ def suite_nehari(cache_dir=None) -> list[CheckResult]:
     fn = solver._functional_for(spec, forms)
 
     def project(v):
-        return solver._nehari_scale(fn, v, spec.p) * v
+        return solver._ray_max(fn, v)[1] * v
 
     worst_t, worst_scale = 0.0, 0.0
     for seed in NEHARI_SEEDS:
         for v in random_smooth_profiles(grid, 100, seed=seed):
             proj = project(v)
-            worst_t = max(worst_t, abs(solver._nehari_scale(fn, proj, spec.p) - 1.0))
+            worst_t = max(worst_t, abs(solver._ray_max(fn, proj)[1] - 1.0))
             peak = max(float(np.abs(proj).max()), 1e-30)
             for alpha in (0.1, 10.0):
                 again = project(alpha * v)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -310,3 +311,16 @@ def test_verify_reports_crashing_suite(monkeypatch, capsys):
     # the detail column starts at one offset whatever the suite tag's length
     assert len({line.rindex(" ok") for line in out.splitlines()
                 if line.startswith("  PASS  [")}) == 1
+
+
+def test_trace_harness_finds_every_patched_name():
+    # perfbench/trace_solve.py wraps hypfrac functions by name where they
+    # are looked up; a deleted or renamed one must fail here, not in a
+    # traced benchmark run
+    root = Path(__file__).parent.parent
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import trace_solve; "
+            "trace_solve.install(trace_solve.Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

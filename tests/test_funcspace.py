@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh
 
 from hypfrac.cli import RunConfig, _solve_outputs
 from hypfrac.errors import DomainError
@@ -50,8 +51,14 @@ def test_grid_validation():
 
 
 def test_forms_symmetric_psd(setup3):
+    # positive stiffness coefficients, and a nonlocal form that is exactly
+    # symmetric and positive semidefinite up to round-off
     _, forms = setup3
-    forms.validate()
+    assert np.all(forms.stiffness > 0.0)
+    mat = forms.nonlocal_mat
+    assert np.array_equal(mat, mat.T)
+    scale = float(np.abs(mat).max()) or 1.0
+    assert eigvalsh(mat, subset_by_index=[0, 0])[0] >= -1e-10 * scale
 
 
 def test_constant_annihilated(setup3):

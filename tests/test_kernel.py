@@ -7,8 +7,8 @@ import pytest
 
 from hypfrac._goldens import ODD_KERNEL_FD_ORACLE
 from hypfrac.cli import main as cli_main
-from hypfrac.errors import DomainError
-from hypfrac.kernel import (BesselTerm, apply_operator,
+from hypfrac.errors import DomainError, ReducedKernelError
+from hypfrac.kernel import (BesselTerm, ReducedKernel, apply_operator,
                             bessel_base, build_kernel_table,
                             build_reduced_kernel, kernel, kernel_even,
                             kernel_odd, normalizing_constant,
@@ -290,6 +290,16 @@ def test_reduced_kernel_near_diagonal_exponent():
 def test_reduced_kernel_validates(reduced3):
     reduced3.validate()
     assert reduced3.diagonal_model.exponent == 2.0
+
+
+def test_reduced_kernel_names_a_nonpositive_pair(reduced3):
+    W = reduced3.W.copy()
+    W[17, 52] = W[52, 17] = 0.0
+    r = reduced3.r_grid
+    bad = ReducedKernel(reduced3.dim, reduced3.order, r, W, reduced3.diagonal_model)
+    with pytest.raises(ReducedKernelError) as err:
+        bad.validate()
+    assert f"({r[17]:.6g}, {r[52]:.6g})" in str(err.value)
 
 
 def test_kernel_submodule_not_shadowed():

@@ -8,7 +8,7 @@ from hypfrac.errors import DomainError, ThresholdNotMetError
 from hypfrac.funcspace import (QuadraticForms, RadialFunction, lp_norm,
                                metric_pair, norm_lambda_sq)
 from hypfrac.solver import (ProblemSpec, _bubble, _functional_for, _Functional,
-                            _nehari_scale, _newton_polish, _ray_max,
+                            _newton_polish, _ray_max, _ray_root,
                             _segment_peak, _threshold,
                             check_threshold, critical_ray_level,
                             estimate_critical_constant,
@@ -45,7 +45,7 @@ def test_energy_identity_on_nehari_set(setup3):
     grid, forms = setup3
     fn = _functional_for(SPEC3, forms)
     for v in random_smooth_profiles(grid, 5, seed=21):
-        u = RadialFunction(grid, _nehari_scale(fn, v, SPEC3.p) * v)
+        u = RadialFunction(grid, _ray_max(fn, v)[1] * v)
         rhs = (0.5 - 0.25) * lp_norm(u, 4.0) ** 4
         assert fn.value(u.values) == pytest.approx(rhs, rel=1e-8)
 
@@ -67,7 +67,7 @@ def test_gradient_matches_directional_derivative(setup3):
         u = profiles[k]
         v = profiles[k + 1]
         v = v / np.sqrt(norm_lambda_sq(RadialFunction(grid, v), 0.0, forms))
-        g = fn.riesz_gradient(u)
+        g = fn.riesz_gradient(u, fn.quad @ u)
         pairing = metric_pair(forms.lambda_metric(0.0), g, v)
         fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
         assert pairing == pytest.approx(fd, rel=1e-5)
@@ -76,32 +76,31 @@ def test_gradient_matches_directional_derivative(setup3):
 def test_gradient_zero_at_zero(setup3):
     grid, forms = setup3
     fn = _functional_for(SPEC3, forms)
-    assert np.all(fn.riesz_gradient(np.zeros(grid.n)) == 0.0)
+    zero = np.zeros(grid.n)
+    assert np.all(fn.riesz_gradient(zero, fn.quad @ zero) == 0.0)
 
 
 def test_nehari_scale_properties(setup3):
     grid, forms = setup3
     fn = _functional_for(SPEC3, forms)
     for v in random_smooth_profiles(grid, 10, seed=23):
-        t = _nehari_scale(fn, v, SPEC3.p)
-        assert _nehari_scale(fn, t * v, SPEC3.p) == pytest.approx(1.0, abs=1e-10)
+        t = _ray_max(fn, v)[1]
+        assert _ray_max(fn, t * v)[1] == pytest.approx(1.0, abs=1e-10)
         # degree-two over degree-(p+1) homogeneity: t(a u) = t(u)/a
-        assert _nehari_scale(fn, 4.0 * v, SPEC3.p) == pytest.approx(t / 4.0, rel=1e-12)
+        assert _ray_max(fn, 4.0 * v)[1] == pytest.approx(t / 4.0, rel=1e-12)
 
 
 def test_nehari_scale_rejects_zero(setup3):
     grid, forms = setup3
     with pytest.raises(DomainError):
-        _nehari_scale(_functional_for(SPEC3, forms), np.zeros(grid.n), SPEC3.p)
+        _ray_max(_functional_for(SPEC3, forms), np.zeros(grid.n))
 
 
 def test_nehari_scale_gaussian_against_doubled_resolution(setup3, setup3_fine):
     grid, forms = setup3
     fine, forms_fine = setup3_fine
-    t_coarse = _nehari_scale(_functional_for(SPEC3, forms),
-                             np.exp(-grid.nodes ** 2), SPEC3.p)
-    t_fine = _nehari_scale(_functional_for(SPEC3, forms_fine),
-                           np.exp(-fine.nodes ** 2), SPEC3.p)
+    t_coarse = _ray_max(_functional_for(SPEC3, forms), np.exp(-grid.nodes ** 2))[1]
+    t_fine = _ray_max(_functional_for(SPEC3, forms_fine), np.exp(-fine.nodes ** 2))[1]
     assert t_coarse == pytest.approx(t_fine, rel=1e-2)
 
 
@@ -176,7 +175,8 @@ def test_gradient_J_finite_difference(setup5):
     u = profiles[0]
     v = profiles[1] / np.sqrt(norm_lambda_sq(
         RadialFunction(grid, profiles[1]), spec.lam, forms))
-    pairing = metric_pair(forms.lambda_metric(spec.lam), fn.riesz_gradient(u), v)
+    pairing = metric_pair(forms.lambda_metric(spec.lam),
+                          fn.riesz_gradient(u, fn.quad @ u), v)
     h = 1e-5
     fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
     assert pairing == pytest.approx(fd, rel=1e-5)
@@ -201,9 +201,9 @@ def test_check_threshold_positive_and_scale_invariant(setup5):
     v = (0.02 / (0.02 ** 2 + r ** 2)) ** 1.5 * np.exp(-r ** 2)
     v[-1] = 0.0
     fn = _functional_for(spec, forms)
-    check = check_threshold(fn, _threshold(fn, spec), v, spec)
+    check = check_threshold(fn, _threshold(fn, spec), v)
     assert check.sup_value > 0.0
-    scaled = check_threshold(fn, _threshold(fn, spec), 3.7 * v, spec)
+    scaled = check_threshold(fn, _threshold(fn, spec), 3.7 * v)
     assert scaled.sup_value == pytest.approx(check.sup_value, rel=1e-9)
     assert scaled.threshold == check.threshold
 
@@ -214,10 +214,10 @@ def test_check_threshold_rejects_bad_seed(setup5):
     fn = _functional_for(spec, forms)
     threshold = _threshold(fn, spec)
     with pytest.raises(DomainError):
-        check_threshold(fn, threshold, np.zeros(grid.n), spec)
+        check_threshold(fn, threshold, np.zeros(grid.n))
     bad = -np.exp(-grid.nodes ** 2)
     with pytest.raises(DomainError):
-        check_threshold(fn, threshold, bad, spec)
+        check_threshold(fn, threshold, bad)
 
 
 def test_pinned_configuration_documents_threshold_failure(setup3):
@@ -286,8 +286,8 @@ def test_segment_peak_matches_dense_sampling(setup5):
     # from below one bubble's ray peak to beyond another's: J rises to an
     # interior maximum between the points of the segment-peak t-grid
     v1, v2 = _bubble(grid, 0.08), _bubble(grid, 0.16)
-    a = 0.5 * _ray_max(fn, v1, spec)[1] * v1
-    b = 1.5 * _ray_max(fn, v2, spec)[1] * v2
+    a = 0.5 * _ray_max(fn, v1)[1] * v1
+    b = 1.5 * _ray_max(fn, v2)[1] * v2
     peak, t_peak = _segment_peak(fn, a, b, fn.quad @ a, fn.quad @ b)
     ts = np.linspace(0.0, 1.0, 20001)
     dense = np.array([fn.value(a + t * (b - a)) for t in ts])
@@ -333,6 +333,32 @@ def test_mountain_pass_geometry_positive(setup5):
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     beta, radius = mountain_pass_geometry(spec, forms)
     assert beta > 0.0 and radius > 0.0
+
+
+def test_mountain_pass_radius_is_the_shared_ray_root(setup5):
+    # the envelope's maximizer is the ray root at q = 1 with the embedding
+    # constants of the local functional as coefficients
+    grid, forms = setup5
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    _, radius = mountain_pass_geometry(spec, forms)
+    local = _Functional(grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
+    two_star = spec.critical_exponent
+    c1 = estimate_critical_constant(local, two_star).estimate ** (-two_star / 2.0)
+    c2 = estimate_subcritical_constant(local, spec.p) ** (-(spec.p + 1.0) / 2.0)
+    assert radius == _ray_root(1.0, (c1, c2), (two_star, spec.p + 1.0))
+
+
+def test_deformation_reuses_node_products(setup5, monkeypatch):
+    # _deform_path takes each node's gradient from the A v it holds, so a
+    # whole seed search and critical solve needs fewer residual_vec
+    # products than one sweep of the 48-segment path has inner nodes
+    _, forms = setup5
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    counts = {}
+    _counting(monkeypatch, _Functional, "residual_vec", counts)
+    search = search_threshold_seed(spec, forms)
+    solve_critical(spec, search.seed, forms, tol=1e-6, path_nodes=48)
+    assert counts["residual_vec"] < 47
 
 
 def test_estimate_critical_constant_deterministic(setup5):
