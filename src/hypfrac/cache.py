@@ -21,7 +21,9 @@ import numpy as np
 CACHE_ENV = "HYPFRAC_CACHE"
 # 2: the even-N kernel is a fixed Gauss rule (moves even-N W at 1e-13)
 # 3: entries hold only the nonlocal form, moved at 2e-16 by array assembly
-_FORMAT_VERSION = 3
+# 4: W's angular rule is graded per pair (W entries move by <= 2.0e-11
+#    relative, the nonlocal form by <= 1.1e-15 x max)
+_FORMAT_VERSION = 4
 
 
 def default_cache_dir() -> Path:

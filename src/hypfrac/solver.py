@@ -315,7 +315,8 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     projection refuses it, when it misses the Armijo decrease, or, for J,
     when it concentrates the critical integral below the mesh scale
     (origin_mass_share).  I_lambda has no such guard: at a very negative
-    lambda its ground state is itself a sub-grid spike.
+    lambda its ground state is itself a sub-grid spike, which the descent
+    must reach for solve_subcritical to report it as unresolved.
     """
     guard_origin = len(fn.exponents) > 1
 
@@ -368,7 +369,8 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
 
     Never returns a silently bad answer: the report's converged flag is
     set only when the dual residual and the Nehari defect pass the
-    tolerance, and the profile is nonnegative and nonincreasing.
+    tolerance, the profile is nonnegative and nonincreasing, and it does
+    not concentrate below the mesh scale (origin_mass_share).
     """
     if spec.mode != "subcritical":
         raise DomainError("solve_subcritical needs spec.mode == 'subcritical'")
@@ -397,6 +399,7 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         and abs(nehari_value) < tol * unorm ** 2
         and bool(np.all(v >= -1e-8 * peak))
         and bool(np.all(np.diff(v) <= 1e-8 * peak))
+        and origin_mass_share(fn, v) <= 0.5
     )
     return SolveReport(
         solution=u, energy=energy, nehari_value=nehari_value, residual=residual,

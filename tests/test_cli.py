@@ -170,9 +170,10 @@ def test_solve_config_errors(tmp_path, capsys):
 
 
 # finite lambdas so negative that the solve overflows, or that its metric
-# does (-1e295), next to the largest that still run to a report
+# does (-1e295), next to the largest that still run to a report; there the
+# ground state is a sub-grid spike at the origin, reported NOT converged
 _NEGATIVE_LAMBDAS = {
-    "subcritical": ((-1e10, EXIT_OK), (-1e50, EXIT_OK), (-1e150, None),
+    "subcritical": ((-1e10, EXIT_NUMERICAL), (-1e50, EXIT_NUMERICAL), (-1e150, None),
                     (-1e200, None), (-1e250, None), (-1e290, None)),
     "critical_perturbed": ((-1e10, EXIT_NUMERICAL), (-1e50, EXIT_NUMERICAL),
                            (-1e100, None), (-1e150, None), (-1e200, None)),
@@ -207,14 +208,16 @@ def test_solve_overflowing_lambda_metric(tmp_path, cache_dir, capsys, mode):
             out, cache_dir,
             grid={"R_max": 20.0, "node_count": 64, "spacing": "graded"})
         got = run_cli("solve", "--config", str(cfg))
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         if code is None:
             assert got == EXIT_NUMERICAL, lam
-            assert _FAILURE_MESSAGES.get((mode, lam), "numerical failure:") in err, lam
+            assert (_FAILURE_MESSAGES.get((mode, lam), "numerical failure:")
+                    in captured.err), lam
             assert not out.exists(), lam
         else:
             assert got == code, lam
             assert (out / "report.json").exists(), lam
+            assert "NOT converged" in captured.out, lam
 
 
 _COARSE_GRID = {"R_max": 20.0, "node_count": 64, "spacing": "graded"}

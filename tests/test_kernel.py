@@ -8,12 +8,15 @@ import pytest
 from hypfrac._goldens import ODD_KERNEL_FD_ORACLE
 from hypfrac.cli import main as cli_main
 from hypfrac.errors import DomainError, ReducedKernelError
-from hypfrac.kernel import (BesselTerm, ReducedKernel, apply_operator,
-                            bessel_base, build_kernel_table,
+from hypfrac.funcspace import make_grid
+from hypfrac.kernel import (BesselTerm, KernelTable, ReducedKernel,
+                            apply_operator, bessel_base, build_kernel_table,
                             build_reduced_kernel, kernel, kernel_even,
                             kernel_odd, normalizing_constant,
-                            _even_ladder_eval)
-from hypfrac.specfun import bessel_k, integrate_adaptive
+                            _angular_weights, _even_ladder_eval,
+                            _half_integral)
+from hypfrac.pipeline import build_forms
+from hypfrac.specfun import bessel_k, geometric_panels, integrate_adaptive
 
 # C(3, 1/2) evaluated from the Gamma-factor product at 40 digits; the
 # closed form collapses to 1/(2 pi^2)
@@ -271,6 +274,79 @@ def test_reduced_kernel_matches_direct_quadrature(reduced3):
         for i, j in ((10, 40), (30, 31), (20, 90)):
             direct = _direct_angular_weight(rk.dim, 0.5, grid[i], grid[j])
             assert rk.W[i, j] == pytest.approx(direct, rel=1e-5), (rk.dim, i, j)
+
+
+def _graded_rule_pairs():
+    """Pairs of the default 400-node grid's midpoints (r1 < 1e-3, the
+    smallest spacing, r2 near R_max = 20, far-out adjacent cells) and
+    large r1 with delta << r1."""
+    r = make_grid(4, r_max=20.0, n=400).cell_midpoints
+    index = ((0, 1), (1, 2), (2, 3), (0, 398), (1, 200), (0, 50), (1, 3),
+             (100, 101), (150, 152), (199, 200), (250, 251), (300, 301),
+             (396, 397), (397, 398), (200, 398), (50, 300), (350, 398),
+             (120, 260), (10, 11))
+    r1 = [r[i] for i, _ in index] + [15.0, 8.0, 19.0]
+    r2 = [r[j] for _, j in index] + [15.0 + 1e-4, 8.0 + 1e-3, 19.0 + 1e-2]
+    return np.array(r1), np.array(r2)
+
+
+def _deep_rule(N, r1, r2, kernel_eval):
+    """The angular integrand of _angular_weights under a deep fixed layout
+    of 26 lower and 14 upper levels."""
+    return (_half_integral(N, r1, r2, *geometric_panels(1.0, 26), True, kernel_eval)
+            + _half_integral(N, r1, r2, *geometric_panels(1.0, 14), False, kernel_eval))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_graded_angular_rule_matches_deep_rule(N, s):
+    # the per-pair rule against the deep rule, both on the exact kernel
+    r1, r2 = _graded_rule_pairs()
+    exact = lambda d: kernel(N, s, d)  # noqa: E731
+    got = _angular_weights(N, s, r1, r2, exact)
+    deep = _deep_rule(N, r1, r2, exact)
+    assert r1.size >= 20 and r1.min() < 1e-3 and r2.max() > 19.5
+    assert np.all(got > 0.0)
+    assert np.abs(got / deep - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("N,r_max", [(3, 20.0), (4, 20.0), (5, 12.0)])
+def test_graded_angular_rule_on_table_interpolant(N, r_max):
+    # the same check on the interpolated table build_reduced_kernel uses,
+    # whose knots, not the kernel, set the depth the rule needs; the block
+    # of far-out pairs is where one lower level less drifts past 1e-9
+    r = make_grid(N, r_max=r_max, n=400).cell_midpoints
+    table = build_kernel_table(N, 0.5, min(0.45 * np.diff(r).min(), 2e-3),
+                               2.1 * r[-1], 800)
+    i, j = (k.ravel() for k in np.meshgrid(np.arange(290, 341), np.arange(380, 399)))
+    r1, r2 = r[i], r[j]
+    ev = table.interpolator()
+    got = _angular_weights(N, 0.5, r1, r2, ev)
+    deep = _deep_rule(N, r1, r2, ev)
+    assert np.abs(got / deep - 1.0).max() <= 1e-10
+
+
+def test_reduced_kernel_pair_node_count(tmp_path, monkeypatch):
+    # the graded rule spends at most 90 kernel evaluations per pair of an
+    # N = 4, 400-node W (a fixed 18 + 8 level layout spends 224)
+    count = [0]
+    interpolator = KernelTable.interpolator
+
+    def counted_interpolator(self):
+        evaluate = interpolator(self)
+
+        def counted(rho):
+            out = evaluate(rho)
+            count[0] += out.size
+            return out
+
+        return counted
+
+    monkeypatch.setattr(KernelTable, "interpolator", counted_interpolator)
+    grid, _ = build_forms(4, 0.5, r_max=20.0, n=400, cache_dir=tmp_path)
+    pairs = (grid.nodes.size - 1) * (grid.nodes.size - 2) // 2
+    assert pairs == 79401
+    assert 0 < count[0] <= 90 * pairs
 
 
 def test_reduced_kernel_near_diagonal_exponent():
