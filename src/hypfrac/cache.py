@@ -23,7 +23,10 @@ CACHE_ENV = "HYPFRAC_CACHE"
 # 3: entries hold only the nonlocal form, moved at 2e-16 by array assembly
 # 4: W's angular rule is graded per pair (W entries move by <= 2.0e-11
 #    relative, the nonlocal form by <= 1.1e-15 x max)
-_FORMAT_VERSION = 4
+# 5: the table interpolant is evaluated by direct index and Horner, the
+#    diagonal prefactor's Beta function by lgamma (W entries move by
+#    <= 6.9e-15 relative, the nonlocal form by <= 7.0e-16 x max)
+_FORMAT_VERSION = 5
 
 
 def default_cache_dir() -> Path:

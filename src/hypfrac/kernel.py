@@ -30,8 +30,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import beta as beta_fn
 
 from .errors import DomainError, QuadratureError, ReducedKernelError, TableRejectionError
 from .geometry import sphere_area
@@ -335,6 +333,10 @@ class KernelTable:
     near_amplitude: float
 
     def validate(self):
+        # interpolator() indexes the knots as uniform in log rho
+        x = np.log(self.rho_grid)
+        if np.abs(x - np.linspace(x[0], x[-1], x.size)).max() > 1e-12 * (x[-1] - x[0]):
+            raise TableRejectionError("kernel table grid is not uniform in log rho")
         if np.any(self.values <= 0.0):
             raise TableRejectionError("kernel table contains non-positive values")
         if np.any(np.diff(self.values) >= 0.0):
@@ -354,13 +356,66 @@ class KernelTable:
                 )
 
     def interpolator(self):
-        """Monotone log-log interpolant over the tabulated range."""
-        p = PchipInterpolator(np.log(self.rho_grid), np.log(self.values))
+        """Monotone log-log interpolant: evaluate(rho) = exp(P(log rho)).
+
+        P is the piecewise cubic Hermite interpolant of (log rho, log value)
+        with the PCHIP slopes of _pchip_slopes, which keep it monotone
+        between knots; beyond the tabulated range the end cubics extend it.
+        validate() holds the knots uniform in log rho, so each point's
+        interval is a direct index and P runs as one Horner step per
+        coefficient; evaluate keeps the shape of rho.
+        """
+        x, y = np.log(self.rho_grid), np.log(self.values)
+        d = _pchip_slopes(x, y)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        # on interval k, P = y_k + u (d_k + u (c2_k + u c3_k)), u = log rho - x_k;
+        # one gather per coefficient (a gathered (..., 5) block is slower in W)
+        c3, c2, c1, c0, xk = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]
+        x0, step, last = x[0], (x[-1] - x[0]) / (x.size - 1), x.size - 2
 
         def evaluate(rho):
-            return np.exp(p(np.log(np.asarray(rho, dtype=float))))
+            lx = np.log(np.asarray(rho, dtype=float))
+            k = np.clip((lx - x0) / step, 0, last).astype(np.intp)
+            u = lx - xk[k]
+            return np.exp(((c3[k] * u + c2[k]) * u + c1[k]) * u + c0[k])
 
         return evaluate
+
+
+def _pchip_slopes(x, y):
+    """Knot slopes of the monotone cubic Hermite interpolant (PCHIP).
+
+    Interior knots take the Fritsch-Butland weighted harmonic mean of the
+    two adjacent secants, or zero where those differ in sign or one
+    vanishes; each end takes the one-sided three-point estimate, set to
+    zero if its sign differs from the end secant's and clamped to three
+    times that secant where the first two secants differ in sign (Moler,
+    Numerical Computing with MATLAB, sec. 3.6).  These are the slopes of
+    scipy's PchipInterpolator, term for term; at least 3 knots.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    slopes = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where flat
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        slopes[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+
+    def edge(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    slopes[0] = edge(h[0], h[1], m[0], m[1])
+    slopes[-1] = edge(h[-1], h[-2], m[-1], m[-2])
+    return slopes
 
 
 def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
@@ -409,7 +464,8 @@ def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
 
 def _sin_integral_const(N: int, s: float) -> float:
     """integral over t in (0, inf) of t^(N-2) (1+t^2)^(-(N+2s)/2) dt."""
-    return 0.5 * beta_fn((N - 1.0) / 2.0, (1.0 + 2.0 * s) / 2.0)
+    a, b = (N - 1.0) / 2.0, (1.0 + 2.0 * s) / 2.0
+    return 0.5 * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @dataclass(frozen=True)

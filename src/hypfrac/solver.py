@@ -10,12 +10,14 @@ it is given, so it also serves estimate_subcritical_constant and, on J,
 the ray-level cross-check critical_ray_level.  One ray root (_ray_root)
 serves every ray maximization (_ray_max) and the mountain-pass envelope
 of mountain_pass_geometry: the closed-form Nehari scale for one power
-term, a bracketed brentq root for two.  The polish is plain damped
-Newton: it stops at its tolerance, or at the round-off floor where its
-line search can no longer lower the residual, and keeps the best iterate
-either way; a tolerance below that floor costs a few Newton steps,
-nothing more.  The critically perturbed problem runs a steepest-descent
-deformation of a discretized path from zero past the
+term, a bracketed root for two.  Every bracketed root of the module, this
+one and the segment peak of the path deformation, is found by one Brent
+iteration (_brent_root), so the solve needs no scipy beyond scipy.linalg.
+The polish is plain damped Newton: it stops at its tolerance, or at the
+round-off floor where its line search can no longer lower the residual,
+and keeps the best iterate either way; a tolerance below that floor costs
+a few Newton steps, nothing more.  The critically perturbed problem runs
+a steepest-descent deformation of a discretized path from zero past the
 energy barrier, with the path peak polished the same way; the energy
 threshold that guards compactness is estimated by concentration
 extrapolation of the critical quotient.  One deformation core
@@ -47,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve as lin_solve, solveh_banded
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, ThresholdNotMetError
 from .funcspace import (QuadraticForms, RadialFunction, metric_pair,
@@ -72,6 +73,8 @@ _SEED_BUBBLE_SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16)
 _SEED_GAUSSIAN_WIDTHS = (0.25, 0.5, 1.0, 2.0)
 # step budget of the descent in critical_ray_level
 _RAY_MAX_ITER = 300
+# iteration cap of _brent_root
+_BRENT_MAX_ITER = 100
 _log = logging.getLogger(__name__)
 
 
@@ -216,11 +219,69 @@ def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
     return _Functional(forms.grid, metric, forms.nonlocal_mat, exponents)
 
 
+def _brent_root(f, lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """The root of f in [lo, hi] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the iteration of scipy's brentq.c, so it takes the same
+    iterates: inverse quadratic (or secant) steps from the best point,
+    rejected for a bisection unless they stay well inside the bracket, and
+    never shorter than half the tolerance xtol + rtol |x|.  f(lo) and f(hi)
+    must differ in sign.  ConvergenceError after _BRENT_MAX_ITER steps or
+    at a NaN value of f.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ConvergenceError(f"root search met a NaN value at x = {x:.17g}")
+        return fx
+
+    xpre, xcur = lo, hi
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"root not bracketed by [{lo:.17g}, {hi:.17g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise ConvergenceError(f"root search did not converge in {_BRENT_MAX_ITER} "
+                           f"steps, last x = {xcur:.17g}")
+
+
 def _ray_root(q: float, coeffs, exponents) -> float:
     """The z > 0 with q = sum_t c_t z^(e_t - 2): where the ray energy
     z^2 q / 2 - sum_t c_t z^e_t / e_t peaks.  It is unique, since every
     e_t > 2.  One term has the closed form (the Nehari scale); two are
-    bracketed, with both bracket searches capped, and solved by brentq."""
+    bracketed, with both bracket searches capped, and solved by
+    _brent_root to the last bits (xtol 1e-300)."""
     if len(exponents) == 1:
         try:
             return (q / coeffs[0]) ** (1.0 / (exponents[0] - 2.0))
@@ -247,7 +308,7 @@ def _ray_root(q: float, coeffs, exponents) -> float:
         lo *= 0.5
         if lo < 1e-280:
             raise ConvergenceError("ray maximization failed near zero")
-    return brentq(dphi, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    return _brent_root(dphi, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float]:
@@ -426,7 +487,7 @@ def _segment_peak(fn: _Functional, a: np.ndarray, b: np.ndarray,
 
     From qa = A a and qb = A b (A symmetric) the quadratic part is exactly
     1/2 (a.Aa + 2 t a.Ad + t^2 d.Ad); the power terms cost O(n) per t.  The
-    best point of _PEAK_GRID is refined by brentq on phi'.
+    best point of _PEAK_GRID is refined by _brent_root on phi'.
     """
     d, qd = b - a, qb - qa
     c0, c1, c2 = float(a @ qa), float(a @ qd), float(d @ qd)
@@ -451,7 +512,7 @@ def _segment_peak(fn: _Functional, a: np.ndarray, b: np.ndarray,
     lo = _PEAK_GRID[max(k - 1, 0)]
     hi = _PEAK_GRID[min(k + 1, _PEAK_GRID.size - 1)]
     if dphi(lo) > 0.0 > dphi(hi):
-        t = brentq(dphi, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        t = _brent_root(dphi, lo, hi, xtol=1e-14, rtol=8.9e-16)
         val = float(phi(t))
         if val > best:
             best, t_best = val, t

@@ -4,7 +4,9 @@ K_nu is delegated to scipy's AMOS-backed implementation (series near zero,
 continued fractions / uniform asymptotics elsewhere), wrapped with domain
 checks, the K_{-nu} = K_nu symmetry and an explicit overflow signal.  The
 log form uses the exponentially scaled routine so the far field never
-overflows.
+overflows.  scipy.special is imported by these two functions, not by the
+module, so a solve on cached forms, which evaluates no kernel, never loads
+it.
 
 The quadrature here is a fixed 8-point Gauss-Legendre rule on given
 panels (the production rule of the kernel and the forms; its geometric
@@ -19,7 +21,6 @@ import heapq
 import math
 
 import numpy as np
-from scipy.special import kv, kve
 
 from .errors import BesselOverflowError, DomainError, QuadratureError
 
@@ -44,6 +45,8 @@ def bessel_k(nu: float, x):
     when the value exceeds double precision (tiny x with large nu); use
     bessel_k_log there.
     """
+    from scipy.special import kv  # loaded only where a kernel is evaluated
+
     xv = _check_positive(x)
     out = kv(abs(nu), xv)
     if not np.all(np.isfinite(out)):
@@ -64,6 +67,8 @@ def bessel_k_log(nu: float, x):
     For half-integer orders the result matches the closed form exactly;
     for large x it approaches log(sqrt(pi/(2x))) - x.
     """
+    from scipy.special import kve  # loaded only where a kernel is evaluated
+
     xv = _check_positive(x)
     anu = abs(nu)
     scaled = np.atleast_1d(kve(anu, xv))

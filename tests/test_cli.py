@@ -11,6 +11,7 @@ import pytest
 from hypfrac import verify
 from hypfrac.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE_FAILURE,
                          EXIT_THRESHOLD, EXIT_VALIDATION, RunConfig, main)
+from hypfrac.pipeline import build_forms
 
 
 def run_cli(*argv):
@@ -327,3 +328,46 @@ def test_trace_harness_finds_every_patched_name():
                           env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_IMPORT_BUDGET_RUN = """
+import json, sys
+from hypfrac import solver
+from hypfrac.cli import main
+tols = set()
+brent = solver._brent_root
+
+def recorded(f, lo, hi, xtol, rtol):
+    tols.add(xtol)
+    return brent(f, lo, hi, xtol, rtol)
+
+solver._brent_root = recorded
+codes = [main(["solve", "--config", path]) for path in sys.argv[1:]]
+print(json.dumps({"codes": codes, "tols": sorted(tols),
+                  "loaded": [m for m in ("scipy.optimize", "scipy.interpolate",
+                                         "scipy.special") if m in sys.modules]}))
+"""
+
+
+def test_warm_solves_import_only_scipy_linalg(tmp_path, cache_dir):
+    # a solve on cached forms evaluates no kernel: it must not load
+    # scipy.special, nor scipy.optimize or scipy.interpolate at all; the
+    # critical solve reaches both bracketed roots (ray root, segment peak)
+    problems = [({"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"}, 20.0),
+                ({"N": 5, "s": 0.5, "lambda": 1.0, "p": 2.0,
+                  "mode": "critical_perturbed"}, 12.0)]
+    configs = []
+    for k, (problem, r_max) in enumerate(problems):
+        build_forms(problem["N"], problem["s"], r_max=r_max, n=64, cache_dir=cache_dir)
+        configs.append(str(write_config(
+            tmp_path / f"cfg{k}.json", problem, tmp_path / f"out{k}", cache_dir,
+            grid={"R_max": r_max, "node_count": 64, "spacing": "graded"})))
+    src = Path(__file__).parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_RUN, *configs],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [EXIT_OK, EXIT_OK]
+    assert got["tols"] == [1e-300, 1e-14]
+    assert got["loaded"] == []

@@ -7,14 +7,14 @@ import pytest
 
 from hypfrac._goldens import ODD_KERNEL_FD_ORACLE
 from hypfrac.cli import main as cli_main
-from hypfrac.errors import DomainError, ReducedKernelError
+from hypfrac.errors import DomainError, ReducedKernelError, TableRejectionError
 from hypfrac.funcspace import make_grid
 from hypfrac.kernel import (BesselTerm, KernelTable, ReducedKernel,
                             apply_operator, bessel_base, build_kernel_table,
                             build_reduced_kernel, kernel, kernel_even,
                             kernel_odd, normalizing_constant,
                             _angular_weights, _even_ladder_eval,
-                            _half_integral)
+                            _half_integral, _pchip_slopes)
 from hypfrac.pipeline import build_forms
 from hypfrac.specfun import bessel_k, geometric_panels, integrate_adaptive
 
@@ -324,6 +324,57 @@ def test_graded_angular_rule_on_table_interpolant(N, r_max):
     got = _angular_weights(N, 0.5, r1, r2, ev)
     deep = _deep_rule(N, r1, r2, ev)
     assert np.abs(got / deep - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_table_interpolant_matches_scipy_pchip(N, s):
+    # the direct-index Horner evaluation against scipy's PCHIP on the same
+    # log-log data: slopes at every knot, values at random points (the
+    # range extended past both ends), at every knot and at both ends
+    from scipy.interpolate import PchipInterpolator
+
+    r = make_grid(N, r_max=20.0, n=400).cell_midpoints
+    table = build_kernel_table(N, s, min(0.45 * np.diff(r).min(), 2e-3), 2.1 * r[-1], 800)
+    x, y = np.log(table.rho_grid), np.log(table.values)
+    ref = PchipInterpolator(x, y)
+    assert np.abs(_pchip_slopes(x, y) / ref.derivative()(x) - 1.0).max() <= 1e-13
+    rng = np.random.default_rng(7)
+    lx = np.concatenate([rng.uniform(x[0] - 0.5, x[-1] + 0.5, 4096), x,
+                         [x[0], x[-1]]])
+    got = table.interpolator()(np.exp(lx).reshape(-1, 2))
+    assert got.shape == (lx.size // 2, 2)
+    assert np.abs(got.ravel() / np.exp(ref(lx)) - 1.0).max() <= 1e-13
+
+
+def test_pchip_slopes_flat_and_clamped_branches():
+    # secants 1, -5, 2, 0, 0, 5, 1 on steps of 0.25: sign changes and a zero
+    # secant give zero interior slopes, the left end rule (4) is clamped to
+    # 3 x secant, the right one (-1) has the wrong sign and is set to zero
+    from scipy.interpolate import PchipInterpolator
+
+    x = np.arange(8.0) * 0.25 - 3.0
+    y = np.concatenate([[0.0], np.cumsum([1.0, -5.0, 2.0, 0.0, 0.0, 5.0, 1.0]) * 0.25])
+    slopes = _pchip_slopes(x, y)
+    assert slopes[0] == 3.0 and slopes[-1] == 0.0
+    assert np.all(slopes[1:6] == 0.0) and slopes[6] > 0.0
+    ref = PchipInterpolator(x, y)
+    assert np.abs(slopes - ref.derivative()(x)).max() <= 1e-13 * np.abs(slopes).max()
+    flat = KernelTable(4, 0.5, np.exp(x), np.exp(y), math.nan, math.nan, math.nan)
+    lx = np.linspace(x[0] - 0.1, x[-1] + 0.1, 997)
+    assert np.abs(flat.interpolator()(np.exp(lx)) / np.exp(ref(lx)) - 1.0).max() <= 1e-13
+
+
+def test_table_rejects_grid_not_uniform_in_log_rho():
+    # interpolator() finds intervals by a direct index, which a grid built
+    # another way would turn into silently wrong values
+    table = build_kernel_table(3, 0.5, 1e-3, 10.0, 64)
+    table.validate()
+    grid = np.linspace(1e-3, 10.0, 64)
+    other = KernelTable(3, 0.5, grid, kernel(3, 0.5, grid), table.near_exponent,
+                        table.far_rate, table.near_amplitude)
+    with pytest.raises(TableRejectionError, match="not uniform in log rho"):
+        other.validate()
 
 
 def test_reduced_kernel_pair_node_count(tmp_path, monkeypatch):

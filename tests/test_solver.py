@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from hypfrac import solver
-from hypfrac.errors import DomainError, ThresholdNotMetError
+from hypfrac.errors import ConvergenceError, DomainError, ThresholdNotMetError
 from hypfrac.funcspace import (QuadraticForms, RadialFunction, lp_norm,
                                metric_pair, norm_lambda_sq)
-from hypfrac.solver import (ProblemSpec, _bubble, _functional_for, _Functional,
-                            _newton_polish, _ray_max, _ray_root,
+from hypfrac.solver import (ProblemSpec, _brent_root, _bubble, _functional_for,
+                            _Functional, _newton_polish, _ray_max, _ray_root,
                             _segment_peak, _threshold,
                             check_threshold, critical_ray_level,
                             estimate_critical_constant,
@@ -297,6 +298,56 @@ def test_segment_peak_matches_dense_sampling(setup5):
     spacing_err = np.abs(np.diff(dense, 2)).max() / 8.0
     assert peak >= dense.max() * (1.0 - 1e-12)
     assert peak - dense.max() <= spacing_err + 1e-12 * abs(dense.max())
+
+
+def test_brent_root_matches_scipy_brentq(setup5, monkeypatch):
+    # the same iteration as scipy's brentq, on the brackets both callers
+    # hand it: two-term ray equations over (q, c, e), and segment peaks
+    # between bubbles below and beyond their ray maxima
+    from scipy.optimize import brentq
+
+    calls = []
+
+    def recorded(f, lo, hi, xtol, rtol):
+        calls.append((f, lo, hi, xtol, rtol))
+        return _brent_root(f, lo, hi, xtol, rtol)
+
+    monkeypatch.setattr(solver, "_brent_root", recorded)
+    for q, coeffs, exponents in itertools.product(
+            np.geomspace(1e-6, 1e6, 7), [(1e-3, 1.0), (1.0, 1.0), (5.0, 1e-4)],
+            [(10.0 / 3.0, 3.0), (4.0, 3.0), (6.0, 2.5)]):
+        _ray_root(float(q), coeffs, exponents)
+    rays = len(calls)
+    grid, forms = setup5
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    fn = _functional_for(spec, forms)
+    for w1, w2 in itertools.permutations((0.04, 0.08, 0.16), 2):
+        v1, v2 = _bubble(grid, w1), _bubble(grid, w2)
+        for f1, f2 in ((0.3, 1.2), (0.5, 1.5), (0.8, 2.0)):
+            a = f1 * _ray_max(fn, v1)[1] * v1
+            b = f2 * _ray_max(fn, v2)[1] * v2
+            _segment_peak(fn, a, b, fn.quad @ a, fn.quad @ b)
+    peaks = [c for c in calls[rays:] if c[3] == 1e-14]
+    assert rays == 63 and len(peaks) >= 12
+    for f, lo, hi, xtol, rtol in calls[:rays] + peaks:
+        want = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+        assert abs(_brent_root(f, lo, hi, xtol, rtol) - want) <= 4 * np.spacing(want)
+
+
+def test_brent_root_failures_are_convergence_errors():
+    # a bracket that cannot shrink to the tolerance (rtol 0 at x = 1/2)
+    # exhausts the steps; a NaN stops the iteration
+    def step(x):
+        return 1.0 if x > 0.5 else -1.0
+
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _brent_root(step, 0.0, 1.0, xtol=1e-300, rtol=0.0)
+    with pytest.raises(ConvergenceError, match="NaN"):
+        _brent_root(lambda x: math.nan if abs(x - 0.5) < 0.05 else x - 0.5,
+                    0.0, 1.0, 1e-14, 8.9e-16)
+    with pytest.raises(ConvergenceError, match="not bracketed"):
+        _brent_root(lambda x: x + 1.0, 0.0, 1.0, 1e-14, 8.9e-16)
+    assert _brent_root(step, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16) == pytest.approx(0.5)
 
 
 def _counting(monkeypatch, owner, name, counts):
