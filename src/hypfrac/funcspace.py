@@ -254,7 +254,7 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     rescaled by the exact integral of the near-diagonal power law over the
     cell rectangle (so the quadrature respects the |r1 - r2|^-(1+2s) mass
     distribution); the same-cell and shared-node contributions are
-    integrated analytically against the diagonal model under linear
+    integrated analytically against the near-diagonal law under linear
     interpolation.  Everything assembles into differences and slopes, so
     the result is symmetric PSD and exactly annihilates constants.
     """
@@ -272,13 +272,12 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     idx = np.arange(n_cells)
 
     # nonlocal form, separated cell pairs i < j - 1
-    model = reduced.diagonal_model
     i, j = np.triu_indices(n_cells, 2)
     # rescale the midpoint weight by the exact singular-law integral over
-    # the cell rectangle; the model amplitude cancels in the ratio
+    # the cell rectangle; the law's amplitude cancels in the ratio
     cell_int = _cell_pair_integral(nodes[j], nodes[j + 1], nodes[i], nodes[i + 1], s)
     omega = np.zeros((n_cells, n_cells))
-    omega[i, j] = reduced.W[i, j] * cell_int * (mids[j] - mids[i]) ** model.exponent
+    omega[i, j] = reduced.W[i, j] * cell_int * (mids[j] - mids[i]) ** (1.0 + 2.0 * reduced.order)
     omega[j, i] = omega[i, j]
     lap = np.diag(omega.sum(axis=1)) - omega
 
@@ -293,8 +292,8 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     nonlocal_mat *= 0.5
 
     # singular band: same-cell term in the slope, shared-node term in the
-    # slope pair, both against the diagonal model
-    same = model.amplitude(mids) * 2.0 * h ** (3.0 - 2.0 * s) / (
+    # slope pair, both against the near-diagonal law
+    same = reduced.amplitude(mids) * 2.0 * h ** (3.0 - 2.0 * s) / (
         (2.0 - 2.0 * s) * (3.0 - 2.0 * s)
     ) / h ** 2
     nonlocal_mat[idx, idx] += same
@@ -305,7 +304,7 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     # slope pairs s_lo = (u_{k+1}-u_k)/h_k, s_hi = (u_{k+2}-u_{k+1})/h_{k+1}
     # across node k + 1; each adds g_ll s_lo^2 + 2 g_hl s_lo s_hi + g_hh s_hi^2
     h_lo, h_hi = h[:-1], h[1:]
-    c_node = 2.0 * model.amplitude(nodes[1:-1])
+    c_node = 2.0 * reduced.amplitude(nodes[1:-1])
     t20, t11, t02 = _adjacent_slope_matrix(h_lo, h_hi, s)
     g_hh = c_node * t20 / h_hi ** 2
     g_ll = c_node * t02 / h_lo ** 2

@@ -211,7 +211,11 @@ class _Functional:
 
 
 def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
-    """I_lambda for a subcritical spec, J_lambda for a critical_perturbed one."""
+    """I_lambda for a subcritical spec, J_lambda for a critical_perturbed one;
+    DomainError if the forms were built for another (N, s)."""
+    if (spec.N, spec.s) != (forms.grid.dim, forms.s):
+        raise DomainError(f"forms built for (N, s) = ({forms.grid.dim}, {forms.s}) "
+                          f"cannot serve a problem at (N, s) = ({spec.N}, {spec.s})")
     metric = forms.lambda_metric(spec.lam)
     exponents = [spec.p + 1.0]
     if spec.mode == "critical_perturbed":

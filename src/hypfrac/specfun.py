@@ -1,12 +1,12 @@
-"""Modified Bessel functions of the second kind and adaptive quadrature.
+"""The logarithm of the modified Bessel function K_nu, and quadrature.
 
-K_nu is delegated to scipy's AMOS-backed implementation (series near zero,
-continued fractions / uniform asymptotics elsewhere), wrapped with domain
-checks, the K_{-nu} = K_nu symmetry and an explicit overflow signal.  The
-log form uses the exponentially scaled routine so the far field never
-overflows.  scipy.special is imported by these two functions, not by the
-module, so a solve on cached forms, which evaluates no kernel, never loads
-it.
+log K_nu is delegated to scipy's AMOS-backed, exponentially scaled K_nu
+(series near zero, continued fractions / uniform asymptotics elsewhere),
+wrapped with domain checks, the K_{-nu} = K_nu symmetry, the ascending
+series where even the scaled value overflows and an explicit overflow
+signal beyond it; the far field never overflows.  scipy.special is
+imported by bessel_k_log, not by the module, so a solve on cached forms,
+which evaluates no kernel, never loads it.
 
 The quadrature here is a fixed 8-point Gauss-Legendre rule on given
 panels (the production rule of the kernel and the forms; its geometric
@@ -31,32 +31,6 @@ _GL_PANEL = np.polynomial.legendre.leggauss(8)
 MAX_BISECTIONS = 30
 
 
-def _check_positive(x):
-    xv = np.asarray(x, dtype=float)
-    if xv.size == 0 or not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
-        raise DomainError("argument of K_nu must be finite and > 0")
-    return xv
-
-
-def bessel_k(nu: float, x):
-    """K_nu(x) for real order and x > 0; relative accuracy ~1e-14.
-
-    Symmetric in the order, K_{-nu} = K_nu.  Raises BesselOverflowError
-    when the value exceeds double precision (tiny x with large nu); use
-    bessel_k_log there.
-    """
-    from scipy.special import kv  # loaded only where a kernel is evaluated
-
-    xv = _check_positive(x)
-    out = kv(abs(nu), xv)
-    if not np.all(np.isfinite(out)):
-        raise BesselOverflowError(
-            f"K_{nu}(x) overflows double precision for some x in the input; "
-            "evaluate bessel_k_log instead"
-        )
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def bessel_k_log(nu: float, x):
     """log K_nu(x), overflow-safe at both ends.
 
@@ -69,7 +43,9 @@ def bessel_k_log(nu: float, x):
     """
     from scipy.special import kve  # loaded only where a kernel is evaluated
 
-    xv = _check_positive(x)
+    xv = np.asarray(x, dtype=float)
+    if xv.size == 0 or not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
+        raise DomainError("argument of K_nu must be finite and > 0")
     anu = abs(nu)
     scaled = np.atleast_1d(kve(anu, xv))
     out = np.empty_like(scaled)

@@ -39,7 +39,7 @@ def test_kernel_writes_monotone_table(tmp_path):
     assert np.all(np.diff(data[:, 1]) < 0.0)
 
 
-def test_kernel_validation_exit_codes(tmp_path):
+def test_kernel_validation_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "t.csv")
     assert run_cli("kernel", "--dim", "3", "--s", "0.5", "--rho-min", "1e-3",
                    "--rho-max", "10", "--points", "1", "--out", out) == EXIT_VALIDATION
@@ -47,6 +47,18 @@ def test_kernel_validation_exit_codes(tmp_path):
                    "--rho-max", "10", "--points", "64", "--out", out) == EXIT_VALIDATION
     assert run_cli("kernel", "--dim", "3", "--s", "0.5", "--rho-min", "10",
                    "--rho-max", "1", "--points", "64", "--out", out) == EXIT_VALIDATION
+    # the checks of kernel() itself, and the table check past the radial
+    # cutoff, where the even kernel is exactly zero
+    for dim, s, rho_max, code, message in (
+            ("1", "0.5", "10", EXIT_VALIDATION, "dimension must be an integer >= 2"),
+            ("3", "nan", "10", EXIT_VALIDATION, "fractional order must lie in (0, 1)"),
+            ("3", "0.5", "inf", EXIT_VALIDATION, "kernel radius must be finite and > 0"),
+            ("4", "0.5", "1e6", EXIT_NUMERICAL,
+             "kernel evaluation produced non-positive values")):
+        capsys.readouterr()
+        assert run_cli("kernel", "--dim", dim, "--s", s, "--rho-min", "1e-3",
+                       "--rho-max", rho_max, "--points", "64", "--out", out) == code
+        assert message in capsys.readouterr().err
 
 
 def test_kernel_missing_flag_usage_error():

@@ -138,7 +138,7 @@ def test_seminorm_nonnegative_and_zero_on_constants(setup3):
 def _seminorm_cross_oracle(grid, v1, v2, n_r=180, n_g=96, r_cap=14.0):
     """Coarse direct quadrature of the cross term
     int int (v1(x)-v1(y)) (v2(x)-v2(y)) K dV dV on the 3-ball."""
-    from hypfrac.kernel import kernel_odd
+    from hypfrac.kernel import kernel
 
     x, w = np.polynomial.legendre.leggauss(n_r)
     rr = 0.5 * r_cap * (x + 1.0)
@@ -155,7 +155,7 @@ def _seminorm_cross_oracle(grid, v1, v2, n_r=180, n_g=96, r_cap=14.0):
             - sh[i] * sh[:, None] * np.cos(gg)[None, :]
         z = np.maximum(chd - 1.0, 1e-300)
         d = np.log1p(z + np.sqrt(z * (z + 2.0)))
-        kern = kernel_odd(3, 0.5, d.ravel()).reshape(d.shape)
+        kern = kernel(3, 0.5, d.ravel()).reshape(d.shape)
         ang = (kern * np.sin(gg)[None, :] * wgg[None, :]).sum(axis=1)
         total += wr[i] * np.sum(
             wr * (a[i] - a) * (b[i] - b) * sh[i] ** 2 * sh ** 2 * ang)
@@ -298,12 +298,11 @@ def test_profile_csv_roundtrip(tmp_path, subcritical_report):
 def _nonlocal_loop_reference(grid, s, reduced):
     """assemble_forms's nonlocal form, one cell pair and one node at a time."""
     n, h, mids, nodes = grid.n, grid.cell_widths, grid.cell_midpoints, grid.nodes
-    model = reduced.diagonal_model
     omega = np.zeros((n - 1, n - 1))
     for k in range(n - 1):
         for l in range(k + 2, n - 1):
             omega[k, l] = omega[l, k] = (
-                reduced.W[k, l] * (mids[l] - mids[k]) ** model.exponent
+                reduced.W[k, l] * (mids[l] - mids[k]) ** (1.0 + 2.0 * s)
                 * _cell_pair_integral(nodes[l], nodes[l + 1], nodes[k], nodes[k + 1], s))
     avg = np.zeros((n - 1, n))
     for k in range(n - 1):
@@ -312,14 +311,14 @@ def _nonlocal_loop_reference(grid, s, reduced):
     for k in range(n - 1):
         d = np.zeros(n)
         d[k], d[k + 1] = -1.0 / h[k], 1.0 / h[k]
-        mat += (model.amplitude(mids[k]) * 2.0 * h[k] ** (3.0 - 2.0 * s)
+        mat += (reduced.amplitude(mids[k]) * 2.0 * h[k] ** (3.0 - 2.0 * s)
                 / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s)) * np.outer(d, d))
     for k in range(n - 2):
         t20, t11, t02 = _adjacent_slope_matrix(h[k:k + 1], h[k + 1:k + 2], s)
         d_lo, d_hi = np.zeros(n), np.zeros(n)
         d_lo[k], d_lo[k + 1] = -1.0 / h[k], 1.0 / h[k]
         d_hi[k + 1], d_hi[k + 2] = -1.0 / h[k + 1], 1.0 / h[k + 1]
-        mat += 2.0 * model.amplitude(nodes[k + 1]) * (
+        mat += 2.0 * reduced.amplitude(nodes[k + 1]) * (
             t20[0] * np.outer(d_hi, d_hi) + t02[0] * np.outer(d_lo, d_lo)
             + t11[0] * (np.outer(d_hi, d_lo) + np.outer(d_lo, d_hi)))
     return 0.5 * (mat + mat.T)

@@ -11,12 +11,11 @@ from hypfrac.errors import DomainError, ReducedKernelError, TableRejectionError
 from hypfrac.funcspace import make_grid
 from hypfrac.kernel import (BesselTerm, KernelTable, ReducedKernel,
                             apply_operator, bessel_base, build_kernel_table,
-                            build_reduced_kernel, kernel, kernel_even,
-                            kernel_odd, normalizing_constant,
-                            _angular_weights, _even_ladder_eval,
-                            _half_integral, _pchip_slopes)
+                            build_reduced_kernel, kernel, normalizing_constant,
+                            _angular_weights, _even_ladder_eval, _half_integral,
+                            _ladder, _pchip_slopes)
 from hypfrac.pipeline import build_forms
-from hypfrac.specfun import bessel_k, geometric_panels, integrate_adaptive
+from hypfrac.specfun import geometric_panels, integrate_adaptive
 
 # C(3, 1/2) evaluated from the Gamma-factor product at 40 digits; the
 # closed form collapses to 1/(2 pi^2)
@@ -52,13 +51,15 @@ def test_constant_domain_errors():
 
 
 def test_operator_single_application():
+    from scipy.special import kv
+
     ts = apply_operator(bessel_base(3, 0.5))
     assert len(ts.terms) == 1
     t = ts.terms[0]
     # a * rho^-nu K_{nu+1}(a rho) / sinh(rho) with a = 1, nu = 1
     assert t == BesselTerm(1.0, 1, 1, 0, -1.0)
     rho = 1.3
-    expected = rho ** -1 * bessel_k(2.0, rho) / math.sinh(rho)
+    expected = rho ** -1 * kv(2.0, rho) / math.sinh(rho)
     assert ts.evaluate(rho) == pytest.approx(expected, rel=1e-13)
 
 
@@ -89,41 +90,51 @@ def test_odd_kernel_against_fd_oracle():
     for (n_dim, s), rows in ODD_KERNEL_FD_ORACLE.items():
         rho = np.array([r for r, _ in rows])
         ref = np.array([v for _, v in rows])
-        got = np.asarray(kernel_odd(n_dim, s, rho))
+        got = np.asarray(kernel(n_dim, s, rho))
         assert np.max(np.abs(got / ref - 1.0)) < 1e-6
 
 
 def test_odd_kernel_decreasing():
     rho = np.arange(0.1, 5.01, 0.1)
-    vals = kernel_odd(3, 0.5, rho)
+    vals = kernel(3, 0.5, rho)
     assert np.all(np.diff(vals) < 0.0)
 
 
 def test_odd_kernel_near_field_slope():
     rho = np.geomspace(1e-4, 1e-2, 40)
-    vals = np.asarray(kernel_odd(3, 0.5, rho))
+    vals = np.asarray(kernel(3, 0.5, rho))
     slope = np.polyfit(np.log(rho), np.log(vals), 1)[0]
     assert abs(slope - (-4.0)) < 0.05
 
 
 def test_odd_kernel_underflow_flag():
     # values below the underflow floor are flushed to exactly zero
-    assert kernel_odd(5, 0.75, 250.0) == 0.0
-    assert kernel_odd(5, 0.75, 1.0) > 0.0
+    assert kernel(5, 0.75, 250.0) == 0.0
+    assert kernel(5, 0.75, 1.0) > 0.0
+    # the even form flushes through the same floor, and past the radial
+    # cutoff its value is exactly zero
+    assert kernel(4, 0.5, 300.0) == 0.0
+    assert np.array_equal(kernel(4, 0.5, np.array([1.0, 700.0]))[1:], [0.0])
 
 
 def test_odd_kernel_domain():
-    with pytest.raises(DomainError):
-        kernel_odd(4, 0.5, 1.0)
-    with pytest.raises(DomainError):
-        kernel_odd(3, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        kernel_odd(3, 0.5, -1.0)
+    # kernel() checks N, s and rho once, before either parity body runs
+    for n_dim, s, rho, message in (
+            (1, 0.5, 1.0, "dimension must be an integer >= 2"),
+            (3.5, 0.5, 1.0, "dimension must be an integer >= 2"),
+            (3, 0.0, 1.0, "fractional order must lie in"),
+            (4, math.nan, 1.0, "fractional order must lie in"),
+            (3, 0.5, 0.0, "kernel radius must be finite and > 0"),
+            (3, 0.5, -1.0, "kernel radius must be finite and > 0"),
+            (4, 0.5, np.array([1.0, math.inf]), "kernel radius must be finite and > 0"),
+            (4, 0.5, math.nan, "kernel radius must be finite and > 0")):
+        with pytest.raises(DomainError, match=message):
+            kernel(n_dim, s, rho)
 
 
 def test_even_kernel_positive_decreasing():
     rho = np.geomspace(1e-3, 15.0, 24)
-    vals = np.asarray(kernel_even(2, 0.5, rho))
+    vals = np.asarray(kernel(2, 0.5, rho))
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
 
@@ -131,7 +142,7 @@ def test_even_kernel_positive_decreasing():
 def test_even_kernel_far_field_rate():
     rho = np.linspace(10.0, 30.0, 9)
     for n_dim, s in ((2, 0.5), (4, 0.25)):
-        vals = np.asarray(kernel_even(n_dim, s, rho))
+        vals = np.asarray(kernel(n_dim, s, rho))
         # log K + (N-1) rho + (1+s) log rho stays bounded on the window
         corrected = np.log(vals) + (n_dim - 1.0) * rho + (1.0 + s) * np.log(rho)
         assert np.ptp(corrected) < 0.2
@@ -163,20 +174,28 @@ def test_even_kernel_matches_adaptive_oracle():
     rho = np.geomspace(1e-5, 45.0, 15)
     for n_dim in (2, 4, 6):
         for s in (0.25, 0.5, 0.75):
-            got = np.asarray(kernel_even(n_dim, s, rho))
+            got = np.asarray(kernel(n_dim, s, rho))
             ref = np.array([_even_kernel_oracle(n_dim, s, float(r)) for r in rho])
             assert np.max(np.abs(got / ref - 1.0)) < 1e-10, (n_dim, s)
-            assert np.array_equal(kernel_even(n_dim, s, rho.reshape(3, 5)),
+            assert np.array_equal(kernel(n_dim, s, rho.reshape(3, 5)),
                                   got.reshape(3, 5))
             # a rho evaluated alone matches its entry in the array call
             for k in (0, 7, 14):
-                assert kernel_even(n_dim, s, float(rho[k])) == pytest.approx(
+                assert kernel(n_dim, s, float(rho[k])) == pytest.approx(
                     got[k], rel=1e-14, abs=0.0)
 
 
 def test_dispatch_matches_direct():
-    assert kernel(3, 0.5, 1.0) == kernel_odd(3, 0.5, 1.0)
-    assert kernel(4, 0.5, 1.0) == kernel_even(4, 0.5, 1.0)
+    # odd N takes the ladder form directly; even N the integral, whose
+    # oracle test is test_even_kernel_matches_adaptive_oracle
+    rho = np.array([0.05, 1.0, 7.0])
+    for n_dim in (3, 5):
+        ladder = _ladder(n_dim, 0.5, (n_dim - 1) // 2)
+        direct = normalizing_constant(n_dim, 0.5) * ladder.evaluate(rho)
+        assert np.array_equal(kernel(n_dim, 0.5, rho), direct)
+        assert kernel(n_dim, 0.5, 1.0) == direct[1]
+    assert isinstance(kernel(4, 0.5, 1.0), float)
+    assert kernel(4, 0.5, 1.0) == pytest.approx(_even_kernel_oracle(4, 0.5, 1.0), rel=1e-10)
 
 
 def test_kernel_positivity_matrix():
@@ -416,14 +435,37 @@ def test_reduced_kernel_near_diagonal_exponent():
 
 def test_reduced_kernel_validates(reduced3):
     reduced3.validate()
-    assert reduced3.diagonal_model.exponent == 2.0
+    r = reduced3.r_grid
+    assert np.array_equal(reduced3.amplitude(r), reduced3.prefactor * np.sinh(r) ** 2)
+
+
+def test_reduced_kernel_rejects_scaled_adjacent_weights():
+    # (N - 1) delta = 0.034 on this grid puts its adjacent pairs in the
+    # window of the near-diagonal law, which then catches a 15% error
+    r = np.linspace(1.0, 3.0, 120)
+    rk = build_reduced_kernel(3, 0.5, r)
+    W = rk.W.copy()
+    k = np.arange(r.size - 1)
+    W[k, k + 1] *= 0.85
+    W[k + 1, k] *= 0.85
+    with pytest.raises(ReducedKernelError, match="near-diagonal weight off by"):
+        ReducedKernel(rk.dim, rk.order, r, W, rk.prefactor).validate()
+
+
+@pytest.mark.parametrize("N,s,r_max,n", [(5, 0.5, 12.0, 96), (5, 0.5, 12.0, 128),
+                                         (4, 0.25, 20.0, 96)])
+def test_reduced_kernel_accepts_coarse_grids(tmp_path, N, s, r_max, n):
+    # the near-diagonal law's own error grows like (N - 1) delta, so these
+    # correct W were once rejected; they have no pair in its window now
+    grid, forms = build_forms(N, s, r_max=r_max, n=n, cache_dir=tmp_path)
+    assert np.all(np.isfinite(forms.nonlocal_mat))
 
 
 def test_reduced_kernel_names_a_nonpositive_pair(reduced3):
     W = reduced3.W.copy()
     W[17, 52] = W[52, 17] = 0.0
     r = reduced3.r_grid
-    bad = ReducedKernel(reduced3.dim, reduced3.order, r, W, reduced3.diagonal_model)
+    bad = ReducedKernel(reduced3.dim, reduced3.order, r, W, reduced3.prefactor)
     with pytest.raises(ReducedKernelError) as err:
         bad.validate()
     assert f"({r[17]:.6g}, {r[52]:.6g})" in str(err.value)

@@ -37,6 +37,16 @@ def test_problem_spec_validation():
     assert ProblemSpec(N=4, s=0.5, lam=0.0, p=2.0).critical_exponent == 4.0
 
 
+def test_functional_rejects_forms_of_another_problem(setup3):
+    _, forms = setup3
+    for spec in (ProblemSpec(N=4, s=0.5, lam=0.0, p=2.0),
+                 ProblemSpec(N=3, s=0.25, lam=0.0, p=3.0)):
+        with pytest.raises(DomainError) as err:
+            _functional_for(spec, forms)
+        assert "(N, s) = (3, 0.5)" in str(err.value)
+        assert f"(N, s) = ({spec.N}, {spec.s})" in str(err.value)
+
+
 def test_energy_zero_profile(setup3):
     grid, forms = setup3
     assert _functional_for(SPEC3, forms).value(np.zeros(grid.n)) == 0.0

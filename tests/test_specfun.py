@@ -4,52 +4,60 @@ import re
 import numpy as np
 import pytest
 
+from scipy.special import kv
+
 from hypfrac.errors import BesselOverflowError, DomainError, QuadratureError
-from hypfrac.specfun import bessel_k, bessel_k_log, integrate_adaptive
+from hypfrac.specfun import bessel_k_log, integrate_adaptive
 
 # high-precision reference values (computed offline at 40 digits)
 K0_AT_1 = 0.42102443824070834
 LOG_K0_AT_100 = -102.07803755445827
 
 
+def _k(nu, x):
+    """K_nu(x) through the log form the kernel evaluates."""
+    return np.exp(bessel_k_log(nu, x))
+
+
 def test_half_integer_closed_form():
-    assert bessel_k(0.5, 1.0) == pytest.approx(
+    assert _k(0.5, 1.0) == pytest.approx(
         math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-14)
 
 
 def test_order_symmetry():
     for nu in (0.3, 1.2, 4.7):
         for x in (0.01, 1.0, 35.0):
-            assert bessel_k(-nu, x) == bessel_k(nu, x)
+            assert bessel_k_log(-nu, x) == bessel_k_log(nu, x)
+    # in the ascending-series regime too
+    assert bessel_k_log(-80.0, 1e-8) == bessel_k_log(80.0, 1e-8)
 
 
 def test_k0_golden():
-    assert bessel_k(0.0, 1.0) == pytest.approx(K0_AT_1, rel=1e-13)
+    assert _k(0.0, 1.0) == pytest.approx(K0_AT_1, rel=1e-13)
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        bessel_k(1.0, 0.0)
-    with pytest.raises(DomainError):
-        bessel_k(1.0, -2.0)
-    with pytest.raises(DomainError):
-        bessel_k_log(0.5, -1.0)
+    for x in (0.0, -2.0, -1.0, math.inf, math.nan, np.array([1.0, 0.0]), np.array([])):
+        with pytest.raises(DomainError):
+            bessel_k_log(1.0, x)
 
 
 def test_overflow_raises_with_guidance():
-    # tiny argument with large order exceeds double range; the log form
-    # stays finite
-    with pytest.raises(BesselOverflowError, match="log"):
-        bessel_k(80.0, 1e-8)
+    # tiny argument with large order exceeds double range, where the log
+    # form takes the ascending series; past that series' regime it raises
+    assert not math.isfinite(kv(80.0, 1e-8))
     assert bessel_k_log(80.0, 1e-8) > 700.0
+    assert not math.isfinite(kv(1000.0, 40.0))
+    with pytest.raises(BesselOverflowError, match="outside the series regime"):
+        bessel_k_log(1000.0, 40.0)
 
 
 def test_recurrence_identity():
     # K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x)
     for nu in (0.5, 1.0, 2.3, 6.0):
         for x in (0.05, 0.7, 3.0, 20.0):
-            lhs = bessel_k(nu + 1.0, x)
-            rhs = bessel_k(nu - 1.0, x) + 2.0 * nu / x * bessel_k(nu, x)
+            lhs = _k(nu + 1.0, x)
+            rhs = _k(nu - 1.0, x) + 2.0 * nu / x * _k(nu, x)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -59,17 +67,16 @@ def test_derivative_identity_finite_difference():
     h = 1e-5
     for nu in (0.75, 1.5):
         for x in (0.5, 2.0, 6.0):
-            f = lambda t: t ** (-nu) * bessel_k(nu, a * t)
+            f = lambda t: t ** (-nu) * _k(nu, a * t)
             fd = (f(x + h) - f(x - h)) / (2.0 * h)
-            exact = -a * x ** (-nu) * bessel_k(nu + 1.0, a * x)
+            exact = -a * x ** (-nu) * _k(nu + 1.0, a * x)
             assert fd == pytest.approx(exact, rel=1e-6)
 
 
 def test_monotone_decreasing_in_x():
     x = np.geomspace(1e-3, 50.0, 200)
     for nu in (0.0, 0.5, 2.0, 7.5):
-        vals = bessel_k(nu, x)
-        assert np.all(np.diff(vals) < 0.0)
+        assert np.all(np.diff(bessel_k_log(nu, x)) < 0.0)
 
 
 def test_log_half_integer_exact():
@@ -79,10 +86,10 @@ def test_log_half_integer_exact():
 
 
 def test_log_consistent_with_value():
-    for nu in (0.0, 1.3, 4.0):
+    for nu in (0.0, 1.3, 4.0, -1.3):
         for x in (0.1, 1.0, 8.0):
             assert math.exp(bessel_k_log(nu, x)) == pytest.approx(
-                bessel_k(nu, x), rel=1e-12)
+                kv(nu, x), rel=1e-12)
 
 
 def test_log_far_field_golden():
