@@ -26,7 +26,10 @@ CACHE_ENV = "HYPFRAC_CACHE"
 # 5: the table interpolant is evaluated by direct index and Horner, the
 #    diagonal prefactor's Beta function by lgamma (W entries move by
 #    <= 6.9e-15 relative, the nonlocal form by <= 7.0e-16 x max)
-_FORMAT_VERSION = 5
+# 6: the even-N near-part substitution splits its square root (even-N
+#    kernel values move by <= 5.6e-14 relative, N=4 W entries by
+#    <= 7.3e-15 relative, the nonlocal form by <= 4.6e-16 x max)
+_FORMAT_VERSION = 6
 
 
 def default_cache_dir() -> Path:

@@ -21,7 +21,8 @@ Functions are treated as extended by zero beyond the truncation radius;
 the last node is pinned in solves.  The lambda-shifted metric, held as two
 bands, is then positive definite for lambda below the discrete spectral
 bottom, which a coarse grid puts under (N-1)^2/4 (N = 3, 64 nodes: 0.954),
-so lambda_metric checks it.
+so lambda_metric checks it by the L D L^T factorization (metric_factor)
+that the solvers factor once and solve with (metric_solve).
 
 This module holds the forms and the norms built from them.  The energy
 functionals and the best constants of their quotients live in solver
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
 
 from .errors import DomainError
 from .geometry import radial_volume_weight
@@ -170,16 +170,18 @@ class QuadraticForms:
     nonlocal_mat: np.ndarray
 
     def lambda_metric(self, lam: float) -> np.ndarray:
-        """stiffness - lam diag(grid.weights) as (superdiagonal, diagonal)
-        rows, solveh_banded's upper layout; FloatingPointError if that
-        overflows or is not positive definite on the free nodes."""
+        """stiffness - lam diag(grid.weights) as a (2, n) array of rows
+        (superdiagonal, diagonal), the superdiagonal entry of column j in
+        row 0 at j (row 0 at 0 is unused); FloatingPointError if that
+        overflows or is not positive definite on the free nodes
+        (metric_factor)."""
         c = np.concatenate(([0.0], self.stiffness, [0.0]))
         bands = np.stack((-c[:-1], c[1:] + c[:-1] - lam * self.grid.weights))
         if not np.isfinite(bands).all():
             raise FloatingPointError(f"lambda metric is not finite at lambda = {lam:g}")
         try:
-            cholesky_banded(bands[:, :-1])
-        except LinAlgError:
+            metric_factor(bands)
+        except FloatingPointError:
             raise FloatingPointError(
                 f"lambda metric is not positive definite at lambda = {lam:g}") from None
         return bands
@@ -188,6 +190,44 @@ class QuadraticForms:
 def metric_pair(bands: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """u^T M v for the symmetric tridiagonal M held as lambda_metric's bands."""
     return float(bands[1] @ (u * v) + bands[0, 1:] @ (u[1:] * v[:-1] + u[:-1] * v[1:]))
+
+
+def metric_factor(bands: np.ndarray) -> tuple[list, list]:
+    """L D L^T of the metric held as lambda_metric's bands, on the free
+    nodes (all but the last): (d, l), the diagonal of D and the
+    subdiagonal of the unit lower bidiagonal L, as lists of floats.
+
+    The steps of LAPACK's dpttrf, in its order of operations, so
+    metric_solve reproduces LAPACK's tridiagonal solve bit for bit.  The
+    recurrence does not vectorize, so it loops over Python floats.
+    FloatingPointError at the first pivot that is not > 0.
+    """
+    d = bands[1, :-1].tolist()
+    e = bands[0, 1:-1].tolist()
+    lower = [0.0] * len(e)
+    di = d[0]
+    for i, ei in enumerate(e):
+        if not di > 0.0:
+            raise FloatingPointError(f"metric pivot {i} is not positive")
+        lower[i] = li = ei / di
+        d[i + 1] = di = d[i + 1] - li * ei
+    if not di > 0.0:
+        raise FloatingPointError(f"metric pivot {len(e)} is not positive")
+    return d, lower
+
+
+def metric_solve(factor: tuple[list, list], b: np.ndarray) -> np.ndarray:
+    """The solution x of M x = b on the free nodes, M factored by
+    metric_factor: LAPACK dptts2's forward and back substitution."""
+    d, lower = factor
+    x = b.tolist()
+    prev = x[0]
+    for i in range(1, len(x)):
+        x[i] = prev = x[i] - prev * lower[i - 1]
+    x[-1] = prev = prev / d[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = prev = x[i] / d[i] - prev * lower[i]
+    return np.array(x)
 
 
 def _sqrt_weight_f2(t, s):

@@ -248,7 +248,9 @@ def _even_integral(N, s, rho):
     for k, x, w in _level_groups(levels):
         u = u1[k, None] * x
         z = cm1[k, None] + u * u
-        r = np.log1p(z + np.sqrt(z * (z + 2.0)))
+        # acosh(1 + z); the square root is split, as z (z + 2) overflows
+        # past rho of about 355
+        r = np.log1p(z + np.sqrt(z) * np.sqrt(z + 2.0))
         near = 2.0 * u1[k] * np.sum(_even_ladder_eval(N, s, r) * w, axis=1)
         r = rho[k, None] + 1.0 + y
         body = np.sinh(r) / np.sqrt(np.cosh(r) - (cm1[k, None] + 1.0))
@@ -429,6 +431,8 @@ def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
     """
     if not (0.0 < rho_min < rho_max):
         raise DomainError(f"need 0 < rho_min < rho_max, got [{rho_min}, {rho_max}]")
+    if not math.isfinite(rho_max):
+        raise DomainError("kernel radius must be finite and > 0")
     if count < 16:
         raise DomainError(f"table needs at least 16 points, got {count}")
     grid = np.geomspace(rho_min, rho_max, int(count))

@@ -12,11 +12,14 @@ serves every ray maximization (_ray_max) and the mountain-pass envelope
 of mountain_pass_geometry: the closed-form Nehari scale for one power
 term, a bracketed root for two.  Every bracketed root of the module, this
 one and the segment peak of the path deformation, is found by one Brent
-iteration (_brent_root), so the solve needs no scipy beyond scipy.linalg.
-The polish is plain damped Newton: it stops at its tolerance, or at the
-round-off floor where its line search can no longer lower the residual,
-and keeps the best iterate either way; a tolerance below that floor costs
-a few Newton steps, nothing more.  The critically perturbed problem runs
+iteration (_brent_root), and every linear solve is numpy's or the
+factored lambda metric's (funcspace.metric_solve), so a solve loads no
+scipy.  The polish is plain damped Newton: it stops at its tolerance, or
+at the round-off floor, and keeps the best iterate either way.  The floor
+is reached when the line search can no longer lower the residual, or when
+an accepted step fails to halve a residual already below sqrt(eps)
+max(|v|_lambda, 1); a tolerance below the floor then costs no further
+dense solves.  The critically perturbed problem runs
 a steepest-descent deformation of a discretized path from zero past the
 energy barrier, with the path peak polished the same way; the energy
 threshold that guards compactness is estimated by concentration
@@ -37,7 +40,8 @@ critical solve each build J and its threshold once).
 
 Vectors live on a RadialGrid with the last node pinned to zero (truncation
 of decaying profiles).  The lambda metric is held as its two bands, which
-QuadraticForms.lambda_metric checks to be positive definite.
+QuadraticForms.lambda_metric checks to be positive definite, and each
+_Functional factors it once (funcspace.metric_factor).
 """
 
 from __future__ import annotations
@@ -48,16 +52,19 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve as lin_solve, solveh_banded
 
 from .errors import ConvergenceError, DomainError, ThresholdNotMetError
-from .funcspace import (QuadraticForms, RadialFunction, metric_pair,
-                        norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
+from .funcspace import (QuadraticForms, RadialFunction, metric_factor,
+                        metric_pair, metric_solve, norm_lambda_sq,
+                        schwarz_rearrange, seminorm_s_sq)
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
 # guard on the _newton_polish loop; it meets tol or stalls within a few steps
 _NEWTON_MAX_ITER = 60
+# relative residual (to max(|v|_lambda, 1)) below which a Newton step that
+# does not halve the residual ends the polish: the round-off floor zone
+_NEWTON_FLOOR = math.sqrt(np.finfo(float).eps)
 # leading nodes whose share of a power integral origin_mass_share reports
 _ORIGIN_NODES = 6
 # relative size below which weak_max_check treats the negative part as zero
@@ -147,15 +154,22 @@ class _Functional:
 
     value(v) = 1/2 v^T A v - sum_t (1/e_t) integral |v|^{e_t};
     the gradient and Hessian are exact on the nodal quadrature.  A, the
-    one dense matrix, is the banded lambda metric plus nonlocal_mat.
+    one dense matrix, is the banded lambda metric plus nonlocal_mat (an
+    n x n array, or 0.0 for a local functional), built in place; the
+    metric is factored once for every Riesz solve.
     """
 
     def __init__(self, grid, metric: np.ndarray, nonlocal_mat, exponents):
         self.grid = grid
         self.weights = grid.weights
         self.metric = metric
-        self.quad = (np.diag(metric[1]) + np.diag(metric[0, 1:], 1)
-                     + np.diag(metric[0, 1:], -1) + nonlocal_mat)
+        self.factor = metric_factor(metric)
+        i = np.arange(grid.n)
+        self.quad = np.empty((grid.n, grid.n))
+        self.quad[...] = nonlocal_mat
+        self.quad[i, i] += metric[1]
+        self.quad[i[:-1], i[1:]] += metric[0, 1:]
+        self.quad[i[1:], i[:-1]] += metric[0, 1:]
         self.exponents = tuple(exponents)
 
     def power_integral(self, v, e) -> float:
@@ -198,12 +212,12 @@ class _Functional:
     def riesz_gradient(self, v, qv) -> np.ndarray:
         """Riesz representative of the residual at v, given qv = A v."""
         g = np.zeros_like(v)
-        g[:-1] = solveh_banded(self.metric[:, :-1], self.residual_from(v, qv)[:-1])
+        g[:-1] = metric_solve(self.factor, self.residual_from(v, qv)[:-1])
         return g
 
     def residual_norm(self, v) -> float:
         r = self.residual_vec(v)[:-1]
-        g = solveh_banded(self.metric[:, :-1], r)
+        g = metric_solve(self.factor, r)
         return math.sqrt(max(float(g @ r), 0.0))
 
     def metric_norm(self, v) -> float:
@@ -337,10 +351,13 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
     scaling, D^-1 H D^-1 with d = sqrt|diag H| (zeros replaced by 1): the
     stiffness diagonal spans many orders of magnitude across the
     exponentially weighted grid, and raw solves would look singular.
-    Stops when the residual is below tol, when the Armijo line search can
-    no longer lower it (its round-off floor), or when the scaled system is
-    singular; only improving steps are taken, so the returned iterate is
-    the best one seen.  Returns (iterate, Newton steps taken).
+    Stops when the residual is below tol, when the scaled system is
+    singular, or at the round-off floor: when the Armijo line search can
+    no longer lower the residual, or after an accepted step that did not
+    halve it once it is below _NEWTON_FLOOR max(|v|_lambda, 1) (past that
+    point backtracked steps only crawl along the floor, a dense solve
+    each).  Only improving steps are taken, so the returned iterate is the
+    best one seen.  Returns (iterate, Newton steps taken).
     """
     v = v0.copy()
     v[-1] = 0.0
@@ -351,8 +368,8 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
         d = np.sqrt(np.abs(np.diag(h)))
         d[d == 0.0] = 1.0
         try:
-            step = lin_solve(h / d[:, None] / d[None, :],
-                             fn.residual_vec(v)[:-1] / d, assume_a="sym") / d
+            step = np.linalg.solve(h / d[:, None] / d[None, :],
+                                   fn.residual_vec(v)[:-1] / d) / d
         except np.linalg.LinAlgError:
             break
         for k in range(40):
@@ -364,8 +381,11 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
                 break
         else:
             break
+        stalled = cand_res > 0.5 * res
         v, res = cand, cand_res
         steps += 1
+        if stalled and res < _NEWTON_FLOOR * max(fn.metric_norm(v), 1.0):
+            break
     return v, steps
 
 

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import eigvalsh
+from scipy.linalg import LinAlgError, cholesky_banded, eigh, eigvalsh, solveh_banded
 
 from hypfrac.cli import RunConfig, _solve_outputs
 from hypfrac.errors import DomainError
-from hypfrac.funcspace import (RadialFunction, _adjacent_slope_matrix,
-                               _cell_pair_integral, assemble_forms, dirichlet_sq,
-                               lp_norm, make_grid, norm_lambda_sq,
-                               schwarz_rearrange, seminorm_s_sq)
+from hypfrac.funcspace import (QuadraticForms, RadialFunction,
+                               _adjacent_slope_matrix, _cell_pair_integral,
+                               assemble_forms, assemble_local_forms, dirichlet_sq,
+                               lp_norm, make_grid, metric_factor, metric_solve,
+                               norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
 from hypfrac.geometry import radial_volume_weight
 from hypfrac.kernel import build_reduced_kernel
 from hypfrac.verify import random_smooth_profiles
@@ -106,6 +107,63 @@ def test_lambda_metric_is_stiffness_minus_lumped_mass(request, setup):
         want = stiffness - lam * mass
         assert np.array_equal(got, want), lam
         assert np.array_equal(np.signbit(got), np.signbit(want)), lam
+
+
+def local_forms(dim, n):
+    """Forms without the nonlocal part: enough for the lambda metric."""
+    grid = make_grid(dim, r_max=20.0, n=n)
+    return QuadraticForms(grid, 0.5, assemble_local_forms(grid), None)
+
+
+@pytest.mark.parametrize("dim, lams", [(3, (0.0, 0.5, 0.99)), (4, (0.0, 1.0, 2.2)),
+                                       (5, (-3.0, 1.0, 3.9))])
+def test_metric_solve_matches_lapack_bit_for_bit(dim, lams):
+    # the factor-once solve repeats LAPACK's tridiagonal solve (dpttrf and
+    # dptts2, behind solveh_banded) step for step, so Riesz gradients and
+    # every descent iterate built on them stay bit-identical
+    forms = local_forms(dim, 400)
+    rng = np.random.default_rng(dim)
+    for lam in lams:
+        bands = forms.lambda_metric(lam)
+        factor = metric_factor(bands)
+        for _ in range(10):
+            b = rng.standard_normal(forms.grid.n - 1) * 10.0 ** rng.uniform(-6, 6)
+            assert np.array_equal(metric_solve(factor, b),
+                                  solveh_banded(bands[:, :-1], b)), (dim, lam)
+
+
+def test_metric_factor_verdict_matches_cholesky_banded():
+    # around the discrete spectral bottom lam_1 of a 64-node N = 3 grid
+    # (about 0.954, below (N-1)^2/4 = 1) the metric is positive definite
+    # just below lam_1 and indefinite just above; the L D L^T pivots agree
+    # with LAPACK's banded Cholesky on every side
+    forms = local_forms(3, 64)
+    grid, free = forms.grid, slice(None, -1)
+    stiff = forms.lambda_metric(0.0)
+    dense = (np.diag(stiff[1]) + np.diag(stiff[0, 1:], 1)
+             + np.diag(stiff[0, 1:], -1))[free, free]
+    lam1 = eigh(dense, np.diag(grid.weights[free]), eigvals_only=True,
+                subset_by_index=[0, 0])[0]
+    assert 0.9 < lam1 < 1.0
+    for k in range(2, 9):
+        for sign in (-1.0, 1.0):
+            lam = lam1 * (1.0 + sign * 10.0 ** -k)
+            bands = stiff.copy()
+            bands[1] -= lam * grid.weights  # the sum lambda_metric(lam) forms
+            try:
+                metric_factor(bands)
+                ldl = True
+            except FloatingPointError:
+                ldl = False
+            try:
+                cholesky_banded(bands[:, :-1])
+                chol = True
+            except LinAlgError:
+                chol = False
+            assert ldl == chol == (sign < 0.0), (k, sign)
+    with pytest.raises(FloatingPointError,
+                       match="lambda metric is not positive definite at lambda = 0.96"):
+        forms.lambda_metric(0.96)
 
 
 def test_norm_lambda_basics(setup3):

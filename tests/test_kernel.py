@@ -1,6 +1,7 @@
 import functools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ def test_odd_kernel_underflow_flag():
     # cutoff its value is exactly zero
     assert kernel(4, 0.5, 300.0) == 0.0
     assert np.array_equal(kernel(4, 0.5, np.array([1.0, 700.0]))[1:], [0.0])
+
+
+def test_even_kernel_far_field_raises_no_warning():
+    # between rho of about 355 and the cutoff the near-part substitution
+    # must not overflow on its way to the flushed zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel(4, 0.5, 360.0) == 0.0
+        assert np.array_equal(kernel(4, 0.5, np.array([400.0, 599.0])), [0.0, 0.0])
 
 
 def test_odd_kernel_domain():

@@ -139,16 +139,43 @@ def test_subcritical_solve_rejects_zero_init(setup3):
 
 
 def test_newton_polish_stops_at_its_floor(subcritical_report, setup3):
-    # tol = 0 is below the round-off floor: the polish must stop once its
-    # line search no longer lowers the residual, keeping the ground state
+    # tol = 0 is below the round-off floor: the ground state's residual
+    # (about 5e-13) already sits under sqrt(eps) |v|_lambda, so the first
+    # step that fails to halve it ends the polish (the line search alone
+    # took 3 steps to stall here), keeping the ground state
     _, forms = setup3
     spec, report = subcritical_report
     fn = _functional_for(spec, forms)
     v0 = report.solution.values
     v, its = _newton_polish(fn, v0, tol=0.0)
-    assert its < 60
+    assert its == 1
     assert fn.residual_norm(v) <= fn.residual_norm(v0)
     assert fn.value(v) == pytest.approx(fn.value(v0), rel=1e-12)
+
+
+def test_newton_polish_floor_rule_spares_slow_steps_above_it(critical_report,
+                                                            setup5):
+    # the polish of the critical path peak contracts only about x0.9 per
+    # step at first, far above the round-off zone: the floor rule must not
+    # cut those steps short, so it still takes all 7 and meets its tolerance
+    _, forms = setup5
+    spec, _, report = critical_report
+    newton_steps = report.iterations - (len(report.energy_history) - 1)
+    assert newton_steps == 7
+    fn = _functional_for(spec, forms)
+    assert report.residual < 1e-12 * fn.metric_norm(report.solution.values)
+
+
+@pytest.mark.parametrize("setup", ["setup3", "setup5"])
+def test_functional_quad_is_metric_plus_nonlocal(request, setup):
+    # built in place on one copy of the nonlocal form, bit-identical to the
+    # dense sum of the three metric diagonals and the nonlocal form
+    grid, forms = request.getfixturevalue(setup)
+    metric = forms.lambda_metric(0.5)
+    dense = np.diag(metric[1]) + np.diag(metric[0, 1:], 1) + np.diag(metric[0, 1:], -1)
+    for nonlocal_mat in (forms.nonlocal_mat, 0.0):
+        fn = _Functional(grid, metric, nonlocal_mat, [4.0])
+        assert np.array_equal(fn.quad, dense + nonlocal_mat)
 
 
 def test_mountain_pass_level_matches_constrained_minimum(subcritical_report, setup3):
