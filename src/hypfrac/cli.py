@@ -35,9 +35,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
-# every key a config may carry; "io.formats" is no longer read, but older
-# configs that still have it keep loading, and "grid.spacing" names the one
-# grid family, so its only value is "graded"
+# every key a config may carry; "io.formats" and "solver.path_nodes" are no
+# longer read, but older configs that still have them keep loading, and
+# "grid.spacing" names the one grid family, so its only value is "graded"
 _CONFIG_KEYS = {
     "problem": ("N", "s", "lambda", "p", "mode"),
     "grid": ("R_max", "node_count", "spacing"),
@@ -78,7 +78,6 @@ class RunConfig:
     node_count: int = 400
     tol: float = 1e-6
     max_iter: int = 400
-    path_nodes: int = 48
     out_dir: Path = Path("out")
     cache_dir: Path | None = None
 
@@ -119,16 +118,12 @@ class RunConfig:
         max_iter = _json_int(sol.get("max_iter", 400), "solver.max_iter")
         if max_iter < 1:
             raise ValueError(f"solver.max_iter must be >= 1, got {max_iter}")
-        path_nodes = _json_int(sol.get("path_nodes", 48), "solver.path_nodes")
-        if path_nodes < 1:
-            raise ValueError(f"solver.path_nodes must be >= 1, got {path_nodes}")
         return cls(
             problem=spec,
             r_max=_json_number(grid.get("R_max", 20.0), "grid.R_max"),
             node_count=_json_int(grid.get("node_count", 400), "grid.node_count"),
             tol=tol,
             max_iter=max_iter,
-            path_nodes=path_nodes,
             out_dir=Path(io.get("out_dir", "out")),
             cache_dir=Path(cache_dir) if cache_dir else None,
         )
@@ -176,7 +171,10 @@ def _solve_outputs(cfg: RunConfig, report: solver.SolveReport, extras: dict):
     _write_csv(cfg.out_dir / "convergence.csv", "iteration,energy",
                range(len(history)), history)
     metadata = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "hypfrac_version": __version__}
+                "hypfrac_version": __version__, "mode": cfg.problem.mode,
+                "descent_steps": report.descent_steps,
+                "newton_steps": report.newton_steps,
+                "descent_stop": report.descent_stop}
     metadata.update(extras)
     _write_json(cfg.out_dir / "metadata.json", metadata)
 
@@ -213,7 +211,7 @@ def cmd_solve(args) -> int:
             invariants_ok = (check.passes
                              and identity < 1e-8 * abs(report.energy)
                              and report.c_star > 0.0)
-            extras = {"mode": spec.mode}
+            extras = {}
         else:
             search = solver.search_threshold_seed(spec, forms)
             if search.seed is None:
@@ -221,10 +219,10 @@ def cmd_solve(args) -> int:
                       f"threshold={search.best_check.threshold:.8g}")
                 return EXIT_THRESHOLD
             report = solver.solve_critical(spec, search.seed, forms, tol=cfg.tol,
-                                           path_nodes=cfg.path_nodes)
+                                           max_iter=cfg.max_iter)
             check = solver.weak_max_check(report.solution, spec, forms)
             invariants_ok = check.passes
-            extras = {"mode": spec.mode, "seed_candidates_tried": search.tried}
+            extras = {"seed_candidates_tried": search.tried}
     except ThresholdNotMetError as exc:
         print(f"threshold failure: sup_value={exc.sup_value:.8g} "
               f"threshold={exc.threshold:.8g}")

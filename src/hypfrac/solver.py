@@ -1,36 +1,33 @@
 """Ground states and mountain-pass solutions of the mixed problem.
 
-The subcritical ground state minimizes the energy on the Nehari set: a
-projected gradient descent (absolute value, periodic decreasing
-rearrangement, ray re-projection after every step) drives the iterate into
-the basin, and a Newton polish on the full Euler-Lagrange system finishes
-to near machine residual.  That descent (_nehari_descent) is the one
-descent of the module: it lowers the ray maximum of whichever functional
-it is given, so it also serves estimate_subcritical_constant and, on J,
-the ray-level cross-check critical_ray_level.  One ray root (_ray_root)
-serves every ray maximization (_ray_max) and the mountain-pass envelope
-of mountain_pass_geometry: the closed-form Nehari scale for one power
-term, a bracketed root for two.  Every bracketed root of the module, this
-one and the segment peak of the path deformation, is found by one Brent
-iteration (_brent_root), and every linear solve is numpy's or the
-factored lambda metric's (funcspace.metric_solve), so a solve loads no
-scipy.  The polish is plain damped Newton: it stops at its tolerance, or
-at the round-off floor, and keeps the best iterate either way.  The floor
-is reached when the line search can no longer lower the residual, or when
+Both modes find their critical point one way (_critical_point): a
+projected gradient descent of the ray maximum (absolute value, periodic
+decreasing rearrangement, ray re-projection after every step) drives the
+iterate into the basin, and a Newton polish on the full Euler-Lagrange
+system finishes to near machine residual.  For I_lambda the ray maximum
+is the energy on the Nehari set, whose infimum is the ground-state level
+c*.  For J_lambda the nonlinearity |u|^{2*-2}u + |u|^{p-1}u has f(t)/t
+strictly increasing, so each ray has one maximum and the mountain-pass
+level m equals the Nehari level inf_v max_t J(tv) (Willem, Minimax
+Theorems, 1996, Thm 4.2; Szulkin-Weth 2010); the lumped power terms stay
+homogeneous, so this holds for the discrete J too.  The critical solve
+first checks its seed against the compactness threshold S^(N/2)/N, with
+S estimated by concentration extrapolation of the critical quotient, and
+its descent rejects steps that concentrate the critical integral below
+the mesh scale.  The same descent and polish serve
+estimate_subcritical_constant.
+
+One ray root (_ray_root) serves every ray maximization (_ray_max) and
+the mountain-pass envelope of mountain_pass_geometry: the closed-form
+Nehari scale for one power term, a bracketed root by Brent's iteration
+(_brent_root) for two.  Every linear solve is numpy's or the factored
+lambda metric's (funcspace.metric_solve), so a solve loads no scipy.
+The polish is plain damped Newton: it stops at its tolerance, or at the
+round-off floor, and keeps the best iterate either way.  The floor is
+reached when the line search can no longer lower the residual, or when
 an accepted step fails to halve a residual already below sqrt(eps)
 max(|v|_lambda, 1); a tolerance below the floor then costs no further
-dense solves.  The critically perturbed problem runs
-a steepest-descent deformation of a discretized path from zero past the
-energy barrier, with the path peak polished the same way; the energy
-threshold that guards compactness is estimated by concentration
-extrapolation of the critical quotient.  One deformation core
-(_deform_path) serves both this solve and the subcritical minimax level,
-and it tracks the exact maximum of the energy on every segment of the
-path (an exact quadratic plus O(n) power terms, maximized by a bracketed
-root of the derivative), never a sampled one.  The deformation has one
-stop rule: it ends after the first sweep that does not lower that exact
-path level, and the peak it leaves only has to be close enough for the
-Newton polish.
+dense solves.
 
 Each energy functional -- I_lambda, and J_lambda with its critical power
 term -- is one _Functional, built once per (spec, forms) by
@@ -69,17 +66,11 @@ _NEWTON_FLOOR = math.sqrt(np.finfo(float).eps)
 _ORIGIN_NODES = 6
 # relative size below which weak_max_check treats the negative part as zero
 _WEAK_MAX_TOL = 1e-10
-# t-grid on which _segment_peak brackets the maximum of J along a segment
-_PEAK_GRID = np.linspace(0.0, 1.0, 9)
-# guard on the _deform_path loop; the stop rule ends it long before
-_MAX_SWEEPS = 200
 # bubble scales of the concentration extrapolation of the critical constant
 _CONCENTRATION_SCALES = (0.16, 0.08, 0.04, 0.02, 0.01)
 # the family search_threshold_seed visits, in this order
 _SEED_BUBBLE_SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16)
 _SEED_GAUSSIAN_WIDTHS = (0.25, 0.5, 1.0, 2.0)
-# step budget of the descent in critical_ray_level
-_RAY_MAX_ITER = 300
 # iteration cap of _brent_root
 _BRENT_MAX_ITER = 100
 _log = logging.getLogger(__name__)
@@ -132,6 +123,10 @@ class SolveReport:
     iterations: int
     converged: bool
     energy_history: list = field(default_factory=list, repr=False)
+    # why the loops stopped; metadata.json carries these, report.json not
+    descent_steps: int = 0
+    newton_steps: int = 0
+    descent_stop: str = ""
 
     def to_dict(self, solution_ref=None) -> dict:
         return {
@@ -390,18 +385,22 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
 
 
 def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
-                    max_iter: int) -> tuple[np.ndarray, int, list]:
+                    max_iter: int) -> tuple[np.ndarray, int, list, str]:
     """Projected gradient descent of the ray maximum of fn.
 
     Every iterate is the peak of its own ray (_ray_max), so the levels in
     the returned history are ray maxima: the Nehari level for I_lambda, the
     inf-of-ray-max level for J_lambda.  Every _REARRANGE_EVERY steps it
-    tries the decreasing rearrangement.  A trial step halves eta when the
-    projection refuses it, when it misses the Armijo decrease, or, for J,
-    when it concentrates the critical integral below the mesh scale
+    tries the decreasing rearrangement, kept if it raises the level by at
+    most 1e-12 relative.  A trial step halves eta when the projection
+    refuses it, when it misses the Armijo decrease, or, for J, when it
+    concentrates the critical integral below the mesh scale
     (origin_mass_share).  I_lambda has no such guard: at a very negative
     lambda its ground state is itself a sub-grid spike, which the descent
-    must reach for solve_subcritical to report it as unresolved.
+    must reach for solve_subcritical to report it as unresolved.  Returns
+    (iterate, steps, history, stop): stop is "gradient_tol" when the
+    relative Riesz gradient fell below tol, "line_search_failed" when no
+    trial step was accepted, "budget" after max_iter steps.
     """
     guard_origin = len(fn.exponents) > 1
 
@@ -415,6 +414,7 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     history = [level]
     eta = 1.0
     iterations = 0
+    stop = "budget"
     for it in range(1, max_iter + 1):
         iterations = it
         if it % _REARRANGE_EVERY == 0:
@@ -427,6 +427,7 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
         g = fn.riesz_gradient(v, fn.quad @ v)
         gnorm_sq = metric_pair(fn.metric, g, g)
         if math.sqrt(max(gnorm_sq, 0.0)) < tol * max(fn.metric_norm(v), 1e-30):
+            stop = "gradient_tol"
             break
         for _ in range(40):
             cand = np.abs(v - eta * g)
@@ -443,8 +444,23 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
                 break
             eta *= 0.5
         else:
+            stop = "line_search_failed"
             break
-    return v, iterations, history
+    return v, iterations, history, stop
+
+
+def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
+                    polish_rtol: float) -> tuple[np.ndarray, list, dict]:
+    """_nehari_descent from v0, then _newton_polish to polish_rtol
+    max(|v|_lambda, 1).  Returns (point, history, stops): the descent's
+    ray maxima followed by the energy of the point, and the step counts
+    and descent stop reason as SolveReport's fields."""
+    v, descent_steps, history, stop = _nehari_descent(fn, v0, tol, max_iter)
+    v, newton_steps = _newton_polish(
+        fn, v, tol=polish_rtol * max(fn.metric_norm(v), 1.0))
+    history.append(fn.value(v))
+    return v, history, {"descent_steps": descent_steps,
+                        "newton_steps": newton_steps, "descent_stop": stop}
 
 
 def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
@@ -463,15 +479,13 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         raise DomainError("initial profile must be nonzero")
     fn = _functional_for(spec, forms)
 
-    v, outer_its, history = _nehari_descent(fn, init.values, tol, max_iter)
-    v, newton_its = _newton_polish(fn, v, tol=1e-13 * max(fn.metric_norm(v), 1.0))
+    v, history, stops = _critical_point(fn, init.values, tol, max_iter, 1e-13)
 
     u = RadialFunction(forms.grid, v)
     residual = fn.residual_norm(v)
     nehari_value = fn.derivative_along(v)
     unorm = fn.metric_norm(v)
-    energy = fn.value(v)
-    history.append(energy)
+    energy = history[-1]
     # monitored, not asserted: on the constraint set the radial derivative
     # of the constraint is (1 - p)(|u|^2 + [u]_s^2), strictly negative
     constraint_slope = (2.0 * fn.quad_form(v)
@@ -489,127 +503,9 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
     return SolveReport(
         solution=u, energy=energy, nehari_value=nehari_value, residual=residual,
         c_star=energy, mp_level_m=None, beta=None, mp_radius=None, threshold=None,
-        iterations=outer_its + newton_its, converged=converged,
-        energy_history=history,
+        iterations=stops["descent_steps"] + stops["newton_steps"],
+        converged=converged, energy_history=history, **stops,
     )
-
-
-def _path_endpoint(fn: _Functional, v: np.ndarray, zeta: float,
-                   min_norm: float = 0.0) -> np.ndarray:
-    """First zeta 1.5^k v (k = 0, 1, ...) with J < 0 and norm above min_norm."""
-    for _ in range(200):
-        end = zeta * v
-        if fn.value(end) < 0.0 and fn.metric_norm(end) > min_norm:
-            return end
-        zeta *= 1.5
-    raise ConvergenceError("could not place the path endpoint below zero energy")
-
-
-def _segment_peak(fn: _Functional, a: np.ndarray, b: np.ndarray,
-                  qa: np.ndarray, qb: np.ndarray) -> tuple[float, float]:
-    """(max of phi(t) = J(a + t d) over t in [0, 1], maximizing t), d = b - a.
-
-    From qa = A a and qb = A b (A symmetric) the quadratic part is exactly
-    1/2 (a.Aa + 2 t a.Ad + t^2 d.Ad); the power terms cost O(n) per t.  The
-    best point of _PEAK_GRID is refined by _brent_root on phi'.
-    """
-    d, qd = b - a, qb - qa
-    c0, c1, c2 = float(a @ qa), float(a @ qd), float(d @ qd)
-
-    def phi(t):
-        x = a + np.multiply.outer(t, d)
-        out = 0.5 * (c0 + t * (2.0 * c1 + t * c2))
-        for e in fn.exponents:
-            out = out - (np.abs(x) ** e @ fn.weights) / e
-        return out
-
-    def dphi(t):
-        x = a + t * d
-        out = c1 + t * c2
-        for e in fn.exponents:
-            out -= float((fn.weights * np.abs(x) ** (e - 2.0) * x) @ d)
-        return out
-
-    vals = phi(_PEAK_GRID)
-    k = int(np.argmax(vals))
-    best, t_best = float(vals[k]), float(_PEAK_GRID[k])
-    lo = _PEAK_GRID[max(k - 1, 0)]
-    hi = _PEAK_GRID[min(k + 1, _PEAK_GRID.size - 1)]
-    if dphi(lo) > 0.0 > dphi(hi):
-        t = _brent_root(dphi, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        val = float(phi(t))
-        if val > best:
-            best, t_best = val, t
-    return best, t_best
-
-
-def _deform_path(fn: _Functional, end: np.ndarray, path_nodes: int):
-    """Deform the segment path from 0 to end (policy: solve_critical).
-
-    Stops after the first sweep that does not lower the exact path level
-    (a sweep that moves no node is one of them).  Returns (level, peak
-    point, levels before and after every sweep): they decrease strictly
-    up to the last sweep, which repeats the level before it.
-    """
-    path = [tau * end for tau in np.linspace(0.0, 1.0, path_nodes + 1)]
-    # A v of every node: a trial step costs one product with A, a gradient none
-    qpath = [fn.quad @ v for v in path]
-    seg = [_segment_peak(fn, path[j], path[j + 1], qpath[j], qpath[j + 1])
-           for j in range(path_nodes)]
-    etas = np.full(path_nodes + 1, 0.25)
-    norm_cap = 10.0 * fn.metric_norm(end)
-
-    # path[0] = 0 never moves and J(end) < 0, so the top segment peak
-    # (at least J(0) = 0) is the path maximum
-    def minimax():
-        j = int(np.argmax([val for val, _ in seg]))
-        level, t = seg[j]
-        return level, path[j] + t * (path[j + 1] - path[j])
-
-    level, peak = minimax()
-    history = [level]
-    for _ in range(_MAX_SWEEPS):
-        for j in range(1, path_nodes):
-            g = fn.riesz_gradient(path[j], qpath[j])
-            for _ in range(4):
-                cand = path[j] - etas[j] * g
-                cand[-1] = 0.0
-                if (fn.metric_norm(cand) > norm_cap
-                        or origin_mass_share(fn, cand) > 0.5):
-                    etas[j] *= 0.5
-                    continue
-                q_cand = fn.quad @ cand
-                new_lo = _segment_peak(fn, path[j - 1], cand, qpath[j - 1], q_cand)
-                new_hi = _segment_peak(fn, cand, path[j + 1], q_cand, qpath[j + 1])
-                old_local = max(seg[j - 1][0], seg[j][0])
-                if max(new_lo[0], new_hi[0]) < old_local * (1.0 - 1e-14):
-                    path[j], qpath[j] = cand, q_cand
-                    seg[j - 1], seg[j] = new_lo, new_hi
-                    etas[j] = min(etas[j] * 1.4, 8.0)
-                    break
-                etas[j] *= 0.5
-        level, peak = minimax()
-        history.append(level)
-        if level >= history[-2]:
-            break
-    return level, peak, history
-
-
-def mountain_pass_level_subcritical(spec: ProblemSpec, solution: RadialFunction,
-                                    forms: QuadraticForms) -> float:
-    """Minimax level over segment paths through the ground state.
-
-    The ray through a Nehari point peaks exactly at the point itself, so
-    the straight path through the ground state attains the constrained
-    minimum; the shared deformation then tries to push it lower.
-    """
-    fn = _functional_for(spec, forms)
-    u = solution.values
-    # ray energy crosses zero at t_u ((p+1)/2)^(1/(p-1)); overshoot past it
-    t_u = _ray_max(fn, u)[1]
-    t_zero = t_u * ((spec.p + 1.0) / 2.0) ** (1.0 / (spec.p - 1.0))
-    end = _path_endpoint(fn, u, 1.5 * t_zero)
-    return _deform_path(fn, end, path_nodes=32)[0]
 
 
 @dataclass(frozen=True)
@@ -680,8 +576,7 @@ def estimate_subcritical_constant(fn: _Functional, p: float) -> float:
     |v|^{p+1}) via its ground state (the minimizer of the quotient itself)."""
     init = np.exp(-fn.grid.nodes ** 2)
     init[-1] = 0.0
-    v, _, _ = _nehari_descent(fn, init, 1e-8, 400)
-    v, _ = _newton_polish(fn, v, tol=1e-12 * max(fn.metric_norm(v), 1.0))
+    v, _, _ = _critical_point(fn, init, 1e-8, 400, 1e-12)
     q = fn.quad_form(v)
     pw = fn.power_integral(v, p + 1.0)
     return float(q / pw ** (2.0 / (p + 1.0)))
@@ -756,7 +651,7 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearc
     parameter point; no passing profile is asserted a priori.  The whole
     family is visited in a fixed order and the passing member with the
     smallest ray supremum wins (its ray sits closest to the ground state,
-    which is where the path deformation should start).
+    which is where the critical descent starts).
     """
     candidates = [_bubble(forms.grid, eps) for eps in _SEED_BUBBLE_SCALES]
     for sig in _SEED_GAUSSIAN_WIDTHS:
@@ -774,32 +669,23 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearc
     return SeedSearch(seed, best[1], len(candidates))
 
 
-def critical_ray_level(spec: ProblemSpec, seed: RadialFunction,
-                       forms: QuadraticForms) -> float:
-    """Independent level estimate: the last ray maximum of J after the
-    shared descent (_nehari_descent) from seed, _RAY_MAX_ITER steps at most."""
-    fn = _functional_for(spec, forms)
-    return _nehari_descent(fn, seed.values, 0.0, _RAY_MAX_ITER)[2][-1]
-
-
 def solve_critical(spec: ProblemSpec, u0: RadialFunction,
                    forms: QuadraticForms, tol: float = 1e-6,
-                   path_nodes: int = 48) -> SolveReport:
+                   max_iter: int = 400) -> SolveReport:
     """Mountain-pass solution of the critically perturbed problem.
 
-    Deforms a discretized path from zero to the negative-energy endpoint
-    zeta0 * u0 with the deformation shared with
-    mountain_pass_level_subcritical (_deform_path): per-node steepest
-    descent against the exact maximum of J on each segment of the
-    polyline, so a node cannot fake progress by stepping through the
-    ridge.  The deformation ends after the first sweep that does not lower
-    the exact path level, and the path peak is then polished into a
-    genuine critical point.  Steps that would concentrate the critical
-    integral below the mesh scale are rejected: the lumped quadrature
+    The mountain-pass level of J is its Nehari level (module docstring),
+    so the solve is solve_subcritical's on J: _nehari_descent from the
+    seed u0, at most max_iter steps, then the Newton polish
+    (_critical_point).  The descent rejects steps that would concentrate
+    the critical integral below the mesh scale: the lumped quadrature
     understates the critical norm of sub-grid spikes, and chasing them
-    would produce a spurious saddle the continuum problem does not have.  energy_history holds the
-    exact path level before and after each sweep, an upper bound on m; it
-    falls strictly until its last two entries, which are equal.
+    would produce a spurious saddle the continuum problem does not have.
+    beta is the mountain-pass envelope of mountain_pass_geometry, lowered
+    to J where the solution ray crosses its small sphere.  energy_history
+    holds the ray maximum after each accepted descent step, then m; each
+    bounds m from above and none rises by more than the 1e-12 relative
+    the descent allows a rearrangement.
 
     Fails loudly (ThresholdNotMetError) when the seed violates the energy
     threshold.
@@ -813,13 +699,9 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
         )
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
     v0 = u0.values
-    end = _path_endpoint(fn, v0, 2.0 * check.zeta_star, min_norm=mp_radius)
-    _, peak, history = _deform_path(fn, end, path_nodes)
-
-    v_inf, newton_its = _newton_polish(
-        fn, peak, tol=1e-12 * max(fn.metric_norm(peak), 1.0))
+    v_inf, history, stops = _critical_point(fn, v0, tol, max_iter, 1e-12)
     u_inf = RadialFunction(forms.grid, v_inf)
-    m = fn.value(v_inf)
+    m = history[-1]
     residual = fn.residual_norm(v_inf)
     nontrivial = fn.metric_norm(v_inf) > 0.01 * fn.metric_norm(v0)
     resolved = origin_mass_share(fn, v_inf) <= 0.5
@@ -847,8 +729,8 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
         solution=u_inf, energy=m, nehari_value=fn.derivative_along(v_inf),
         residual=residual, c_star=None, mp_level_m=m, beta=beta,
         mp_radius=mp_radius, threshold=check.threshold,
-        iterations=len(history) - 1 + newton_its, converged=converged,
-        energy_history=history,
+        iterations=stops["descent_steps"] + stops["newton_steps"],
+        converged=converged, energy_history=history, **stops,
     )
 
 

@@ -25,7 +25,7 @@ CRITERIA = {
         ("embedding", "broad profile within 5% of the spectral bottom")],
     6: [("nehari", "projection idempotent and scale invariant (2 x 100 profiles)")],
     7: [("nehari", "subcritical ground state at (3, 0.5, 0, 3)")],
-    8: [("nehari", "path minimax equals Nehari minimum")],
+    8: [("nehari", "ground state has Morse index 1")],
     9: [("critical", "outcome at (3, 0.5, 0.5, 3) reproducible")],
     10: [("nehari", "rearrangement preserves L^q, does not increase energies")],
     11: [("maxprinciple", "converged solution passes the negative-part test")]

@@ -96,6 +96,10 @@ def test_solve_subcritical_run(tmp_path, cache_dir):
     assert conv[0] == "iteration,energy"
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert "timestamp" in meta
+    # why the loops stopped is run-trace data, kept out of report.json
+    assert meta["descent_stop"] == "gradient_tol"
+    assert meta["descent_steps"] + meta["newton_steps"] == report["iterations"]
+    assert "descent_stop" not in report
 
 
 def test_solve_reports_are_deterministic(tmp_path, cache_dir):
@@ -139,11 +143,16 @@ def test_solve_critical_resolved_configuration(tmp_path, cache_dir):
     assert report["converged"] is True
     assert report["beta"] <= report["mp_level_m"] < report["threshold"]
     assert report["c_star"] is None
-    # the path level per sweep; the last sweep no longer lowered it
+    # the ray maximum per accepted descent step, then m: monotone up to the
+    # rearrangement tolerance, as in the subcritical history
     levels = np.loadtxt(tmp_path / "out" / "convergence.csv", delimiter=",",
                         skiprows=1)[:, 1]
-    assert np.all(np.diff(levels) <= 0.0)
-    assert levels[-1] == levels[-2]
+    assert np.all(np.diff(levels) <= 1e-10 * np.abs(levels[0]))
+    assert levels[-1] == report["mp_level_m"]
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["descent_stop"] in ("gradient_tol", "budget", "line_search_failed")
+    assert meta["descent_steps"] <= 400
+    assert meta["descent_steps"] + meta["newton_steps"] == report["iterations"]
 
 
 def test_solve_config_errors(tmp_path, capsys):
@@ -160,7 +169,7 @@ def test_solve_config_errors(tmp_path, capsys):
         assert run_cli("solve", "--config", str(invalid)) == EXIT_VALIDATION
     # numbers are never coerced: N = 3.5 must not solve N = 3, "0.5" is not
     # a number, true is not 1.0, float keys must be finite, tol positive,
-    # and the descent and the path need at least one step and one segment
+    # and the descent needs at least one step
     for section, key, value in (("problem", "N", 3.5), ("problem", "N", "3"),
                                 ("problem", "s", "0.5"), ("problem", "s", True),
                                 ("problem", "lambda", "0"), ("problem", "p", "3"),
@@ -175,8 +184,6 @@ def test_solve_config_errors(tmp_path, capsys):
                                 ("solver", "max_iter", 400.0),
                                 ("solver", "max_iter", -3),
                                 ("solver", "max_iter", 0),
-                                ("solver", "path_nodes", 2.5),
-                                ("solver", "path_nodes", 0),
                                 ("grid", "spacing", "uniform"),
                                 ("grid", "spacing", "geomuniform"),
                                 ("grid", "spacing", 3)):
@@ -266,6 +273,22 @@ def test_solve_indefinite_lambda_metric(tmp_path, cache_dir, capsys, mode,
         {"N": 3, "s": 0.5, "lambda": 0.9, "p": 3.0, "mode": mode},
         out, cache_dir, grid=_COARSE_GRID)
     assert run_cli("solve", "--config", str(cfg)) == admissible_exit
+
+
+@pytest.mark.parametrize("path_nodes", [0, 2.5])
+def test_solve_ignores_retired_path_nodes(tmp_path, cache_dir, path_nodes):
+    # "solver.path_nodes" set the deformed path's size; the critical solve
+    # no longer has a path, and configs that still carry the key solve
+    build_forms(5, 0.5, r_max=12.0, n=64, cache_dir=cache_dir)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 5, "s": 0.5, "lambda": 1.0, "p": 2.0, "mode": "critical_perturbed"},
+        tmp_path / "out", cache_dir,
+        grid={"R_max": 12.0, "node_count": 64, "spacing": "graded"})
+    raw = json.loads(cfg.read_text())
+    raw["solver"]["path_nodes"] = path_nodes
+    cfg.write_text(json.dumps(raw))
+    assert run_cli("solve", "--config", str(cfg)) == EXIT_OK
 
 
 def test_solve_overflowing_nehari_scale(tmp_path, cache_dir, capsys):
@@ -382,8 +405,8 @@ def _run_import_budget(configs):
 def test_warm_solves_import_no_scipy(tmp_path, cache_dir):
     # a solve on cached forms evaluates no kernel and solves its linear
     # systems with numpy and the factored lambda metric: it must load no
-    # scipy module at all; the critical solve reaches both bracketed roots
-    # (ray root, segment peak)
+    # scipy module at all; the critical solve reaches the one bracketed
+    # root, the two-term ray root
     problems = [({"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"}, 20.0),
                 ({"N": 5, "s": 0.5, "lambda": 1.0, "p": 2.0,
                   "mode": "critical_perturbed"}, 12.0)]
@@ -395,7 +418,7 @@ def test_warm_solves_import_no_scipy(tmp_path, cache_dir):
             grid={"R_max": r_max, "node_count": 64, "spacing": "graded"})))
     got = _run_import_budget(configs)
     assert got["codes"] == [EXIT_OK, EXIT_OK]
-    assert got["tols"] == [1e-300, 1e-14]
+    assert got["tols"] == [1e-300]
     assert got["loaded"] == []
 
 

@@ -8,17 +8,14 @@ from hypfrac import solver
 from hypfrac.errors import ConvergenceError, DomainError, ThresholdNotMetError
 from hypfrac.funcspace import (QuadraticForms, RadialFunction, lp_norm,
                                metric_pair, norm_lambda_sq)
-from hypfrac.solver import (ProblemSpec, _brent_root, _bubble, _functional_for,
-                            _Functional, _newton_polish, _ray_max, _ray_root,
-                            _segment_peak, _threshold,
-                            check_threshold, critical_ray_level,
+from hypfrac.solver import (ProblemSpec, _brent_root, _functional_for,
+                            _Functional, _nehari_descent, _newton_polish,
+                            _ray_max, _ray_root, _threshold, check_threshold,
                             estimate_critical_constant,
                             estimate_subcritical_constant,
-                            mountain_pass_geometry,
-                            mountain_pass_level_subcritical,
-                            search_threshold_seed, solve_critical,
-                            solve_subcritical, weak_max_check)
-from hypfrac.verify import random_smooth_profiles
+                            mountain_pass_geometry, search_threshold_seed,
+                            solve_critical, solve_subcritical, weak_max_check)
+from hypfrac.verify import morse_index, random_smooth_profiles
 
 SPEC3 = ProblemSpec(N=3, s=0.5, lam=0.0, p=3.0, mode="subcritical")
 
@@ -155,15 +152,17 @@ def test_newton_polish_stops_at_its_floor(subcritical_report, setup3):
 
 def test_newton_polish_floor_rule_spares_slow_steps_above_it(critical_report,
                                                             setup5):
-    # the polish of the critical path peak contracts only about x0.9 per
-    # step at first, far above the round-off zone: the floor rule must not
-    # cut those steps short, so it still takes all 7 and meets its tolerance
+    # from 5 descent steps past the critical seed the polish contracts
+    # slowly at first, far above the round-off zone: the floor rule must
+    # not cut those steps short, so it takes all 8 and meets its tolerance
     _, forms = setup5
-    spec, _, report = critical_report
-    newton_steps = report.iterations - (len(report.energy_history) - 1)
-    assert newton_steps == 7
+    spec, search, _ = critical_report
     fn = _functional_for(spec, forms)
-    assert report.residual < 1e-12 * fn.metric_norm(report.solution.values)
+    v0 = _nehari_descent(fn, search.seed.values, 1e-6, 5)[0]
+    tol = 1e-12 * fn.metric_norm(v0)
+    v, steps = _newton_polish(fn, v0, tol=tol)
+    assert steps == 8
+    assert fn.residual_norm(v) < tol
 
 
 @pytest.mark.parametrize("setup", ["setup3", "setup5"])
@@ -176,20 +175,6 @@ def test_functional_quad_is_metric_plus_nonlocal(request, setup):
     for nonlocal_mat in (forms.nonlocal_mat, 0.0):
         fn = _Functional(grid, metric, nonlocal_mat, [4.0])
         assert np.array_equal(fn.quad, dense + nonlocal_mat)
-
-
-def test_mountain_pass_level_matches_constrained_minimum(subcritical_report, setup3):
-    grid, forms = setup3
-    spec, report = subcritical_report
-    level = mountain_pass_level_subcritical(spec, report.solution, forms)
-    assert level > 0.0
-    assert abs(level - report.c_star) < 1e-9 * report.c_star
-    assert level >= report.c_star * (1.0 - 1e-12)
-    local = _Functional(grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
-    s_sub = estimate_subcritical_constant(local, spec.p)
-    lower = 0.25 * ((spec.p + 1.0) * s_sub ** ((spec.p + 1.0) / 2.0) / 4.0) \
-        ** (2.0 / (spec.p - 1.0))
-    assert level >= lower
 
 
 def test_energy_J_ray_unbounded_below(setup5):
@@ -292,55 +277,40 @@ def test_critical_solve_report(critical_report, setup5):
 
 
 def test_critical_ray_cross_check(critical_report, setup5):
+    # m is the Nehari level of J: the solution's ray peaks at the solution
+    # itself, and every ray maximum the descent passed bounds m from above
     grid, forms = setup5
-    spec, search, report = critical_report
-    level = critical_ray_level(spec, search.seed, forms)
-    assert level == pytest.approx(report.mp_level_m, rel=0.02)
-
-
-def test_critical_path_levels_bound_m(critical_report):
-    # the exact path maximum is an upper bound on the mountain-pass level
-    # and the deformation never raises it
-    _, _, report = critical_report
-    hist = np.array(report.energy_history)
-    assert np.all(hist >= report.mp_level_m * (1.0 - 1e-12))
-    assert np.all(np.diff(hist) <= 0.0)
-
-
-def test_critical_deformation_stops_when_level_stalls(critical_report):
-    # the deformation ends after the first sweep that leaves the exact path
-    # level where it was, long before the sweep guard
-    _, _, report = critical_report
-    hist = np.array(report.energy_history)
-    assert np.all(np.diff(hist[:-1]) < 0.0)
-    assert hist[-1] == hist[-2]
-    assert len(hist) - 1 < 200
-
-
-def test_segment_peak_matches_dense_sampling(setup5):
-    grid, forms = setup5
-    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    spec, _, report = critical_report
     fn = _functional_for(spec, forms)
-    # from below one bubble's ray peak to beyond another's: J rises to an
-    # interior maximum between the points of the segment-peak t-grid
-    v1, v2 = _bubble(grid, 0.08), _bubble(grid, 0.16)
-    a = 0.5 * _ray_max(fn, v1)[1] * v1
-    b = 1.5 * _ray_max(fn, v2)[1] * v2
-    peak, t_peak = _segment_peak(fn, a, b, fn.quad @ a, fn.quad @ b)
-    ts = np.linspace(0.0, 1.0, 20001)
-    dense = np.array([fn.value(a + t * (b - a)) for t in ts])
-    assert 0.0 < t_peak < 1.0 and 0 < int(np.argmax(dense)) < ts.size - 1
-    # a grid point within h/2 of the maximizer misses it by at most
-    # max|phi''| (h/2)^2 / 2 = max|second difference| / 8
-    spacing_err = np.abs(np.diff(dense, 2)).max() / 8.0
-    assert peak >= dense.max() * (1.0 - 1e-12)
-    assert peak - dense.max() <= spacing_err + 1e-12 * abs(dense.max())
+    level, zeta = _ray_max(fn, report.solution.values)
+    assert zeta == pytest.approx(1.0, abs=1e-10)
+    assert level == pytest.approx(report.mp_level_m, rel=1e-12)
+    assert min(report.energy_history) >= report.mp_level_m * (1.0 - 1e-12)
 
 
-def test_brent_root_matches_scipy_brentq(setup5, monkeypatch):
-    # the same iteration as scipy's brentq, on the brackets both callers
-    # hand it: two-term ray equations over (q, c, e), and segment peaks
-    # between bubbles below and beyond their ray maxima
+def test_demo_critical_level_is_pinned(critical_report):
+    # demo_critical's mountain-pass level as perfbench/reference.json
+    # records it at n = 400
+    _, _, report = critical_report
+    assert report.mp_level_m == pytest.approx(152.38354230253222, rel=1e-10)
+
+
+def test_morse_index_counts_descent_directions(subcritical_report, critical_report,
+                                              setup3, setup5):
+    # at 0 the Hessian is the quadratic form, positive definite; at either
+    # mountain-pass point exactly one direction descends
+    for (spec, *_, report), (grid, forms) in ((subcritical_report, setup3),
+                                              (critical_report, setup5)):
+        fn = _functional_for(spec, forms)
+        index, next_mu = morse_index(fn, np.zeros(grid.n))
+        assert index == 0 and next_mu >= 1.0
+        index, next_mu = morse_index(fn, report.solution.values)
+        assert index == 1 and next_mu > 0.0
+
+
+def test_brent_root_matches_scipy_brentq(monkeypatch):
+    # the same iteration as scipy's brentq, on the brackets _ray_root hands
+    # it: two-term ray equations over (q, c, e)
     from scipy.optimize import brentq
 
     calls = []
@@ -354,19 +324,8 @@ def test_brent_root_matches_scipy_brentq(setup5, monkeypatch):
             np.geomspace(1e-6, 1e6, 7), [(1e-3, 1.0), (1.0, 1.0), (5.0, 1e-4)],
             [(10.0 / 3.0, 3.0), (4.0, 3.0), (6.0, 2.5)]):
         _ray_root(float(q), coeffs, exponents)
-    rays = len(calls)
-    grid, forms = setup5
-    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    fn = _functional_for(spec, forms)
-    for w1, w2 in itertools.permutations((0.04, 0.08, 0.16), 2):
-        v1, v2 = _bubble(grid, w1), _bubble(grid, w2)
-        for f1, f2 in ((0.3, 1.2), (0.5, 1.5), (0.8, 2.0)):
-            a = f1 * _ray_max(fn, v1)[1] * v1
-            b = f2 * _ray_max(fn, v2)[1] * v2
-            _segment_peak(fn, a, b, fn.quad @ a, fn.quad @ b)
-    peaks = [c for c in calls[rays:] if c[3] == 1e-14]
-    assert rays == 63 and len(peaks) >= 12
-    for f, lo, hi, xtol, rtol in calls[:rays] + peaks:
+    assert len(calls) == 63
+    for f, lo, hi, xtol, rtol in calls:
         want = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
         assert abs(_brent_root(f, lo, hi, xtol, rtol) - want) <= 4 * np.spacing(want)
 
@@ -434,19 +393,6 @@ def test_mountain_pass_radius_is_the_shared_ray_root(setup5):
     c1 = estimate_critical_constant(local, two_star).estimate ** (-two_star / 2.0)
     c2 = estimate_subcritical_constant(local, spec.p) ** (-(spec.p + 1.0) / 2.0)
     assert radius == _ray_root(1.0, (c1, c2), (two_star, spec.p + 1.0))
-
-
-def test_deformation_reuses_node_products(setup5, monkeypatch):
-    # _deform_path takes each node's gradient from the A v it holds, so a
-    # whole seed search and critical solve needs fewer residual_vec
-    # products than one sweep of the 48-segment path has inner nodes
-    _, forms = setup5
-    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    counts = {}
-    _counting(monkeypatch, _Functional, "residual_vec", counts)
-    search = search_threshold_seed(spec, forms)
-    solve_critical(spec, search.seed, forms, tol=1e-6, path_nodes=48)
-    assert counts["residual_vec"] < 47
 
 
 def test_estimate_critical_constant_deterministic(setup5):
