@@ -174,7 +174,8 @@ def _solve_outputs(cfg: RunConfig, report: solver.SolveReport, extras: dict):
                 "hypfrac_version": __version__, "mode": cfg.problem.mode,
                 "descent_steps": report.descent_steps,
                 "newton_steps": report.newton_steps,
-                "descent_stop": report.descent_stop}
+                "descent_stop": report.descent_stop,
+                "descent_resumed": report.descent_resumed}
     metadata.update(extras)
     _write_json(cfg.out_dir / "metadata.json", metadata)
 

@@ -3,19 +3,20 @@
 Both modes find their critical point one way (_critical_point): a
 projected gradient descent of the ray maximum (absolute value, periodic
 decreasing rearrangement, ray re-projection after every step) drives the
-iterate into the basin, and a Newton polish on the full Euler-Lagrange
-system finishes to near machine residual.  For I_lambda the ray maximum
-is the energy on the Nehari set, whose infimum is the ground-state level
-c*.  For J_lambda the nonlinearity |u|^{2*-2}u + |u|^{p-1}u has f(t)/t
-strictly increasing, so each ray has one maximum and the mountain-pass
-level m equals the Nehari level inf_v max_t J(tv) (Willem, Minimax
-Theorems, 1996, Thm 4.2; Szulkin-Weth 2010); the lumped power terms stay
-homogeneous, so this holds for the discrete J too.  The critical solve
-first checks its seed against the compactness threshold S^(N/2)/N, with
-S estimated by concentration extrapolation of the critical quotient, and
-its descent rejects steps that concentrate the critical integral below
-the mesh scale.  The same descent and polish serve
-estimate_subcritical_constant.
+iterate into the basin (relative gradient _HANDOFF_RTOL), and a Newton
+polish on the full Euler-Lagrange system finishes to near machine
+residual; the descent resumes only if the polished point fails its
+guard.  For I_lambda the ray maximum is the energy on the Nehari set,
+whose infimum is the ground-state level c*.  For J_lambda the
+nonlinearity |u|^{2*-2}u + |u|^{p-1}u has f(t)/t strictly increasing, so
+each ray has one maximum and the mountain-pass level m equals the Nehari
+level inf_v max_t J(tv) (Willem, Minimax Theorems, 1996, Thm 4.2;
+Szulkin-Weth 2010); the lumped power terms stay homogeneous, so this
+holds for the discrete J too.  The critical solve first checks its seed
+against the compactness threshold S^(N/2)/N, with S estimated by
+concentration extrapolation of the critical quotient, and its descent
+rejects steps that concentrate the critical integral below the mesh
+scale.  The same descent and polish serve estimate_subcritical_constant.
 
 One ray root (_ray_root) serves every ray maximization (_ray_max) and
 the mountain-pass envelope of mountain_pass_geometry: the closed-form
@@ -57,6 +58,8 @@ from .funcspace import (QuadraticForms, RadialFunction, metric_factor,
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
+# relative Riesz gradient at which _critical_point hands the descent to Newton
+_HANDOFF_RTOL = 1e-3
 # guard on the _newton_polish loop; it meets tol or stalls within a few steps
 _NEWTON_MAX_ITER = 60
 # relative residual (to max(|v|_lambda, 1)) below which a Newton step that
@@ -127,6 +130,7 @@ class SolveReport:
     descent_steps: int = 0
     newton_steps: int = 0
     descent_stop: str = ""
+    descent_resumed: bool = False
 
     def to_dict(self, solution_ref=None) -> dict:
         return {
@@ -335,7 +339,9 @@ def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float]:
     if q <= 0.0 or max(coeffs) <= 0.0:
         raise DomainError("ray maximum undefined: zero profile or vanishing integral")
     zeta = _ray_root(q, coeffs, fn.exponents)
-    return fn.value(zeta * v), zeta
+    # fn.value(zeta v) without a second dense product: A(zeta v) = zeta A v
+    return zeta ** 2 * q / 2.0 - sum(
+        fn.power_integral(zeta * v, e) / e for e in fn.exponents), zeta
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray,
@@ -399,8 +405,9 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     lambda its ground state is itself a sub-grid spike, which the descent
     must reach for solve_subcritical to report it as unresolved.  Returns
     (iterate, steps, history, stop): stop is "gradient_tol" when the
-    relative Riesz gradient fell below tol, "line_search_failed" when no
-    trial step was accepted, "budget" after max_iter steps.
+    relative Riesz gradient fell below tol (the hand-off threshold, in
+    _critical_point's first call), "line_search_failed" when no trial step
+    was accepted, "budget" after max_iter steps.
     """
     guard_origin = len(fn.exponents) > 1
 
@@ -451,16 +458,36 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
 
 def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
                     polish_rtol: float) -> tuple[np.ndarray, list, dict]:
-    """_nehari_descent from v0, then _newton_polish to polish_rtol
-    max(|v|_lambda, 1).  Returns (point, history, stops): the descent's
-    ray maxima followed by the energy of the point, and the step counts
-    and descent stop reason as SolveReport's fields."""
-    v, descent_steps, history, stop = _nehari_descent(fn, v0, tol, max_iter)
-    v, newton_steps = _newton_polish(
-        fn, v, tol=polish_rtol * max(fn.metric_norm(v), 1.0))
-    history.append(fn.value(v))
-    return v, history, {"descent_steps": descent_steps,
-                        "newton_steps": newton_steps, "descent_stop": stop}
+    """_nehari_descent from v0 to relative gradient max(tol, _HANDOFF_RTOL),
+    then _newton_polish to polish_rtol max(|v|_lambda, 1).  The polished w
+    is kept if its residual is within Newton's round-off zone (relative
+    max(polish_rtol, _NEWTON_FLOOR): a longer descent gets no lower), J(w)
+    <= the hand-off ray level (1 + 1e-12) and w >= -1e-8 max|w|.
+    Otherwise the descent resumes from the hand-off iterate to tol on what
+    is left of max_iter, and the polish runs again.  Returns (point,
+    history, stops): the ray maxima of the descent, then J(point); the
+    step counts, the descent's stop and whether it resumed, as
+    SolveReport's fields."""
+    v, descent_steps, history, stop = _nehari_descent(
+        fn, v0, max(tol, _HANDOFF_RTOL), max_iter)
+
+    def polish(v):
+        return _newton_polish(fn, v, tol=polish_rtol * max(fn.metric_norm(v), 1.0))
+
+    w, newton_steps = polish(v)
+    zone = max(polish_rtol, _NEWTON_FLOOR) * max(fn.metric_norm(w), 1.0)
+    resumed = stop == "gradient_tol" and tol < _HANDOFF_RTOL and not (
+        fn.residual_norm(w) < zone and fn.value(w) <= history[-1] * (1.0 + 1e-12)
+        and np.all(w >= -1e-8 * np.abs(w).max()))
+    if resumed:
+        v, more, rest, stop = _nehari_descent(fn, v, tol, max_iter - descent_steps)
+        descent_steps += more
+        history += rest[1:]
+        w, more = polish(v)
+        newton_steps += more
+    history.append(fn.value(w))
+    return w, history, {"descent_steps": descent_steps, "newton_steps": newton_steps,
+                        "descent_stop": stop, "descent_resumed": resumed}
 
 
 def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
@@ -675,12 +702,13 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     """Mountain-pass solution of the critically perturbed problem.
 
     The mountain-pass level of J is its Nehari level (module docstring),
-    so the solve is solve_subcritical's on J: _nehari_descent from the
-    seed u0, at most max_iter steps, then the Newton polish
-    (_critical_point).  The descent rejects steps that would concentrate
-    the critical integral below the mesh scale: the lumped quadrature
-    understates the critical norm of sub-grid spikes, and chasing them
-    would produce a spurious saddle the continuum problem does not have.
+    so the solve is solve_subcritical's on J (_critical_point): descent
+    from the seed u0, Newton from relative gradient _HANDOFF_RTOL, the
+    descent resumed only if Newton fails; at most max_iter descent steps.
+    The descent rejects steps that would concentrate the critical integral
+    below the mesh scale: the lumped quadrature understates the critical
+    norm of sub-grid spikes, and chasing them would produce a spurious
+    saddle the continuum problem does not have.
     beta is the mountain-pass envelope of mountain_pass_geometry, lowered
     to J where the solution ray crosses its small sphere.  energy_history
     holds the ray maximum after each accepted descent step, then m; each

@@ -295,6 +295,57 @@ def test_demo_critical_level_is_pinned(critical_report):
     assert report.mp_level_m == pytest.approx(152.38354230253222, rel=1e-10)
 
 
+def _solve_at(spec, setup):
+    # the ground state from the Gaussian, or the mountain-pass solution
+    # from the threshold seed search's seed
+    grid, forms = setup
+    if spec.mode == "subcritical":
+        return solve_subcritical(
+            spec, RadialFunction(grid, np.exp(-grid.nodes ** 2)), forms)
+    return solve_critical(spec, search_threshold_seed(spec, forms).seed, forms)
+
+
+def _full_descent(spec, setup, monkeypatch):
+    # a hand-off threshold of 0 runs the descent to tol before the polish
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_HANDOFF_RTOL", 0.0)
+        return _solve_at(spec, setup)
+
+
+SPEC5_LAM3 = ProblemSpec(N=5, s=0.5, lam=3.0, p=2.0, mode="critical_perturbed")
+
+
+@pytest.mark.parametrize("spec, setup", [
+    (ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed"), "setup5"),
+    (SPEC5_LAM3, "setup5"),
+    (SPEC3, "setup3"),
+], ids=["demo_critical", "lambda3", "demo_subcritical"])
+def test_handoff_matches_full_descent(request, monkeypatch, spec, setup):
+    # Newton from the hand-off iterate lands on the point the full descent
+    # and its polish reach: demo_critical, lambda = 3, demo_subcritical
+    setup = request.getfixturevalue(setup)
+    full = _full_descent(spec, setup, monkeypatch)
+    handoff = _solve_at(spec, setup)
+    assert handoff.converged and not handoff.descent_resumed
+    assert handoff.descent_steps < full.descent_steps
+    assert handoff.energy == pytest.approx(full.energy, rel=1e-10)
+    peak = np.abs(full.solution.values).max()
+    assert np.abs(handoff.solution.values - full.solution.values).max() <= 1e-9 * peak
+
+
+def test_handoff_fallback_resumes_descent(setup5, monkeypatch):
+    # handed off at 3e-2, Newton stalls far from the solution at lambda = 3;
+    # the descent resumes on what is left of the budget and the second
+    # polish recovers the full descent's level
+    full = _full_descent(SPEC5_LAM3, setup5, monkeypatch)
+    monkeypatch.setattr(solver, "_HANDOFF_RTOL", 3e-2)
+    report = _solve_at(SPEC5_LAM3, setup5)
+    assert report.descent_resumed
+    assert report.descent_steps <= 400
+    assert report.converged
+    assert report.mp_level_m == pytest.approx(full.mp_level_m, rel=1e-10)
+
+
 def test_morse_index_counts_descent_directions(subcritical_report, critical_report,
                                               setup3, setup5):
     # at 0 the Hessian is the quadratic form, positive definite; at either
