@@ -18,11 +18,13 @@ concentration extrapolation of the critical quotient, and its descent
 rejects steps that concentrate the critical integral below the mesh
 scale.  The same descent and polish serve estimate_subcritical_constant.
 
-One ray root (_ray_root) serves every ray maximization (_ray_max) and
-the mountain-pass envelope of mountain_pass_geometry: the closed-form
-Nehari scale for one power term, a bracketed root by Brent's iteration
-(_brent_root) for two.  Every linear solve is numpy's or the factored
-lambda metric's (funcspace.metric_solve), so a solve loads no scipy.
+One ray law (_ray_peak) gives every ray root and ray level: the ray
+maxima of the descent, the seed search and check_threshold (_ray_max),
+and the mountain-pass envelope of mountain_pass_geometry.  It is Newton's
+iteration in log z from the smallest one-term root, monotone since f(t)/t
+is increasing, and a non-finite coefficient or root is a ConvergenceError,
+never a zero ray.  Every linear solve is numpy's or the factored lambda
+metric's (funcspace.metric_solve), so a solve loads no scipy.
 The polish is plain damped Newton: it stops at its tolerance, or at the
 round-off floor, and keeps the best iterate either way.  The floor is
 reached when the line search can no longer lower the residual, or when
@@ -74,8 +76,6 @@ _CONCENTRATION_SCALES = (0.16, 0.08, 0.04, 0.02, 0.01)
 # the family search_threshold_seed visits, in this order
 _SEED_BUBBLE_SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16)
 _SEED_GAUSSIAN_WIDTHS = (0.25, 0.5, 1.0, 2.0)
-# iteration cap of _brent_root
-_BRENT_MAX_ITER = 100
 _log = logging.getLogger(__name__)
 
 
@@ -236,112 +236,60 @@ def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
     return _Functional(forms.grid, metric, forms.nonlocal_mat, exponents)
 
 
-def _brent_root(f, lo: float, hi: float, xtol: float, rtol: float) -> float:
-    """The root of f in [lo, hi] by Brent's method (Brent 1973, ch. 4).
+def _ray_peak(q: float, coeffs, exponents) -> tuple[float, float]:
+    """(level, z): the peak of the ray energy z^2 q / 2 - sum_t c_t z^e_t / e_t
+    over z > 0, at the root of q = sum_t c_t z^(e_t - 2).
 
-    Step for step the iteration of scipy's brentq.c, so it takes the same
-    iterates: inverse quadratic (or secant) steps from the best point,
-    rejected for a bisection unless they stay well inside the bracket, and
-    never shorter than half the tolerance xtol + rtol |x|.  f(lo) and f(hi)
-    must differ in sign.  ConvergenceError after _BRENT_MAX_ITER steps or
-    at a NaN value of f.
+    The root is unique, since every e_t > 2.  In log z the right side is
+    convex and increasing, so Newton's iteration from the smallest
+    one-term root (q / c_t)^(1/(e_t - 2)), which lies at or right of the
+    root, falls monotonically to it; it stops when a step no longer lowers
+    z.  With one term the start is the root (the Nehari scale).  A zero
+    coefficient is an absent term.  DomainError if q <= 0 or every c_t is
+    0; ConvergenceError, naming the quantity, if q, a c_t or the root is
+    not finite.
     """
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ConvergenceError(f"root search met a NaN value at x = {x:.17g}")
-        return fx
-
-    xpre, xcur = lo, hi
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ConvergenceError(f"root not bracketed by [{lo:.17g}, {hi:.17g}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
-    raise ConvergenceError(f"root search did not converge in {_BRENT_MAX_ITER} "
-                           f"steps, last x = {xcur:.17g}")
-
-
-def _ray_root(q: float, coeffs, exponents) -> float:
-    """The z > 0 with q = sum_t c_t z^(e_t - 2): where the ray energy
-    z^2 q / 2 - sum_t c_t z^e_t / e_t peaks.  It is unique, since every
-    e_t > 2.  One term has the closed form (the Nehari scale); two are
-    bracketed, with both bracket searches capped, and solved by
-    _brent_root to the last bits (xtol 1e-300)."""
-    if len(exponents) == 1:
+    if not math.isfinite(q):
+        raise ConvergenceError(f"ray quadratic form is not finite: {q}")
+    for c, e in zip(coeffs, exponents):
+        if not math.isfinite(c):
+            raise ConvergenceError(f"ray power integral of order {e:.12g} is not finite: {c}")
+    live = [(c, e - 2.0) for c, e in zip(coeffs, exponents) if c > 0.0]
+    if q <= 0.0 or not live:
+        raise DomainError("ray maximum undefined: zero profile or vanishing integral")
+    z = math.inf
+    for c, a in live:
         try:
-            return (q / coeffs[0]) ** (1.0 / (exponents[0] - 2.0))
-        except OverflowError:  # p close to 1
-            raise FloatingPointError(
-                f"Nehari scale overflows at p = {exponents[0] - 1.0:.12g}") from None
-
-    def dphi(z):
-        out = q
-        for c, e in zip(coeffs, exponents):
-            out -= z ** (e - 2.0) * c
-        return out
-
-    hi = 1.0
-    for _ in range(200):
-        if dphi(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"ray maximization failed to bracket, q={q:.3e}, "
-                               f"c={coeffs[0]:.3e}")
-    lo = hi * 2.0 ** -60
-    while dphi(lo) < 0.0:
-        lo *= 0.5
-        if lo < 1e-280:
-            raise ConvergenceError("ray maximization failed near zero")
-    return _brent_root(dphi, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            z = min(z, (q / c) ** (1.0 / a))
+        except OverflowError:  # p close to 1: this root lies beyond the floats
+            pass
+    if not 0.0 < z < math.inf:
+        raise ConvergenceError(f"Nehari scale {'overflows' if z else 'underflows'} "
+                               f"at p = {min(exponents) - 1.0:.12g}")
+    try:
+        while True:
+            terms = [c * z ** a for c, a in live]
+            lower = z * math.exp((q - sum(terms)) / sum(
+                a * t for (_, a), t in zip(live, terms)))
+            if not lower < z:
+                break
+            z = lower
+    except OverflowError:  # c_t tiny against q: z^(e_t - 2) beyond the floats
+        raise ConvergenceError(f"ray term overflows at z = {z:.6g}") from None
+    # z^2 (q/2 - sum_t t/e_t), written so that no two large terms cancel
+    return z * z * (q - sum(terms) + sum(
+        a * t / (a + 2.0) for (_, a), t in zip(live, terms))) / 2.0, z
 
 
 def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float]:
-    """(max_z fn(z v), maximizing z) along the ray through v.
+    """(max_z fn(z v), maximizing z) along the ray through v, by _ray_peak
+    from v's quadratic form and power integrals.
 
     With one power term the maximizer is the Nehari scale of v and z v
     lies on the Nehari set; the result is deterministic either way.
     """
-    q = fn.quad_form(v)
-    coeffs = [fn.power_integral(v, e) for e in fn.exponents]
-    if q <= 0.0 or max(coeffs) <= 0.0:
-        raise DomainError("ray maximum undefined: zero profile or vanishing integral")
-    zeta = _ray_root(q, coeffs, fn.exponents)
-    # fn.value(zeta v) without a second dense product: A(zeta v) = zeta A v
-    return zeta ** 2 * q / 2.0 - sum(
-        fn.power_integral(zeta * v, e) / e for e in fn.exponents), zeta
+    return _ray_peak(fn.quad_form(v), [fn.power_integral(v, e) for e in fn.exponents],
+                     fn.exponents)
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray,
@@ -399,15 +347,16 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     inf-of-ray-max level for J_lambda.  Every _REARRANGE_EVERY steps it
     tries the decreasing rearrangement, kept if it raises the level by at
     most 1e-12 relative.  A trial step halves eta when the projection
-    refuses it, when it misses the Armijo decrease, or, for J, when it
-    concentrates the critical integral below the mesh scale
-    (origin_mass_share).  I_lambda has no such guard: at a very negative
-    lambda its ground state is itself a sub-grid spike, which the descent
-    must reach for solve_subcritical to report it as unresolved.  Returns
-    (iterate, steps, history, stop): stop is "gradient_tol" when the
-    relative Riesz gradient fell below tol (the hand-off threshold, in
-    _critical_point's first call), "line_search_failed" when no trial step
-    was accepted, "budget" after max_iter steps.
+    refuses it (a power integral that overflows, say), when it misses the
+    Armijo decrease, or, for J, when it concentrates the critical integral
+    below the mesh scale (origin_mass_share).  I_lambda has no such guard:
+    at a very negative lambda its ground state is itself a sub-grid spike,
+    which the descent must reach for solve_subcritical to report it as
+    unresolved.  Returns (iterate, accepted gradient steps, history, stop):
+    stop is "gradient_tol" when the relative Riesz gradient fell below tol
+    (the hand-off threshold, in _critical_point's first call),
+    "line_search_failed" when no trial step was accepted, "budget" after
+    max_iter steps.
     """
     guard_origin = len(fn.exponents) > 1
 
@@ -420,10 +369,9 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     v, level = project(v)
     history = [level]
     eta = 1.0
-    iterations = 0
+    steps = 0
     stop = "budget"
     for it in range(1, max_iter + 1):
-        iterations = it
         if it % _REARRANGE_EVERY == 0:
             cand = schwarz_rearrange(RadialFunction(fn.grid, np.abs(v))).values
             cand[-1] = 0.0
@@ -447,13 +395,14 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
                     and not (guard_origin and origin_mass_share(fn, cand) > 0.5)):
                 v = cand
                 history.append(level)
+                steps += 1
                 eta = min(eta * 1.5, 64.0)
                 break
             eta *= 0.5
         else:
             stop = "line_search_failed"
             break
-    return v, iterations, history, stop
+    return v, steps, history, stop
 
 
 def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
@@ -614,23 +563,24 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
 
     Maximizes the lower envelope rho^2/2 - C1 rho^{2*}/2* - C2 rho^{p+1}/(p+1)
     built from the embedding constants of the local functional (no nonlocal
-    form); its maximizer is the ray root (_ray_root) at q = 1 with
-    coefficients C1 and C2.  FloatingPointError if that has no finite root.
+    form): that is the ray peak (_ray_peak) at q = 1 with coefficients C1
+    and C2.  FloatingPointError if a constant over- or underflows (an
+    underflowed C1 is not an absent term) or the peak is not finite.
     """
     local = _Functional(forms.grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
     s_crit = estimate_critical_constant(local, spec.critical_exponent)
     s_sub = estimate_subcritical_constant(local, spec.p)
     two_star = spec.critical_exponent
-    c1 = s_crit.estimate ** (-two_star / 2.0)
-    c2 = s_sub ** (-(spec.p + 1.0) / 2.0)
-    try:
-        rho_star = _ray_root(1.0, (c1, c2), (two_star, spec.p + 1.0))
-        beta = (rho_star ** 2 / 2.0
-                - c1 * rho_star ** two_star / two_star
-                - c2 * rho_star ** (spec.p + 1.0) / (spec.p + 1.0))
-    except (OverflowError, ConvergenceError):  # tiny constants, very negative lambda
+    beta = math.nan
+    try:  # the constants leave the floats at a very negative lambda
+        coeffs = (s_crit.estimate ** (-two_star / 2.0), s_sub ** (-(spec.p + 1.0) / 2.0))
+        if min(coeffs) >= np.finfo(float).tiny:
+            beta, rho_star = _ray_peak(1.0, coeffs, (two_star, spec.p + 1.0))
+    except (ArithmeticError, ConvergenceError, DomainError):
+        pass
+    if not 0.0 < beta < math.inf:
         raise FloatingPointError(
-            f"mountain-pass envelope is not finite at lambda = {spec.lam:g}") from None
+            f"mountain-pass envelope is not finite at lambda = {spec.lam:g}")
     return float(beta), float(rho_star)
 
 
@@ -639,7 +589,6 @@ class ThresholdCheck:
     sup_value: float
     threshold: float
     passes: bool
-    zeta_star: float
 
 
 def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
@@ -655,9 +604,8 @@ def check_threshold(fn: _Functional, threshold: float,
     """Ray supremum of J = fn through v against the threshold (_threshold)."""
     if not np.any(v != 0.0) or np.any(v < 0.0):
         raise DomainError("seed profile must be nonzero and nonnegative")
-    sup_value, zeta = _ray_max(fn, v)
-    return ThresholdCheck(float(sup_value), float(threshold),
-                          bool(sup_value < threshold), float(zeta))
+    sup_value = _ray_max(fn, v)[0]
+    return ThresholdCheck(float(sup_value), float(threshold), bool(sup_value < threshold))
 
 
 @dataclass(frozen=True)

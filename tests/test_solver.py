@@ -8,9 +8,9 @@ from hypfrac import solver
 from hypfrac.errors import ConvergenceError, DomainError, ThresholdNotMetError
 from hypfrac.funcspace import (QuadraticForms, RadialFunction, lp_norm,
                                metric_pair, norm_lambda_sq)
-from hypfrac.solver import (ProblemSpec, _brent_root, _functional_for,
-                            _Functional, _nehari_descent, _newton_polish,
-                            _ray_max, _ray_root, _threshold, check_threshold,
+from hypfrac.solver import (ProblemSpec, _functional_for, _Functional,
+                            _nehari_descent, _newton_polish, _ray_max,
+                            _ray_peak, _threshold, check_threshold,
                             estimate_critical_constant,
                             estimate_subcritical_constant,
                             mountain_pass_geometry, search_threshold_seed,
@@ -359,42 +359,55 @@ def test_morse_index_counts_descent_directions(subcritical_report, critical_repo
         assert index == 1 and next_mu > 0.0
 
 
-def test_brent_root_matches_scipy_brentq(monkeypatch):
-    # the same iteration as scipy's brentq, on the brackets _ray_root hands
-    # it: two-term ray equations over (q, c, e)
-    from scipy.optimize import brentq
+def test_ray_peak_matches_mpmath():
+    # two-term ray equations over (q, c, e), and one-term ones, against the
+    # 50-digit root of q = sum_t c_t z^(e_t - 2) and the ray level there
+    import mpmath
 
-    calls = []
+    qs = [float(q) for q in np.geomspace(1e-6, 1e6, 7)]
+    cases = list(itertools.product(
+        qs, [(1e-3, 1.0), (1.0, 1.0), (5.0, 1e-4)],
+        [(10.0 / 3.0, 3.0), (4.0, 3.0), (6.0, 2.5)]))
+    cases += [(q, (c,), (e,)) for q, c, e in itertools.product(
+        qs, (1e-3, 5.0), (2.5, 3.0, 10.0 / 3.0, 6.0))]
+    with mpmath.workdps(50):
+        for q, coeffs, exponents in cases:
+            level, z = _ray_peak(q, coeffs, exponents)
+            terms = [(mpmath.mpf(c), mpmath.mpf(e)) for c, e in zip(coeffs, exponents)]
+            log_z = mpmath.findroot(
+                lambda x: sum(c * mpmath.exp((e - 2) * x) for c, e in terms) - q,
+                mpmath.log(z))
+            want = mpmath.exp(log_z)
+            want_level = want ** 2 * q / 2 - sum(c * want ** e / e for c, e in terms)
+            assert abs(z - float(want)) <= 4 * np.spacing(float(want))
+            assert abs(level - float(want_level)) <= 1e-15 * float(want_level)
 
-    def recorded(f, lo, hi, xtol, rtol):
-        calls.append((f, lo, hi, xtol, rtol))
-        return _brent_root(f, lo, hi, xtol, rtol)
 
-    monkeypatch.setattr(solver, "_brent_root", recorded)
-    for q, coeffs, exponents in itertools.product(
-            np.geomspace(1e-6, 1e6, 7), [(1e-3, 1.0), (1.0, 1.0), (5.0, 1e-4)],
-            [(10.0 / 3.0, 3.0), (4.0, 3.0), (6.0, 2.5)]):
-        _ray_root(float(q), coeffs, exponents)
-    assert len(calls) == 63
-    for f, lo, hi, xtol, rtol in calls:
-        want = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
-        assert abs(_brent_root(f, lo, hi, xtol, rtol) - want) <= 4 * np.spacing(want)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_ray_max_rejects_an_overflowing_power_integral(setup3, setup5):
+    # |v|^e summing to inf must not give the zero ray (level 0 at z = 0),
+    # which the descent would accept as a step
+    for spec, (grid, forms) in ((SPEC3, setup3),
+                                (ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0,
+                                             mode="critical_perturbed"), setup5)):
+        v = 1e100 * np.exp(-grid.nodes ** 2)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            _ray_max(_functional_for(spec, forms), v)
 
 
-def test_brent_root_failures_are_convergence_errors():
-    # a bracket that cannot shrink to the tolerance (rtol 0 at x = 1/2)
-    # exhausts the steps; a NaN stops the iteration
-    def step(x):
-        return 1.0 if x > 0.5 else -1.0
-
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        _brent_root(step, 0.0, 1.0, xtol=1e-300, rtol=0.0)
-    with pytest.raises(ConvergenceError, match="NaN"):
-        _brent_root(lambda x: math.nan if abs(x - 0.5) < 0.05 else x - 0.5,
-                    0.0, 1.0, 1e-14, 8.9e-16)
-    with pytest.raises(ConvergenceError, match="not bracketed"):
-        _brent_root(lambda x: x + 1.0, 0.0, 1.0, 1e-14, 8.9e-16)
-    assert _brent_root(step, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16) == pytest.approx(0.5)
+def test_descent_counts_accepted_steps(setup3, monkeypatch):
+    # with no rearrangement every accepted step adds one level to the
+    # history, whichever way the descent stops
+    grid, forms = setup3
+    fn = _functional_for(SPEC3, forms)
+    v0 = np.exp(-grid.nodes ** 2)
+    monkeypatch.setattr(solver, "_REARRANGE_EVERY", 10 ** 9)
+    for want, tol, max_iter in (("budget", 1e-12, 3), ("gradient_tol", 1e-3, 400)):
+        _, steps, history, stop = _nehari_descent(fn, v0, tol, max_iter)
+        assert stop == want and steps == len(history) - 1 > 0
+    monkeypatch.setattr(solver, "_ARMIJO", 1e300)
+    _, steps, history, stop = _nehari_descent(fn, v0, 1e-12, 400)
+    assert stop == "line_search_failed" and steps == len(history) - 1 == 0
 
 
 def _counting(monkeypatch, owner, name, counts):
@@ -434,16 +447,16 @@ def test_mountain_pass_geometry_positive(setup5):
 
 
 def test_mountain_pass_radius_is_the_shared_ray_root(setup5):
-    # the envelope's maximizer is the ray root at q = 1 with the embedding
-    # constants of the local functional as coefficients
+    # the envelope's maximizer and maximum are the ray peak at q = 1 with
+    # the embedding constants of the local functional as coefficients
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    _, radius = mountain_pass_geometry(spec, forms)
+    beta, radius = mountain_pass_geometry(spec, forms)
     local = _Functional(grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
     two_star = spec.critical_exponent
     c1 = estimate_critical_constant(local, two_star).estimate ** (-two_star / 2.0)
     c2 = estimate_subcritical_constant(local, spec.p) ** (-(spec.p + 1.0) / 2.0)
-    assert radius == _ray_root(1.0, (c1, c2), (two_star, spec.p + 1.0))
+    assert (beta, radius) == _ray_peak(1.0, (c1, c2), (two_star, spec.p + 1.0))
 
 
 def test_estimate_critical_constant_deterministic(setup5):
