@@ -29,7 +29,11 @@ CACHE_ENV = "HYPFRAC_CACHE"
 # 6: the even-N near-part substitution splits its square root (even-N
 #    kernel values move by <= 5.6e-14 relative, N=4 W entries by
 #    <= 7.3e-15 relative, the nonlocal form by <= 4.6e-16 x max)
-_FORMAT_VERSION = 6
+# 7: log K_nu by numpy's Temme series / CF2 instead of scipy's kve (at
+#    N = 3, 4, 5 kernel values move by <= 1.4e-14, 3.5e-15, 2.9e-14
+#    relative, W entries by <= 7.4e-15, 7.5e-15, 8.1e-15 relative, the
+#    nonlocal form by <= 3.3e-17, 5.9e-17, 6.2e-16 x max)
+_FORMAT_VERSION = 7
 
 
 def default_cache_dir() -> Path:

@@ -10,10 +10,6 @@ class QuadratureError(RuntimeError):
     message names the value and the error estimate at the point of failure."""
 
 
-class BesselOverflowError(ArithmeticError):
-    """K_nu(x) overflows double precision; use the log form instead."""
-
-
 class TableRejectionError(RuntimeError):
     """A tabulated kernel violates its structural invariants.
 

@@ -122,8 +122,10 @@ class BesselTermSum:
         log_rho = np.log(rho_v)
         log_sh = _log_sinh(rho_v)
         log_ch = _log_cosh(rho_v)
-        shifts = sorted({t.order_shift for t in self.terms})
-        log_k = {m: bessel_k_log(self.nu0 + m, self.a * rho_v) for m in shifts}
+        lo = min(t.order_shift for t in self.terms)
+        count = max(t.order_shift for t in self.terms) - lo + 1
+        log_k = bessel_k_log(self.nu0 + lo, self.a * rho_v, count).reshape(
+            (count,) + rho_v.shape)
         out = np.zeros_like(rho_v)
         for t in self.terms:
             if t.coeff == 0.0:
@@ -133,7 +135,7 @@ class BesselTermSum:
                 + t.rho_pow * log_rho
                 - t.inv_sinh_pow * log_sh
                 + t.cosh_pow * log_ch
-                + log_k[t.order_shift]
+                + log_k[t.order_shift - lo]
             )
             out += math.copysign(1.0, t.coeff) * np.exp(mag)
         return out if np.ndim(rho) else float(out[0])

@@ -24,7 +24,7 @@ and the mountain-pass envelope of mountain_pass_geometry.  It is Newton's
 iteration in log z from the smallest one-term root, monotone since f(t)/t
 is increasing, and a non-finite coefficient or root is a ConvergenceError,
 never a zero ray.  Every linear solve is numpy's or the factored lambda
-metric's (funcspace.metric_solve), so a solve loads no scipy.
+metric's (funcspace.metric_solve); the package imports no scipy at all.
 The polish is plain damped Newton: it stops at its tolerance, or at the
 round-off floor, and keeps the best iterate either way.  The floor is
 reached when the line search can no longer lower the residual, or when
@@ -281,15 +281,19 @@ def _ray_peak(q: float, coeffs, exponents) -> tuple[float, float]:
         a * t / (a + 2.0) for (_, a), t in zip(live, terms))) / 2.0, z
 
 
-def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float]:
-    """(max_z fn(z v), maximizing z) along the ray through v, by _ray_peak
-    from v's quadratic form and power integrals.
+def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(max_z fn(z v), maximizing z, A v) along the ray through v, by
+    _ray_peak from v's quadratic form and power integrals; A v, the
+    product behind the quadratic form, is returned for the caller's
+    gradient.
 
     With one power term the maximizer is the Nehari scale of v and z v
     lies on the Nehari set; the result is deterministic either way.
     """
-    return _ray_peak(fn.quad_form(v), [fn.power_integral(v, e) for e in fn.exponents],
-                     fn.exponents)
+    qv = fn.quad @ v
+    level, z = _ray_peak(float(v @ qv), [fn.power_integral(v, e) for e in fn.exponents],
+                         fn.exponents)
+    return level, z, qv
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray,
@@ -361,12 +365,13 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     guard_origin = len(fn.exponents) > 1
 
     def project(v):
-        level, zeta = _ray_max(fn, v)
-        return zeta * v, level
+        """(zeta v, its level, A zeta v) at the peak zeta of v's ray."""
+        level, zeta, qv = _ray_max(fn, v)
+        return zeta * v, level, zeta * qv
 
     v = np.abs(v0)
     v[-1] = 0.0
-    v, level = project(v)
+    v, level, qv = project(v)
     history = [level]
     eta = 1.0
     steps = 0
@@ -375,11 +380,11 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
         if it % _REARRANGE_EVERY == 0:
             cand = schwarz_rearrange(RadialFunction(fn.grid, np.abs(v))).values
             cand[-1] = 0.0
-            cand, level = project(cand)
+            cand, level, cand_qv = project(cand)
             if level <= history[-1] + 1e-12 * abs(history[-1]):
-                v = cand
+                v, qv = cand, cand_qv
                 history.append(level)
-        g = fn.riesz_gradient(v, fn.quad @ v)
+        g = fn.riesz_gradient(v, qv)
         gnorm_sq = metric_pair(fn.metric, g, g)
         if math.sqrt(max(gnorm_sq, 0.0)) < tol * max(fn.metric_norm(v), 1e-30):
             stop = "gradient_tol"
@@ -388,12 +393,12 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
             cand = np.abs(v - eta * g)
             cand[-1] = 0.0
             try:
-                cand, level = project(cand)
+                cand, level, cand_qv = project(cand)
             except (DomainError, ConvergenceError):
                 level = math.inf
             if (level <= history[-1] - _ARMIJO * eta * gnorm_sq
                     and not (guard_origin and origin_mass_share(fn, cand) > 0.5)):
-                v = cand
+                v, qv = cand, cand_qv
                 history.append(level)
                 steps += 1
                 eta = min(eta * 1.5, 64.0)

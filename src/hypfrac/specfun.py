@@ -1,12 +1,15 @@
 """The logarithm of the modified Bessel function K_nu, and quadrature.
 
-log K_nu is delegated to scipy's AMOS-backed, exponentially scaled K_nu
-(series near zero, continued fractions / uniform asymptotics elsewhere),
-wrapped with domain checks, the K_{-nu} = K_nu symmetry, the ascending
-series where even the scaled value overflows and an explicit overflow
-signal beyond it; the far field never overflows.  scipy.special is
-imported by bessel_k_log, not by the module, so a solve on cached forms,
-which evaluates no kernel, never loads it.
+log K_nu is computed in numpy alone, by Temme's method (N. M. Temme,
+J. Comput. Phys. 19, 1975): with mu = nu - round(nu) in [-1/2, 1/2],
+Temme's series gives K_mu and K_{mu+1} for x < 2 and Steed's algorithm
+for the continued fraction CF2 gives e^x K_mu and K_{mu+1} / K_mu for
+x >= 2.  The ratio then recurs upward to every order nu, nu + 1, ...,
+and the product of the ratios passes into the log before it could
+overflow, so the log stays finite for every order and argument: the far
+field and the near field at high order alike.  Each loop runs on a band
+of sorted x for the number of terms the band's slowest edge needs, so a
+point's value never depends on which other points share the call.
 
 The quadrature here is a fixed 8-point Gauss-Legendre rule on given
 panels (the production rule of the kernel and the forms; its geometric
@@ -22,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import BesselOverflowError, DomainError, QuadratureError
+from .errors import DomainError, QuadratureError
 
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _GL_HI = np.polynomial.legendre.leggauss(15)
@@ -30,37 +33,156 @@ _GL_PANEL = np.polynomial.legendre.leggauss(8)
 
 MAX_BISECTIONS = 30
 
+# Taylor coefficients of 1/Gamma(1 + z) (A&S 6.1.34, shifted by one
+# order); on |z| <= 1/2 the series has converged to 1e-18 by the last.
+_RGAMMA_TAYLOR = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12,
+)
 
-def bessel_k_log(nu: float, x):
-    """log K_nu(x), overflow-safe at both ends.
+# Temme's series serves x < _SERIES_MAX, CF2 the bands [_BAND_EDGES[i],
+# _BAND_EDGES[i + 1]), the last one unbounded.  Each runs a fixed number of
+# terms: what its slowest point (x = 2 for the series, the band's lower
+# edge for CF2) needs at the slowest order (mu near -1/2 for the series,
+# mu = 0 for CF2) before its last term falls below eps / 16 of the sum.
+# eps / 16, because near x = 2 CF2's terms shrink by only a quarter per
+# step, so its tail is about three times its last term.  Past 1e17 CF2's
+# first term is exact to round-off, and a step would overflow at x near
+# 1e308.  The tests check that more terms change nothing.
+_SERIES_MAX = 2.0
+_SERIES_TERMS = 14
+_BAND_EDGES = (_SERIES_MAX, 3.0, 4.5, 7.0, 12.0, 25.0, 60.0, 200.0, 1e17)
+_BAND_STEPS = (89, 63, 45, 32, 22, 15, 10, 7, 0)
 
-    Uses the scaled form log(e^x K_nu(x)) - x, which stays finite for x up
-    to the underflow range of K itself; where even the scaled value
-    overflows (tiny x with large order) the ascending series takes over,
-    log K ~ lgamma(nu) - log 2 + nu log(2/x) with its leading correction.
-    For half-integer orders the result matches the closed form exactly;
-    for large x it approaches log(sqrt(pi/(2x))) - x.
+
+def _temme_series(mu: float, x, terms: int):
+    """(log K_mu(x), K_{mu+1}(x) / K_mu(x)) for 0 < x <= 2 and |mu| <= 1/2,
+    by Temme's series to the given number of terms, with 1/Gamma(1 -+ mu)
+    from their Taylor series, so mu = 0 takes no limit."""
+    odd = sum(c * mu ** (k - 1) for k, c in enumerate(_RGAMMA_TAYLOR) if k % 2)
+    even = sum(c * mu ** k for k, c in enumerate(_RGAMMA_TAYLOR) if k % 2 == 0)
+    gam1, gam2 = -odd, even  # (1/G(1-mu) - 1/G(1+mu)) / (2 mu), their mean
+    d = -np.log(0.5 * x)
+    e = np.exp(mu * d)
+    sinh_over_mu = np.sinh(mu * d) / mu if mu else d
+    ff = (gam1 * np.cosh(mu * d) + gam2 * sinh_over_mu) / np.sinc(mu)
+    p = 0.5 * e / (gam2 - mu * gam1)
+    q = 0.5 / (e * (gam2 + mu * gam1))
+    c = np.ones_like(x)
+    quarter_x2 = 0.25 * x * x
+    k_mu, k_up = ff, p
+    for n in range(1, terms + 1):
+        ff = (n * ff + p + q) / (n * n - mu * mu)
+        c = c * quarter_x2 / n
+        p = p / (n - mu)
+        q = q / (n + mu)
+        k_mu = k_mu + c * ff
+        k_up = k_up + c * (p - n * ff)
+    return np.log(k_mu), 2.0 * k_up / (x * k_mu)
+
+
+def _steed_cf2(mu: float, x, steps):
+    """(log K_mu(x), K_{mu+1}(x) / K_mu(x)) for x >= 2 and |mu| <= 1/2, by
+    Steed's algorithm for CF2, which gives e^x K_mu(x) directly.  steps
+    holds each point's step count, non-increasing along an increasing x:
+    the loop runs on a shrinking leading slice."""
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h, delh = d.copy(), d.copy()
+    q1, q2, t = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    a, c = -a1, a1
+    q = np.full_like(x, a1)
+    # s - 1, summed apart from the 1 so that its small terms keep their digits
+    s1 = q * delh
+    h_all, s1_all = h, s1
+    # reach[n - 1]: how many points take step n
+    reach = np.searchsorted(-steps, -np.arange(1, steps.max(initial=0) + 1), side="right")
+    # in place: this loop is most of the cost of a kernel table
+    for n, width in enumerate(reach, 1):
+        if width < b.size:
+            b, d, delh, h, q, q1, q2, t, s1 = (
+                v[:width] for v in (b, d, delh, h, q, q1, q2, t, s1))
+        a -= 2.0 * n
+        c = -a * c / (n + 1)
+        np.multiply(b, q2, out=t)
+        np.subtract(q1, t, out=t)
+        t /= a
+        q1, q2, t = q2, t, q1
+        np.multiply(q2, c, out=t)
+        q += t
+        b += 2.0
+        # b d_new - 1 = -a d d_new, written so that nothing cancels
+        delh *= d
+        delh *= -a
+        d *= a
+        d += b
+        np.reciprocal(d, out=d)
+        delh *= d
+        h += delh
+        np.multiply(q, delh, out=t)
+        s1 += t
+    log_k = 0.5 * np.log(0.5 * math.pi / x) - np.log1p(s1_all) - x
+    return log_k, (x + (mu + 0.5 - a1 * h_all)) / x
+
+
+def bessel_k_log(nu: float, x, count: int = 1):
+    """log K_nu(x), ..., log K_{nu + count - 1}(x), finite for every order
+    and every finite x > 0.
+
+    A negative nu is taken as |nu| (K_{-nu} = K_nu).  With count = 1 the
+    result has the shape of x (a float for a scalar x); otherwise the
+    orders are stacked along a new first axis.  For half-integer orders
+    the result matches the closed form; for large x it approaches
+    log(sqrt(pi/(2x))) - x.
     """
-    from scipy.special import kve  # loaded only where a kernel is evaluated
-
     xv = np.asarray(x, dtype=float)
     if xv.size == 0 or not np.all(np.isfinite(xv)) or np.any(xv <= 0.0):
         raise DomainError("argument of K_nu must be finite and > 0")
-    anu = abs(nu)
-    scaled = np.atleast_1d(kve(anu, xv))
-    out = np.empty_like(scaled)
-    ok = np.isfinite(scaled) & (scaled > 0.0)
-    out[ok] = np.log(scaled[ok]) - np.atleast_1d(xv)[ok]
-    if not ok.all():
-        bad_x = np.atleast_1d(xv)[~ok]
-        if anu <= 1.0 or np.any(bad_x * bad_x >= anu):
-            raise BesselOverflowError(
-                f"K_{nu} not representable and outside the series regime"
-            )
-        lead = math.lgamma(anu) - math.log(2.0) + anu * np.log(2.0 / bad_x)
-        out[~ok] = lead + np.log1p(bad_x * bad_x / (4.0 * (anu - 1.0)))
-    out = out.reshape(np.shape(xv))
-    return float(out) if np.ndim(xv) == 0 else out
+    anu = abs(float(nu))
+    first = round(anu)
+    mu = anu - first
+    flat = xv.ravel()
+    order = np.argsort(flat, kind="stable")
+    xs = flat[order]
+    # at |mu| = 1/2, where K_mu is elementary, CF2's first term is exact for
+    # every x, and the series would lose digits to cancellation near x = 2
+    elementary = mu * mu == 0.25
+    split = 0 if elementary else int(np.searchsorted(xs, _SERIES_MAX))
+    log_k, ratio = np.empty_like(xs), np.empty_like(xs)
+    if split:
+        log_k[:split], ratio[:split] = _temme_series(mu, xs[:split], _SERIES_TERMS)
+    if split < xs.size:
+        band = np.searchsorted(_BAND_EDGES, xs[split:], side="right") - 1
+        steps = np.zeros_like(band) if elementary else np.take(_BAND_STEPS, band)
+        log_k[split:], ratio[split:] = _steed_cf2(mu, xs[split:], steps)
+    base, r = np.empty_like(xs), np.empty_like(xs)
+    base[order], r[order] = log_k, ratio
+    # upward in the caller's order: K_{mu+m+1} / K_{mu+m} = 2 (mu + m) / x
+    # + K_{mu+m-1} / K_{mu+m}, a sum of positive terms, and log K_{mu+m} =
+    # base + log(prod), the ratios multiplied into prod and folded into
+    # base only where their product would leave the floats
+    prod = np.ones_like(flat)
+    out = np.empty((count, flat.size))
+    for m in range(first + count):
+        if m >= first:
+            out[m - first] = base + np.log(prod)
+        if m + 1 < first + count:
+            full = prod > 1e300 / r
+            if full.any():
+                base[full] += np.log(prod[full])
+                prod[full] = 1.0
+            prod = prod * r
+            r = 1.0 / r + 2.0 * (mu + m + 1) / flat
+    if count == 1:
+        out = out[0].reshape(xv.shape)
+        return float(out) if xv.ndim == 0 else out
+    return out.reshape((count,) + xv.shape)
 
 
 def _eval_vectorized(f, x):

@@ -418,14 +418,17 @@ def test_warm_solves_import_no_scipy(tmp_path, cache_dir):
     assert got["loaded"] == []
 
 
-def test_cold_solve_imports_only_scipy_special(tmp_path):
-    # a solve on an empty cache evaluates the kernel, which loads
-    # scipy.special (the Bessel functions), and still no scipy.linalg
-    problem = {"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"}
-    config = write_config(tmp_path / "cfg.json", problem, tmp_path / "out",
-                          tmp_path / "cold-cache",
-                          grid={"R_max": 20.0, "node_count": 64, "spacing": "graded"})
-    got = _run_import_budget([str(config)])
-    assert got["codes"] == [EXIT_OK]
-    assert "scipy.special" in got["loaded"]
-    assert not [m for m in got["loaded"] if m.startswith("scipy.linalg")]
+def test_cold_solve_imports_no_scipy(tmp_path):
+    # a solve on an empty cache evaluates the kernel, odd N by the Bessel
+    # ladder and even N by its integral, with numpy's Bessel K: it must
+    # load no scipy module at all either
+    configs = []
+    for k, dim in enumerate((3, 4)):
+        problem = {"N": dim, "s": 0.5, "lambda": 0.0, "p": 2.0, "mode": "subcritical"}
+        configs.append(str(write_config(
+            tmp_path / f"cfg{k}.json", problem, tmp_path / f"out{k}",
+            tmp_path / "cold-cache",
+            grid={"R_max": 20.0, "node_count": 64, "spacing": "graded"})))
+    got = _run_import_budget(configs)
+    assert got["codes"] == [EXIT_OK, EXIT_OK]
+    assert got["loaded"] == []

@@ -282,7 +282,7 @@ def test_critical_ray_cross_check(critical_report, setup5):
     grid, forms = setup5
     spec, _, report = critical_report
     fn = _functional_for(spec, forms)
-    level, zeta = _ray_max(fn, report.solution.values)
+    level, zeta, _ = _ray_max(fn, report.solution.values)
     assert zeta == pytest.approx(1.0, abs=1e-10)
     assert level == pytest.approx(report.mp_level_m, rel=1e-12)
     assert min(report.energy_history) >= report.mp_level_m * (1.0 - 1e-12)

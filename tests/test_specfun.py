@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from scipy.special import kv
+import mpmath
+from scipy.special import kv, kve
 
-from hypfrac.errors import BesselOverflowError, DomainError, QuadratureError
-from hypfrac.specfun import bessel_k_log, integrate_adaptive
+from hypfrac.errors import DomainError, QuadratureError
+from hypfrac.specfun import (_BAND_EDGES, _BAND_STEPS, _SERIES_MAX, _SERIES_TERMS,
+                             _steed_cf2, _temme_series, bessel_k_log, integrate_adaptive)
 
 # high-precision reference values (computed offline at 40 digits)
 K0_AT_1 = 0.42102443824070834
@@ -28,7 +30,7 @@ def test_order_symmetry():
     for nu in (0.3, 1.2, 4.7):
         for x in (0.01, 1.0, 35.0):
             assert bessel_k_log(-nu, x) == bessel_k_log(nu, x)
-    # in the ascending-series regime too
+    # where K itself overflows, too
     assert bessel_k_log(-80.0, 1e-8) == bessel_k_log(80.0, 1e-8)
 
 
@@ -42,14 +44,93 @@ def test_domain_errors():
             bessel_k_log(1.0, x)
 
 
-def test_overflow_raises_with_guidance():
-    # tiny argument with large order exceeds double range, where the log
-    # form takes the ascending series; past that series' regime it raises
-    assert not math.isfinite(kv(80.0, 1e-8))
-    assert bessel_k_log(80.0, 1e-8) > 700.0
-    assert not math.isfinite(kv(1000.0, 40.0))
-    with pytest.raises(BesselOverflowError, match="outside the series regime"):
-        bessel_k_log(1000.0, 40.0)
+def _mp_log_k(nu, x):
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.besselk(nu, x)))
+
+
+def _assert_near_mpmath(got, nu, x):
+    """|got - log K_nu(x)| at most scipy's own error (log kve - x; where
+    AMOS gives no value, past x of about 1e9, none), plus 2 ulp of
+    max(|log K|, 1): log K cannot be nearer than K's own rounding."""
+    ref = np.array([_mp_log_k(nu, t) for t in x])
+    with np.errstate(invalid="ignore"):
+        scipy_err = np.nan_to_num(np.abs(np.log(kve(nu, x)) - x - ref), nan=0.0)
+    slack = 2.0 * np.spacing(np.maximum(np.abs(ref), 1.0))
+    bad = np.abs(got - ref) > scipy_err + slack
+    assert not bad.any(), (nu, x[bad], (got - ref)[bad], scipy_err[bad])
+
+
+def test_high_order_logs_match_mpmath():
+    # K_nu itself overflows double range here, its log does not: the
+    # ratio recurrence carries log K to these orders without a fallback
+    for nu, x in ((80.0, 1e-8), (1000.0, 40.0)):
+        assert not math.isfinite(kv(nu, x))
+        assert bessel_k_log(nu, x) == pytest.approx(_mp_log_k(nu, x), rel=1e-14)
+
+
+# the oracle's arguments: a geometric sweep over everything the N = 3, 4, 5
+# kernels reach (a rho of up to 600 times a = (N - 1) / 2), and each band
+# edge with its two neighbouring doubles, the x = 2 switch among them
+_ORACLE_X = sorted(
+    set(np.geomspace(1e-6, 600.0 * (5 - 1) / 2, 16).tolist())
+    | {float(np.nextafter(e, t)) for e in _BAND_EDGES for t in (0.0, e, math.inf)})
+
+
+@pytest.mark.parametrize("nu0", [0.75, 1.0, 1.25])
+def test_ladder_orders_match_mpmath(nu0):
+    # the kernel's ladder orders nu0 + 0..3 from one call, against
+    # 50-digit mpmath
+    x = np.array(_ORACLE_X)
+    got = bessel_k_log(nu0, x, count=4)
+    assert got.shape == (4, x.size)
+    for m in range(4):
+        _assert_near_mpmath(got[m], nu0 + m, x)
+        assert np.array_equal(bessel_k_log(nu0 + m, x), got[m])
+        assert np.array_equal(bessel_k_log(-(nu0 + m), x), got[m])
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+def test_special_orders_match_mpmath(nu):
+    assert _SERIES_MAX in _ORACLE_X
+    x = np.array(_ORACLE_X)
+    _assert_near_mpmath(bessel_k_log(nu, x), nu, x)
+    assert np.array_equal(bessel_k_log(-nu, x), bessel_k_log(nu, x))
+
+
+@pytest.mark.parametrize("mu", [-0.49, -0.25, 0.0, 0.25, 0.49])
+def test_fixed_terms_have_settled(mu):
+    # each rule's fixed term count, at the slowest point of its band: more
+    # terms move log K and the ratio by at most the last bit
+    def assert_settled(got, more):
+        for a, b in zip(got, more):
+            assert np.all(np.abs(a - b) <= np.spacing(np.abs(b))), (mu, a - b)
+
+    x = np.array([np.nextafter(_SERIES_MAX, 0.0)])
+    assert_settled(_temme_series(mu, x, _SERIES_TERMS),
+                   _temme_series(mu, x, _SERIES_TERMS + 30))
+    # past the last edge a step would overflow at x near 1e308; one is enough
+    x, steps = np.array(_BAND_EDGES), np.array(_BAND_STEPS)
+    assert_settled(_steed_cf2(mu, x, steps),
+                   _steed_cf2(mu, x, steps + np.where(steps, 30, 1)))
+
+
+def test_count_stacks_orders():
+    x = np.array([[0.3, 2.0], [7.0, 90.0]])
+    got = bessel_k_log(1.25, x, count=3)
+    assert got.shape == (3, 2, 2)
+    for m in range(3):
+        assert np.array_equal(got[m], bessel_k_log(1.25 + m, x))
+    assert bessel_k_log(1.25, 3.0, count=2).shape == (2,)
+
+
+def test_value_independent_of_call_mates():
+    # each band runs a fixed number of terms, so a point's value does not
+    # depend on which other points share the call
+    x = np.array(_ORACLE_X)
+    together = bessel_k_log(1.25, x, count=2)
+    for k in range(0, x.size, 7):
+        assert np.array_equal(bessel_k_log(1.25, x[k], count=2), together[:, k])
 
 
 def test_recurrence_identity():
