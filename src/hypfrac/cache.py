@@ -33,7 +33,8 @@ CACHE_ENV = "HYPFRAC_CACHE"
 #    N = 3, 4, 5 kernel values move by <= 1.4e-14, 3.5e-15, 2.9e-14
 #    relative, W entries by <= 7.4e-15, 7.5e-15, 8.1e-15 relative, the
 #    nonlocal form by <= 3.3e-17, 5.9e-17, 6.2e-16 x max)
-_FORMAT_VERSION = 7
+# 8: per-row node sums in W (entries move by <= 6.7e-16 relative)
+_FORMAT_VERSION = 8
 
 
 def default_cache_dir() -> Path:

@@ -21,8 +21,8 @@ Functions are treated as extended by zero beyond the truncation radius;
 the last node is pinned in solves.  The lambda-shifted metric, held as two
 bands, is then positive definite for lambda below the discrete spectral
 bottom, which a coarse grid puts under (N-1)^2/4 (N = 3, 64 nodes: 0.954),
-so lambda_metric checks it by the L D L^T factorization (metric_factor)
-that the solvers factor once and solve with (metric_solve).
+so lambda_metric checks it by the L D L^T factorization (metric_factor),
+once per lambda, and the solvers solve with that factor (metric_solve).
 
 This module holds the forms and the norms built from them.  The energy
 functionals and the best constants of their quotients live in solver
@@ -33,7 +33,7 @@ estimate_critical_constant), and profiles are written to CSV by cli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,22 +169,33 @@ class QuadraticForms:
     stiffness: np.ndarray
     nonlocal_mat: np.ndarray
 
+    _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     def lambda_metric(self, lam: float) -> np.ndarray:
         """stiffness - lam diag(grid.weights) as a (2, n) array of rows
         (superdiagonal, diagonal), the superdiagonal entry of column j in
         row 0 at j (row 0 at 0 is unused); FloatingPointError if that
         overflows or is not positive definite on the free nodes
-        (metric_factor)."""
-        c = np.concatenate(([0.0], self.stiffness, [0.0]))
-        bands = np.stack((-c[:-1], c[1:] + c[:-1] - lam * self.grid.weights))
-        if not np.isfinite(bands).all():
-            raise FloatingPointError(f"lambda metric is not finite at lambda = {lam:g}")
-        try:
-            metric_factor(bands)
-        except FloatingPointError:
-            raise FloatingPointError(
-                f"lambda metric is not positive definite at lambda = {lam:g}") from None
-        return bands
+        (metric_factor).  Built, checked and kept once per lam."""
+        return self._checked_metric(lam)[0]
+
+    def lambda_factor(self, lam: float) -> tuple[list, list]:
+        """metric_factor of lambda_metric(lam), made by its check."""
+        return self._checked_metric(lam)[1]
+
+    def _checked_metric(self, lam: float) -> tuple[np.ndarray, tuple[list, list]]:
+        if lam not in self._metrics:
+            c = np.concatenate(([0.0], self.stiffness, [0.0]))
+            bands = np.stack((-c[:-1], c[1:] + c[:-1] - lam * self.grid.weights))
+            if not np.isfinite(bands).all():
+                raise FloatingPointError(f"lambda metric is not finite at lambda = {lam:g}")
+            try:
+                self._metrics[lam] = bands, metric_factor(bands)
+            except FloatingPointError:
+                raise FloatingPointError(
+                    f"lambda metric is not positive definite at lambda = {lam:g}") from None
+            bands.flags.writeable = False  # every caller at this lam shares it
+        return self._metrics[lam]
 
 
 def metric_pair(bands: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -40,8 +40,9 @@ critical solve each build J and its threshold once).
 
 Vectors live on a RadialGrid with the last node pinned to zero (truncation
 of decaying profiles).  The lambda metric is held as its two bands, which
-QuadraticForms.lambda_metric checks to be positive definite, and each
-_Functional factors it once (funcspace.metric_factor).
+QuadraticForms.lambda_metric checks to be positive definite by factoring
+it once per lambda (funcspace.metric_factor); each _Functional solves with
+that factor.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ThresholdNotMetError
-from .funcspace import (QuadraticForms, RadialFunction, metric_factor,
-                        metric_pair, metric_solve, norm_lambda_sq,
-                        schwarz_rearrange, seminorm_s_sq)
+from .funcspace import (QuadraticForms, RadialFunction, metric_pair, metric_solve,
+                        norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
@@ -154,15 +154,15 @@ class _Functional:
     value(v) = 1/2 v^T A v - sum_t (1/e_t) integral |v|^{e_t};
     the gradient and Hessian are exact on the nodal quadrature.  A, the
     one dense matrix, is the banded lambda metric plus nonlocal_mat (an
-    n x n array, or 0.0 for a local functional), built in place; the
-    metric is factored once for every Riesz solve.
+    n x n array, or 0.0 for a local functional), built in place; every
+    Riesz solve uses the factor the forms made when they checked the metric.
     """
 
-    def __init__(self, grid, metric: np.ndarray, nonlocal_mat, exponents):
-        self.grid = grid
+    def __init__(self, forms: QuadraticForms, lam: float, nonlocal_mat, exponents):
+        grid = self.grid = forms.grid
         self.weights = grid.weights
-        self.metric = metric
-        self.factor = metric_factor(metric)
+        self.metric = metric = forms.lambda_metric(lam)
+        self.factor = forms.lambda_factor(lam)
         i = np.arange(grid.n)
         self.quad = np.empty((grid.n, grid.n))
         self.quad[...] = nonlocal_mat
@@ -229,11 +229,10 @@ def _functional_for(spec: ProblemSpec, forms: QuadraticForms) -> _Functional:
     if (spec.N, spec.s) != (forms.grid.dim, forms.s):
         raise DomainError(f"forms built for (N, s) = ({forms.grid.dim}, {forms.s}) "
                           f"cannot serve a problem at (N, s) = ({spec.N}, {spec.s})")
-    metric = forms.lambda_metric(spec.lam)
     exponents = [spec.p + 1.0]
     if spec.mode == "critical_perturbed":
         exponents.insert(0, spec.critical_exponent)
-    return _Functional(forms.grid, metric, forms.nonlocal_mat, exponents)
+    return _Functional(forms, spec.lam, forms.nonlocal_mat, exponents)
 
 
 def _ray_peak(q: float, coeffs, exponents) -> tuple[float, float]:
@@ -572,7 +571,7 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     and C2.  FloatingPointError if a constant over- or underflows (an
     underflowed C1 is not an absent term) or the peak is not finite.
     """
-    local = _Functional(forms.grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
+    local = _Functional(forms, spec.lam, 0.0, [spec.p + 1.0])
     s_crit = estimate_critical_constant(local, spec.critical_exponent)
     s_sub = estimate_subcritical_constant(local, spec.p)
     two_star = spec.critical_exponent

@@ -10,6 +10,7 @@ from hypfrac._goldens import ODD_KERNEL_FD_ORACLE
 from hypfrac.cli import main as cli_main
 from hypfrac.errors import DomainError, ReducedKernelError, TableRejectionError
 from hypfrac.funcspace import make_grid
+from hypfrac import kernel as kernel_module
 from hypfrac.kernel import (BesselTerm, KernelTable, ReducedKernel,
                             apply_operator, bessel_base, build_kernel_table,
                             build_reduced_kernel, kernel, normalizing_constant,
@@ -427,6 +428,89 @@ def test_reduced_kernel_pair_node_count(tmp_path, monkeypatch):
     pairs = (grid.nodes.size - 1) * (grid.nodes.size - 2) // 2
     assert pairs == 79401
     assert 0 < count[0] <= 90 * pairs
+
+
+@pytest.fixture(scope="module")
+def pairs4():
+    """(r1, r2, evaluate): every pair of the N = 4, 400-node W, in
+    build_reduced_kernel's order, and its table interpolant."""
+    r = make_grid(4, r_max=20.0, n=400).cell_midpoints
+    i, j = np.triu_indices(r.size, 1)
+    table = build_kernel_table(4, 0.5, min(0.45 * np.diff(r).min(), 2e-3), 2.1 * r[-1], 800)
+    return r[i], r[j], table.interpolator()
+
+
+def test_angular_weight_independent_of_call_mates(pairs4, monkeypatch):
+    # a pair's weight is a per-row sum of its own nodes: permuting the
+    # pairs permutes the weights bit for bit, and neither the chunk size
+    # nor the block size moves W (a matrix-vector product for the node sum
+    # moved 47 of these 79401 weights under the permutation)
+    r1, r2, ev = pairs4
+    perm = np.random.default_rng(20).permutation(r1.size)
+    got = _angular_weights(4, 0.5, r1, r2, ev)
+    assert np.array_equal(_angular_weights(4, 0.5, r1[perm], r2[perm], ev), got[perm])
+    r = make_grid(4, r_max=20.0, n=128).cell_midpoints
+    ref = build_reduced_kernel(4, 0.5, r).W
+    for chunk in (1 << 12, 1 << 14, 1 << 16):
+        for rows in (16, 128):
+            monkeypatch.setattr(kernel_module, "_CHUNK_NODES", chunk)
+            monkeypatch.setattr(kernel_module, "_BLOCK_ROWS", rows)
+            assert np.array_equal(build_reduced_kernel(4, 0.5, r).W, ref), (chunk, rows)
+
+
+def test_angular_calls_stay_within_chunk_bound(pairs4, monkeypatch):
+    # each half integral of W holds at most _CHUNK_NODES (pair x node)
+    # entries; the upper half reuses the lower half's rows with its own
+    # 40 nodes, never more than the lower half's
+    r1, r2, ev = pairs4
+    sizes = []
+
+    def recorded(N, a, b, frac_nodes, *args):
+        sizes.append((a.size, frac_nodes.size))
+        return _half_integral(N, a, b, frac_nodes, *args)
+
+    monkeypatch.setattr(kernel_module, "_half_integral", recorded)
+    _angular_weights(4, 0.5, r1, r2, ev)
+    lower, upper = sizes[::2], sizes[1::2]
+    assert sum(rows for rows, _ in lower) == r1.size
+    assert {nodes for _, nodes in upper} == {40}
+    assert max(rows * nodes for rows, nodes in sizes) <= kernel_module._CHUNK_NODES
+    assert all(a[0] == b[0] and a[1] >= b[1] for a, b in zip(lower, upper))
+
+
+def _gather_horner(table, rho):
+    """The interpolant as one gather per coefficient and a Horner
+    expression of fresh temporaries: the reference for interpolator()."""
+    x, y = np.log(table.rho_grid), np.log(table.values)
+    d = _pchip_slopes(x, y)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c3, c2, c1, c0, xk = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]
+    lx = np.log(rho)
+    k = np.clip((lx - x[0]) / ((x[-1] - x[0]) / (x.size - 1)), 0, x.size - 2).astype(np.intp)
+    u = lx - xk[k]
+    return np.exp(((c3[k] * u + c2[k]) * u + c1[k]) * u + c0[k])
+
+
+def test_interpolant_in_place_matches_gather_horner():
+    # at the knots, the interval midpoints and beyond both ends, within
+    # 2 ulp of the reference; the input is left as it was, and 0-d and
+    # 2-d inputs keep their shapes
+    table = build_kernel_table(4, 0.5, 1e-3, 40.0, 200)
+    x = np.log(table.rho_grid)
+    lx = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), x[0] - [2.0, 1.0, 0.1, 1e-9],
+                         x[-1] + [1e-9, 0.1, 1.0]])
+    rho = np.exp(lx).reshape(-1, 2)
+    before = rho.copy()
+    evaluate = table.interpolator()
+    got = evaluate(rho)
+    assert np.array_equal(rho, before)
+    assert got.shape == rho.shape
+    want = _gather_horner(table, rho)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+    scalar = evaluate(np.float64(rho[3, 1]))
+    assert np.shape(scalar) == () and abs(scalar - want[3, 1]) <= 2.0 * np.spacing(want[3, 1])
 
 
 def test_reduced_kernel_near_diagonal_exponent():

@@ -173,7 +173,7 @@ def test_functional_quad_is_metric_plus_nonlocal(request, setup):
     metric = forms.lambda_metric(0.5)
     dense = np.diag(metric[1]) + np.diag(metric[0, 1:], 1) + np.diag(metric[0, 1:], -1)
     for nonlocal_mat in (forms.nonlocal_mat, 0.0):
-        fn = _Functional(grid, metric, nonlocal_mat, [4.0])
+        fn = _Functional(forms, 0.5, nonlocal_mat, [4.0])
         assert np.array_equal(fn.quad, dense + nonlocal_mat)
 
 
@@ -439,6 +439,27 @@ def test_critical_path_builds_each_functional_once(setup5, monkeypatch):
     assert counts == {"estimate_critical_constant": 1, "lambda_metric": 1}
 
 
+def test_solves_factor_the_lambda_metric_once(setup3, setup5, monkeypatch):
+    # one L D L^T factor per lambda serves the metric's check, every
+    # functional of the solve and the lambda norms of its checks
+    from hypfrac import funcspace
+
+    counts = {}
+    _counting(monkeypatch, funcspace, "metric_factor", counts)
+    critical = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    for (grid, forms), spec in ((setup3, SPEC3), (setup5, critical)):
+        fresh = QuadraticForms(grid, forms.s, forms.stiffness, forms.nonlocal_mat)
+        counts.clear()
+        if spec.mode == "subcritical":
+            init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
+            report = solve_subcritical(spec, init, fresh, tol=1e-6)
+        else:
+            report = solve_critical(spec, search_threshold_seed(spec, fresh).seed, fresh,
+                                    tol=1e-6)
+        weak_max_check(report.solution, spec, fresh)
+        assert counts == {"metric_factor": 1}, spec.mode
+
+
 def test_mountain_pass_geometry_positive(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
@@ -452,7 +473,7 @@ def test_mountain_pass_radius_is_the_shared_ray_root(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     beta, radius = mountain_pass_geometry(spec, forms)
-    local = _Functional(grid, forms.lambda_metric(spec.lam), 0.0, [spec.p + 1.0])
+    local = _Functional(forms, spec.lam, 0.0, [spec.p + 1.0])
     two_star = spec.critical_exponent
     c1 = estimate_critical_constant(local, two_star).estimate ** (-two_star / 2.0)
     c2 = estimate_subcritical_constant(local, spec.p) ** (-(spec.p + 1.0) / 2.0)
