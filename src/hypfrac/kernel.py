@@ -526,19 +526,18 @@ class ReducedKernel:
         # separation is small relative to the radius (angular slab regime)
         # and where the law's own error, about c(s) (N - 1) delta with
         # c(s) <= 0.4, stays well inside the 10% band
-        exponent = 1.0 + 2.0 * self.order
-        for i in range(1, n - 1):
-            delta = self.r_grid[i + 1] - self.r_grid[i]
-            mid = 0.5 * (self.r_grid[i + 1] + self.r_grid[i])
-            if mid < 10.0 * delta or (self.dim - 1) * delta > 0.1:
-                continue
-            model = float(self.amplitude(mid) * delta ** -exponent)
-            actual = self.W[i, i + 1]
-            if abs(actual - model) > 0.10 * model:
-                raise ReducedKernelError(
-                    f"near-diagonal weight off by {abs(actual / model - 1.0):.2%} "
-                    f"at r = {mid:.4g} (pair {self.r_grid[i]:.6g}, "
-                    f"{self.r_grid[i + 1]:.6g})")
+        lo, hi = self.r_grid[1:-1], self.r_grid[2:]
+        delta, mid = hi - lo, 0.5 * (hi + lo)
+        inside = (mid >= 10.0 * delta) & ((self.dim - 1) * delta <= 0.1)
+        lo, hi, delta, mid = lo[inside], hi[inside], delta[inside], mid[inside]
+        model = self.amplitude(mid) * delta ** -(1.0 + 2.0 * self.order)
+        actual = np.diagonal(self.W, 1)[1:][inside]
+        off_law = np.flatnonzero(np.abs(actual - model) > 0.10 * model)
+        if off_law.size:
+            k = off_law[0]
+            raise ReducedKernelError(
+                f"near-diagonal weight off by {abs(actual[k] / model[k] - 1.0):.2%} "
+                f"at r = {mid[k]:.4g} (pair {lo[k]:.6g}, {hi[k]:.6g})")
 
 
 # Levels of the per-pair angular rule (see _angular_weights).  W is
@@ -582,7 +581,7 @@ def _half_integral(N, r1, r2, frac_nodes, frac_w, from_lower, kernel_eval):
     return 2.0 * span[:, 0] / b_fac * body.sum(axis=1)
 
 
-def _angular_weights(N, s, r1, r2, kernel_eval):
+def _angular_weights(N, r1, r2, kernel_eval):
     """Vectorized A(r1, r2) = integral over the sphere angle of the kernel.
 
     r1, r2 are equal-length arrays of node pairs with r1 < r2.  Uses the
@@ -648,7 +647,7 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
         # the pairs (i, j > i) of rows start, ..., start + _BLOCK_ROWS - 1
         i, j = np.nonzero(np.triu(np.ones((_BLOCK_ROWS, n), dtype=bool), start + 1))
         i += start
-        pair = surface * vol[i] * vol[j] * _angular_weights(N, s, r[i], r[j], kernel_eval)
+        pair = surface * vol[i] * vol[j] * _angular_weights(N, r[i], r[j], kernel_eval)
         if not np.all(np.isfinite(pair)):
             k = int(np.argmin(np.isfinite(pair)))
             raise ReducedKernelError(

@@ -112,7 +112,13 @@ class ProblemSpec:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: solution, levels, residuals, diagnostics."""
+    """Outcome of one solve: solution, levels, residuals, diagnostics.
+
+    converged is the solve's one verdict, the one the CLI prints, writes
+    and exits by: the solver's tolerances, shape and resolution checks,
+    weak_max_check in both modes, and in subcritical mode the Nehari
+    identity E = (1/2 - 1/(p+1)) |u|_{p+1}^{p+1} to 1e-8 relative.
+    """
 
     solution: RadialFunction
     energy: float
@@ -450,8 +456,11 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
 
     Never returns a silently bad answer: the report's converged flag is
     set only when the dual residual and the Nehari defect pass the
-    tolerance, the profile is nonnegative and nonincreasing, and it does
-    not concentrate below the mesh scale (origin_mass_share).
+    tolerance, the profile is nonnegative and nonincreasing, it does not
+    concentrate below the mesh scale (origin_mass_share), the energy meets
+    the Nehari identity E = (1/2 - 1/(p+1)) |u|_{p+1}^{p+1} to 1e-8
+    relative (which makes c* > 0), and, checked last, weak_max_check
+    passes.
     """
     if spec.mode != "subcritical":
         raise DomainError("solve_subcritical needs spec.mode == 'subcritical'")
@@ -473,12 +482,16 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
     _log.debug("constraint derivative along the ray at convergence: %.6e",
                constraint_slope)
     peak = float(np.abs(v).max())
+    identity = abs(energy - (0.5 - 1.0 / (spec.p + 1.0))
+                   * fn.power_integral(v, spec.p + 1.0))
     converged = (
         residual < tol * unorm
         and abs(nehari_value) < tol * unorm ** 2
         and bool(np.all(v >= -1e-8 * peak))
         and bool(np.all(np.diff(v) <= 1e-8 * peak))
         and origin_mass_share(fn, v) <= 0.5
+        and identity < 1e-8 * abs(energy)
+        and weak_max_check(u, spec, forms).passes
     )
     return SolveReport(
         solution=u, energy=energy, nehari_value=nehari_value, residual=residual,
@@ -486,17 +499,6 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         iterations=stops["descent_steps"] + stops["newton_steps"],
         converged=converged, energy_history=history, **stops,
     )
-
-
-@dataclass(frozen=True)
-class ConstantEstimate:
-    """Extrapolated best-constant estimate with its concentration data."""
-
-    estimate: float
-    family_min: float
-    exponent: float
-    scales: tuple
-    quotients: tuple
 
 
 def _bubble(grid, eps: float) -> np.ndarray:
@@ -507,7 +509,7 @@ def _bubble(grid, eps: float) -> np.ndarray:
     return prof
 
 
-def estimate_critical_constant(fn: _Functional, two_star: float) -> ConstantEstimate:
+def estimate_critical_constant(fn: _Functional, two_star: float) -> float:
     """Best constant of the critical quotient of fn's quadratic part by
     concentration extrapolation over a family of shrinking bubbles.
 
@@ -515,8 +517,8 @@ def estimate_critical_constant(fn: _Functional, two_star: float) -> ConstantEsti
     effective order q that carries slowly varying (logarithmic)
     corrections, so q is measured from the last three quotients and one
     Richardson step extrapolates to the concentration limit.  No
-    attainment claim is made, only the fitted limit and the family minimum
-    are reported.
+    attainment claim is made: the fitted limit is returned, or the family
+    minimum where the fit fails or is not positive.
     """
     quotients = []
     for eps in _CONCENTRATION_SCALES:
@@ -526,17 +528,10 @@ def estimate_critical_constant(fn: _Functional, two_star: float) -> ConstantEsti
     d1 = quotients[-3] - quotients[-2]
     d2 = quotients[-2] - quotients[-1]
     family_min = float(min(quotients))
+    estimate = family_min
     if d1 > 0.0 and d2 > 0.0 and d1 > d2:
-        order = math.log2(d1 / d2)
-        estimate = quotients[-1] - d2 / (2.0 ** order - 1.0)
-    else:
-        order = math.nan
-        estimate = family_min
-    if estimate <= 0.0:
-        estimate = family_min
-    return ConstantEstimate(float(estimate), family_min, float(order),
-                            _CONCENTRATION_SCALES,
-                            tuple(float(q) for q in quotients))
+        estimate = quotients[-1] - d2 / (2.0 ** math.log2(d1 / d2) - 1.0)
+    return float(estimate) if estimate > 0.0 else family_min
 
 
 def origin_mass_share(fn: _Functional, v: np.ndarray) -> float:
@@ -577,7 +572,7 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     two_star = spec.critical_exponent
     beta = math.nan
     try:  # the constants leave the floats at a very negative lambda
-        coeffs = (s_crit.estimate ** (-two_star / 2.0), s_sub ** (-(spec.p + 1.0) / 2.0))
+        coeffs = (s_crit ** (-two_star / 2.0), s_sub ** (-(spec.p + 1.0) / 2.0))
         if min(coeffs) >= np.finfo(float).tiny:
             beta, rho_star = _ray_peak(1.0, coeffs, (two_star, spec.p + 1.0))
     except (ArithmeticError, ConvergenceError, DomainError):
@@ -599,8 +594,7 @@ def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
     """The compactness threshold S^(N/2)/N, S estimated on J = fn."""
     if spec.mode != "critical_perturbed":
         raise DomainError("threshold check requires a critical_perturbed spec")
-    const = estimate_critical_constant(fn, spec.critical_exponent)
-    return const.estimate ** (spec.N / 2.0) / spec.N
+    return estimate_critical_constant(fn, spec.critical_exponent) ** (spec.N / 2.0) / spec.N
 
 
 def check_threshold(fn: _Functional, threshold: float,
@@ -667,8 +661,11 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     bounds m from above and none rises by more than the 1e-12 relative
     the descent allows a rearrangement.
 
-    Fails loudly (ThresholdNotMetError) when the seed violates the energy
-    threshold.
+    The report's converged flag needs a residual below tol (absolute and
+    relative to |u|_lambda), beta <= m < threshold, a nontrivial solution
+    that does not concentrate below the mesh scale, and, checked last,
+    weak_max_check.  Fails loudly (ThresholdNotMetError) when the seed
+    violates the energy threshold.
     """
     fn = _functional_for(spec, forms)
     check = check_threshold(fn, _threshold(fn, spec), u0.values)
@@ -704,6 +701,7 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
         and beta <= m < check.threshold
         and nontrivial
         and resolved
+        and weak_max_check(u_inf, spec, forms).passes
     )
     return SolveReport(
         solution=u_inf, energy=m, nehari_value=fn.derivative_along(v_inf),

@@ -333,7 +333,7 @@ def test_graded_angular_rule_matches_deep_rule(N, s):
     # the per-pair rule against the deep rule, both on the exact kernel
     r1, r2 = _graded_rule_pairs()
     exact = lambda d: kernel(N, s, d)  # noqa: E731
-    got = _angular_weights(N, s, r1, r2, exact)
+    got = _angular_weights(N, r1, r2, exact)
     deep = _deep_rule(N, r1, r2, exact)
     assert r1.size >= 20 and r1.min() < 1e-3 and r2.max() > 19.5
     assert np.all(got > 0.0)
@@ -351,7 +351,7 @@ def test_graded_angular_rule_on_table_interpolant(N, r_max):
     i, j = (k.ravel() for k in np.meshgrid(np.arange(290, 341), np.arange(380, 399)))
     r1, r2 = r[i], r[j]
     ev = table.interpolator()
-    got = _angular_weights(N, 0.5, r1, r2, ev)
+    got = _angular_weights(N, r1, r2, ev)
     deep = _deep_rule(N, r1, r2, ev)
     assert np.abs(got / deep - 1.0).max() <= 1e-10
 
@@ -447,8 +447,8 @@ def test_angular_weight_independent_of_call_mates(pairs4, monkeypatch):
     # moved 47 of these 79401 weights under the permutation)
     r1, r2, ev = pairs4
     perm = np.random.default_rng(20).permutation(r1.size)
-    got = _angular_weights(4, 0.5, r1, r2, ev)
-    assert np.array_equal(_angular_weights(4, 0.5, r1[perm], r2[perm], ev), got[perm])
+    got = _angular_weights(4, r1, r2, ev)
+    assert np.array_equal(_angular_weights(4, r1[perm], r2[perm], ev), got[perm])
     r = make_grid(4, r_max=20.0, n=128).cell_midpoints
     ref = build_reduced_kernel(4, 0.5, r).W
     for chunk in (1 << 12, 1 << 14, 1 << 16):
@@ -470,7 +470,7 @@ def test_angular_calls_stay_within_chunk_bound(pairs4, monkeypatch):
         return _half_integral(N, a, b, frac_nodes, *args)
 
     monkeypatch.setattr(kernel_module, "_half_integral", recorded)
-    _angular_weights(4, 0.5, r1, r2, ev)
+    _angular_weights(4, r1, r2, ev)
     lower, upper = sizes[::2], sizes[1::2]
     assert sum(rows for rows, _ in lower) == r1.size
     assert {nodes for _, nodes in upper} == {40}
