@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 failing verification suite; 2 validation or
 usage error; 3 numerical failure; 4 energy-threshold failure in critical
-mode.  Reports are deterministic for a fixed config (timestamps go to a
-separate metadata file), so repeated runs are byte-identical and
-diff-able.
+mode.  Reports are deterministic for a fixed config at a fixed BLAS
+thread count (timestamps go to a separate metadata file), so repeated
+runs are byte-identical and diff-able; the Newton polish's dense solve
+rounds differently at another thread count, which moves the last digits.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _solve_outputs(cfg: RunConfig, report: solver.SolveReport, extras: dict):
+def _solve_outputs(cfg: RunConfig, report: solver.SolveReport):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     profile_name = "profile.csv"
     sol = report.solution
@@ -176,7 +177,6 @@ def _solve_outputs(cfg: RunConfig, report: solver.SolveReport, extras: dict):
                 "newton_steps": report.newton_steps,
                 "descent_stop": report.descent_stop,
                 "descent_resumed": report.descent_resumed}
-    metadata.update(extras)
     _write_json(cfg.out_dir / "metadata.json", metadata)
 
 
@@ -205,16 +205,10 @@ def cmd_solve(args) -> int:
             init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
             report = solver.solve_subcritical(spec, init, forms, tol=cfg.tol,
                                               max_iter=cfg.max_iter)
-            extras = {}
         else:
-            search = solver.search_threshold_seed(spec, forms)
-            if search.seed is None:
-                print(f"threshold failure: sup_value={search.best_check.sup_value:.8g} "
-                      f"threshold={search.best_check.threshold:.8g}")
-                return EXIT_THRESHOLD
-            report = solver.solve_critical(spec, search.seed, forms, tol=cfg.tol,
+            seed = solver.search_threshold_seed(spec, forms)
+            report = solver.solve_critical(spec, seed, forms, tol=cfg.tol,
                                            max_iter=cfg.max_iter)
-            extras = {"seed_candidates_tried": search.tried}
     except ThresholdNotMetError as exc:
         print(f"threshold failure: sup_value={exc.sup_value:.8g} "
               f"threshold={exc.threshold:.8g}")
@@ -231,7 +225,7 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_NUMERICAL
 
-    _solve_outputs(cfg, report, extras)
+    _solve_outputs(cfg, report)
     status = "converged" if report.converged else "NOT converged"
     print(f"{status}: energy {report.energy:.8f}, residual {report.residual:.3e}, "
           f"outputs in {cfg.out_dir}")

@@ -16,7 +16,8 @@ holds for the discrete J too.  The critical solve first checks its seed
 against the compactness threshold S^(N/2)/N, with S estimated by
 concentration extrapolation of the critical quotient, and its descent
 rejects steps that concentrate the critical integral below the mesh
-scale.  The same descent and polish serve estimate_subcritical_constant.
+scale.  The same descent and polish serve estimate_subcritical_constant,
+and one rule (_verdict) decides whether a solve of either mode converged.
 
 One ray law (_ray_peak) gives every ray root and ray level: the ray
 maxima of the descent, the seed search and check_threshold (_ray_max),
@@ -47,7 +48,6 @@ that factor.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -71,12 +71,14 @@ _NEWTON_FLOOR = math.sqrt(np.finfo(float).eps)
 _ORIGIN_NODES = 6
 # relative size below which weak_max_check treats the negative part as zero
 _WEAK_MAX_TOL = 1e-10
+# relative size (to the peak) below which a negative value or a rise of a
+# profile is round-off: the polish guard, the verdict and weak_max_check
+_SIGN_TOL = 1e-8
 # bubble scales of the concentration extrapolation of the critical constant
 _CONCENTRATION_SCALES = (0.16, 0.08, 0.04, 0.02, 0.01)
 # the family search_threshold_seed visits, in this order
 _SEED_BUBBLE_SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16)
 _SEED_GAUSSIAN_WIDTHS = (0.25, 0.5, 1.0, 2.0)
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,10 @@ class SolveReport:
     """Outcome of one solve: solution, levels, residuals, diagnostics.
 
     converged is the solve's one verdict, the one the CLI prints, writes
-    and exits by: the solver's tolerances, shape and resolution checks,
-    weak_max_check in both modes, and in subcritical mode the Nehari
-    identity E = (1/2 - 1/(p+1)) |u|_{p+1}^{p+1} to 1e-8 relative.
+    and exits by, decided by _verdict in both modes: the tolerances, the
+    Nehari identity E = sum_t (1/2 - 1/e_t) |u|_{e_t}^{e_t} over the
+    power terms to 1e-8 relative, the shape and resolution checks and
+    weak_max_check; in critical mode 0 < beta <= m < threshold comes first.
     """
 
     solution: RadialFunction
@@ -421,7 +424,7 @@ def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
     then _newton_polish to polish_rtol max(|v|_lambda, 1).  The polished w
     is kept if its residual is within Newton's round-off zone (relative
     max(polish_rtol, _NEWTON_FLOOR): a longer descent gets no lower), J(w)
-    <= the hand-off ray level (1 + 1e-12) and w >= -1e-8 max|w|.
+    <= the hand-off ray level (1 + 1e-12) and w >= -_SIGN_TOL max|w|.
     Otherwise the descent resumes from the hand-off iterate to tol on what
     is left of max_iter, and the polish runs again.  Returns (point,
     history, stops): the ray maxima of the descent, then J(point); the
@@ -437,7 +440,7 @@ def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
     zone = max(polish_rtol, _NEWTON_FLOOR) * max(fn.metric_norm(w), 1.0)
     resumed = stop == "gradient_tol" and tol < _HANDOFF_RTOL and not (
         fn.residual_norm(w) < zone and fn.value(w) <= history[-1] * (1.0 + 1e-12)
-        and np.all(w >= -1e-8 * np.abs(w).max()))
+        and np.all(w >= -_SIGN_TOL * np.abs(w).max()))
     if resumed:
         v, more, rest, stop = _nehari_descent(fn, v, tol, max_iter - descent_steps)
         descent_steps += more
@@ -449,18 +452,37 @@ def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
                         "descent_stop": stop, "descent_resumed": resumed}
 
 
+def _verdict(fn: _Functional, spec: ProblemSpec, forms: QuadraticForms,
+             report: SolveReport, v0: np.ndarray, tol: float) -> bool:
+    """converged of a solve in either mode, from its report and seed v0:
+    residual < tol, absolute and relative to |u|_lambda; Nehari defect
+    |<E'(u), u>| < tol |u|_lambda^2; |u|_lambda > 0.01 |v0|_lambda; u
+    nonincreasing to _SIGN_TOL of its peak and resolved (origin_mass_share);
+    the Nehari identity E = sum_t (1/2 - 1/e_t) |u|_{e_t}^{e_t} to 1e-8
+    relative (so E > 0); and, checked last, weak_max_check (u >= 0)."""
+    v = report.solution.values
+    unorm = fn.metric_norm(v)
+    identity = report.energy - sum((0.5 - 1.0 / e) * fn.power_integral(v, e)
+                                   for e in fn.exponents)
+    return bool(
+        report.residual < tol * max(unorm, 1e-30)
+        and report.residual < tol
+        and abs(report.nehari_value) < tol * unorm ** 2
+        and unorm > 0.01 * fn.metric_norm(v0)
+        and np.all(np.diff(v) <= _SIGN_TOL * np.abs(v).max())
+        and origin_mass_share(fn, v) <= 0.5
+        and abs(identity) < 1e-8 * abs(report.energy)
+        and weak_max_check(report.solution, spec, forms).passes
+    )
+
+
 def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
                       forms: QuadraticForms, tol: float = 1e-6,
                       max_iter: int = 400) -> SolveReport:
     """Ground state of the subcritical problem on the Nehari set.
 
     Never returns a silently bad answer: the report's converged flag is
-    set only when the dual residual and the Nehari defect pass the
-    tolerance, the profile is nonnegative and nonincreasing, it does not
-    concentrate below the mesh scale (origin_mass_share), the energy meets
-    the Nehari identity E = (1/2 - 1/(p+1)) |u|_{p+1}^{p+1} to 1e-8
-    relative (which makes c* > 0), and, checked last, weak_max_check
-    passes.
+    _verdict's, with init as the seed.
     """
     if spec.mode != "subcritical":
         raise DomainError("solve_subcritical needs spec.mode == 'subcritical'")
@@ -470,35 +492,16 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
 
     v, history, stops = _critical_point(fn, init.values, tol, max_iter, 1e-13)
 
-    u = RadialFunction(forms.grid, v)
-    residual = fn.residual_norm(v)
-    nehari_value = fn.derivative_along(v)
-    unorm = fn.metric_norm(v)
     energy = history[-1]
-    # monitored, not asserted: on the constraint set the radial derivative
-    # of the constraint is (1 - p)(|u|^2 + [u]_s^2), strictly negative
-    constraint_slope = (2.0 * fn.quad_form(v)
-                        - (spec.p + 1.0) * fn.power_integral(v, spec.p + 1.0))
-    _log.debug("constraint derivative along the ray at convergence: %.6e",
-               constraint_slope)
-    peak = float(np.abs(v).max())
-    identity = abs(energy - (0.5 - 1.0 / (spec.p + 1.0))
-                   * fn.power_integral(v, spec.p + 1.0))
-    converged = (
-        residual < tol * unorm
-        and abs(nehari_value) < tol * unorm ** 2
-        and bool(np.all(v >= -1e-8 * peak))
-        and bool(np.all(np.diff(v) <= 1e-8 * peak))
-        and origin_mass_share(fn, v) <= 0.5
-        and identity < 1e-8 * abs(energy)
-        and weak_max_check(u, spec, forms).passes
-    )
-    return SolveReport(
-        solution=u, energy=energy, nehari_value=nehari_value, residual=residual,
+    report = SolveReport(
+        solution=RadialFunction(forms.grid, v), energy=energy,
+        nehari_value=fn.derivative_along(v), residual=fn.residual_norm(v),
         c_star=energy, mp_level_m=None, beta=None, mp_radius=None, threshold=None,
         iterations=stops["descent_steps"] + stops["newton_steps"],
-        converged=converged, energy_history=history, **stops,
+        converged=False, energy_history=history, **stops,
     )
+    report.converged = _verdict(fn, spec, forms, report, init.values, tol)
+    return report
 
 
 def _bubble(grid, eps: float) -> np.ndarray:
@@ -546,15 +549,14 @@ def origin_mass_share(fn: _Functional, v: np.ndarray) -> float:
     return float(dens[:_ORIGIN_NODES].sum()) / total
 
 
-def estimate_subcritical_constant(fn: _Functional, p: float) -> float:
-    """Best constant of the subcritical quotient of fn (power term
-    |v|^{p+1}) via its ground state (the minimizer of the quotient itself)."""
+def estimate_subcritical_constant(fn: _Functional) -> float:
+    """Best constant of the subcritical quotient of fn (its one power term
+    |v|^e) via its ground state (the minimizer of the quotient itself)."""
+    (e,) = fn.exponents
     init = np.exp(-fn.grid.nodes ** 2)
     init[-1] = 0.0
     v, _, _ = _critical_point(fn, init, 1e-8, 400, 1e-12)
-    q = fn.quad_form(v)
-    pw = fn.power_integral(v, p + 1.0)
-    return float(q / pw ** (2.0 / (p + 1.0)))
+    return float(fn.quad_form(v) / fn.power_integral(v, e) ** (2.0 / e))
 
 
 def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[float, float]:
@@ -568,7 +570,7 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     """
     local = _Functional(forms, spec.lam, 0.0, [spec.p + 1.0])
     s_crit = estimate_critical_constant(local, spec.critical_exponent)
-    s_sub = estimate_subcritical_constant(local, spec.p)
+    s_sub = estimate_subcritical_constant(local)
     two_star = spec.critical_exponent
     beta = math.nan
     try:  # the constants leave the floats at a very negative lambda
@@ -589,6 +591,13 @@ class ThresholdCheck:
     threshold: float
     passes: bool
 
+    def require(self):
+        """ThresholdNotMetError, carrying the pair, unless the check passes."""
+        if not self.passes:
+            raise ThresholdNotMetError(
+                f"sup_ray J = {self.sup_value:.6g} >= threshold {self.threshold:.6g}",
+                sup_value=self.sup_value, threshold=self.threshold)
+
 
 def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
     """The compactness threshold S^(N/2)/N, S estimated on J = fn."""
@@ -606,25 +615,16 @@ def check_threshold(fn: _Functional, threshold: float,
     return ThresholdCheck(float(sup_value), float(threshold), bool(sup_value < threshold))
 
 
-@dataclass(frozen=True)
-class SeedSearch:
-    """Outcome of the threshold seed search: the first passing profile (or
-    None) and the check with the smallest sup/threshold margin."""
-
-    seed: RadialFunction | None
-    best_check: ThresholdCheck
-    tried: int
-
-
-def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearch:
+def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> RadialFunction:
     """Deterministic sweep of concentrating bubbles and Gaussian bumps for
     a profile satisfying the mountain-pass energy threshold.
 
-    The search records whether the condition is satisfiable at this
-    parameter point; no passing profile is asserted a priori.  The whole
-    family is visited in a fixed order and the passing member with the
-    smallest ray supremum wins (its ray sits closest to the ground state,
-    which is where the critical descent starts).
+    No passing profile is asserted a priori.  The whole family is visited
+    in a fixed order and the member with the smallest ray supremum is
+    returned if it passes (its ray sits closest to the ground state, which
+    is where the critical descent starts); otherwise ThresholdNotMetError
+    carries its ray supremum and the threshold, which documents that the
+    condition fails for this family at this parameter point.
     """
     candidates = [_bubble(forms.grid, eps) for eps in _SEED_BUBBLE_SCALES]
     for sig in _SEED_GAUSSIAN_WIDTHS:
@@ -633,13 +633,10 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> SeedSearc
         candidates.append(v)
     fn = _functional_for(spec, forms)
     threshold = _threshold(fn, spec)
-    best = None
-    for v in candidates:
-        check = check_threshold(fn, threshold, v)
-        if best is None or check.sup_value < best[1].sup_value:
-            best = (v, check)
-    seed = RadialFunction(forms.grid, best[0]) if best[1].passes else None
-    return SeedSearch(seed, best[1], len(candidates))
+    v, check = min(((v, check_threshold(fn, threshold, v)) for v in candidates),
+                   key=lambda pair: pair[1].sup_value)
+    check.require()
+    return RadialFunction(forms.grid, v)
 
 
 def solve_critical(spec: ProblemSpec, u0: RadialFunction,
@@ -661,33 +658,24 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     bounds m from above and none rises by more than the 1e-12 relative
     the descent allows a rearrangement.
 
-    The report's converged flag needs a residual below tol (absolute and
-    relative to |u|_lambda), beta <= m < threshold, a nontrivial solution
-    that does not concentrate below the mesh scale, and, checked last,
-    weak_max_check.  Fails loudly (ThresholdNotMetError) when the seed
-    violates the energy threshold.
+    The report's converged flag needs 0 < beta <= m < threshold and then
+    _verdict, with u0 as the seed.  Fails loudly (ThresholdNotMetError)
+    when the seed violates the energy threshold.
     """
     fn = _functional_for(spec, forms)
     check = check_threshold(fn, _threshold(fn, spec), u0.values)
-    if not check.passes:
-        raise ThresholdNotMetError(
-            f"sup_ray J = {check.sup_value:.6g} >= threshold {check.threshold:.6g}",
-            sup_value=check.sup_value, threshold=check.threshold,
-        )
+    check.require()
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
     v0 = u0.values
     v_inf, history, stops = _critical_point(fn, v0, tol, max_iter, 1e-12)
-    u_inf = RadialFunction(forms.grid, v_inf)
     m = history[-1]
-    residual = fn.residual_norm(v_inf)
-    nontrivial = fn.metric_norm(v_inf) > 0.01 * fn.metric_norm(v0)
-    resolved = origin_mass_share(fn, v_inf) <= 0.5
+    u_norm = fn.metric_norm(v_inf)
+    nontrivial = u_norm > 0.01 * fn.metric_norm(v0)
 
     # the envelope estimate of beta is only as good as the embedding
     # constants; the solution ray crosses the small sphere below its own
     # peak, which gives a level-consistent bound on the sphere infimum
     beta = beta_env
-    u_norm = fn.metric_norm(v_inf)
     if nontrivial and u_norm > mp_radius:
         beta = min(beta, fn.value((mp_radius / u_norm) * v_inf))
 
@@ -695,21 +683,17 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
         warnings.warn(
             f"mountain-pass level {m:.6g} within 1e-3 of the compactness "
             f"threshold {check.threshold:.6g}", RuntimeWarning)
-    converged = (
-        residual < tol * max(u_norm, 1e-30)
-        and residual < tol
-        and beta <= m < check.threshold
-        and nontrivial
-        and resolved
-        and weak_max_check(u_inf, spec, forms).passes
-    )
-    return SolveReport(
-        solution=u_inf, energy=m, nehari_value=fn.derivative_along(v_inf),
-        residual=residual, c_star=None, mp_level_m=m, beta=beta,
-        mp_radius=mp_radius, threshold=check.threshold,
+    report = SolveReport(
+        solution=RadialFunction(forms.grid, v_inf), energy=m,
+        nehari_value=fn.derivative_along(v_inf), residual=fn.residual_norm(v_inf),
+        c_star=None, mp_level_m=m, beta=beta, mp_radius=mp_radius,
+        threshold=check.threshold,
         iterations=stops["descent_steps"] + stops["newton_steps"],
-        converged=converged, energy_history=history, **stops,
+        converged=False, energy_history=history, **stops,
     )
+    report.converged = 0.0 < beta <= m < check.threshold and _verdict(
+        fn, spec, forms, report, v0, tol)
+    return report
 
 
 @dataclass(frozen=True)
@@ -736,7 +720,7 @@ def weak_max_check(u: RadialFunction, spec: ProblemSpec,
     neg_lambda = norm_lambda_sq(neg_fun, spec.lam, forms)
     neg_semi = seminorm_s_sq(neg_fun, forms)
     passes = (
-        float(v.min()) >= -1e-8 * peak
+        float(v.min()) >= -_SIGN_TOL * peak
         and neg_lambda < _WEAK_MAX_TOL * scale
         and neg_semi < _WEAK_MAX_TOL * scale
     )

@@ -44,6 +44,5 @@ def critical_report(setup5):
 
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    search = search_threshold_seed(spec, forms)
-    assert search.seed is not None
-    return spec, search, solve_critical(spec, search.seed, forms, tol=1e-6)
+    seed = search_threshold_seed(spec, forms)
+    return spec, seed, solve_critical(spec, seed, forms, tol=1e-6)

@@ -340,7 +340,7 @@ def test_seminorm_embedding_bound_reported(setup3):
 def test_profile_csv_roundtrip(tmp_path, subcritical_report):
     # the solve outputs carry every node and energy to the last bit
     spec, report = subcritical_report
-    _solve_outputs(RunConfig(problem=spec, out_dir=tmp_path), report, {})
+    _solve_outputs(RunConfig(problem=spec, out_dir=tmp_path), report)
     for name, header, columns in (
             ("profile.csv", "r,u",
              (report.solution.grid.nodes, report.solution.values)),

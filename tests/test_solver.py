@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -156,9 +157,9 @@ def test_newton_polish_floor_rule_spares_slow_steps_above_it(critical_report,
     # slowly at first, far above the round-off zone: the floor rule must
     # not cut those steps short, so it takes all 8 and meets its tolerance
     _, forms = setup5
-    spec, search, _ = critical_report
+    spec, seed, _ = critical_report
     fn = _functional_for(spec, forms)
-    v0 = _nehari_descent(fn, search.seed.values, 1e-6, 5)[0]
+    v0 = _nehari_descent(fn, seed.values, 1e-6, 5)[0]
     tol = 1e-12 * fn.metric_norm(v0)
     v, steps = _newton_polish(fn, v0, tol=tol)
     assert steps == 8
@@ -248,11 +249,13 @@ def test_pinned_configuration_documents_threshold_failure(setup3):
     # outcome is recorded, deterministic, and solve_critical refuses loudly
     grid, forms = setup3
     spec = ProblemSpec(N=3, s=0.5, lam=0.5, p=3.0, mode="critical_perturbed")
-    search1 = search_threshold_seed(spec, forms)
-    search2 = search_threshold_seed(spec, forms)
-    assert search1.seed is None and search2.seed is None
-    assert search1.best_check.sup_value == search2.best_check.sup_value
-    assert search1.best_check.threshold == search2.best_check.threshold
+    failures = []
+    for _ in range(2):
+        with pytest.raises(ThresholdNotMetError) as err:
+            search_threshold_seed(spec, forms)
+        failures.append((err.value.sup_value, err.value.threshold))
+    assert failures[0] == failures[1]
+    assert failures[0][0] > failures[0][1]
     r = grid.nodes
     v = (0.01 / (0.01 ** 2 + r ** 2)) ** 0.5 * np.exp(-r ** 2)
     v[-1] = 0.0
@@ -263,7 +266,7 @@ def test_pinned_configuration_documents_threshold_failure(setup3):
 
 def test_critical_solve_report(critical_report, setup5):
     grid, forms = setup5
-    spec, search, report = critical_report
+    spec, seed, report = critical_report
     assert report.converged
     assert report.residual < 1e-6
     assert report.beta <= report.mp_level_m < report.threshold
@@ -272,8 +275,20 @@ def test_critical_solve_report(critical_report, setup5):
     assert np.all(sol >= -1e-8 * sol.max())
     assert np.all(np.diff(sol) <= 1e-8 * sol.max())
     unorm = math.sqrt(norm_lambda_sq(report.solution, spec.lam, forms))
-    u0norm = math.sqrt(norm_lambda_sq(search.seed, spec.lam, forms))
+    u0norm = math.sqrt(norm_lambda_sq(seed, spec.lam, forms))
     assert unorm > 0.01 * u0norm
+
+
+def test_verdict_checks_the_critical_nehari_identity(critical_report, setup5):
+    # the shared verdict accepts demo_critical's solution at its own m and
+    # rejects it at m (1 + 1e-6): the identity E = sum_t (1/2 - 1/e_t) P_t
+    # holds over both power terms in critical mode too
+    _, forms = setup5
+    spec, seed, report = critical_report
+    fn = _functional_for(spec, forms)
+    assert solver._verdict(fn, spec, forms, report, seed.values, 1e-6)
+    shifted = dataclasses.replace(report, energy=report.energy * (1.0 + 1e-6))
+    assert not solver._verdict(fn, spec, forms, shifted, seed.values, 1e-6)
 
 
 def test_critical_ray_cross_check(critical_report, setup5):
@@ -304,7 +319,7 @@ def _solve_at(spec, setup):
     if spec.mode == "subcritical":
         return solve_subcritical(
             spec, RadialFunction(grid, np.exp(-grid.nodes ** 2)), forms)
-    return solve_critical(spec, search_threshold_seed(spec, forms).seed, forms)
+    return solve_critical(spec, search_threshold_seed(spec, forms), forms)
 
 
 def _full_descent(spec, setup, monkeypatch):
@@ -431,8 +446,7 @@ def test_critical_path_builds_each_functional_once(setup5, monkeypatch):
     counts = {}
     for name in ("_functional_for", "estimate_critical_constant", "check_threshold"):
         _counting(monkeypatch, solver, name, counts)
-    search = search_threshold_seed(spec, forms)
-    assert search.tried == 11
+    search_threshold_seed(spec, forms)
     assert counts == {"_functional_for": 1, "estimate_critical_constant": 1,
                       "check_threshold": 11}
     counts.clear()
@@ -456,10 +470,21 @@ def test_solves_factor_the_lambda_metric_once(setup3, setup5, monkeypatch):
             init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
             report = solve_subcritical(spec, init, fresh, tol=1e-6)
         else:
-            report = solve_critical(spec, search_threshold_seed(spec, fresh).seed, fresh,
+            report = solve_critical(spec, search_threshold_seed(spec, fresh), fresh,
                                     tol=1e-6)
         weak_max_check(report.solution, spec, fresh)
         assert counts == {"metric_factor": 1}, spec.mode
+
+
+def test_each_solve_reaches_the_verdict_once(setup3, setup5, monkeypatch):
+    # both modes judge a solve by the one rule, once per solve
+    counts = {}
+    _counting(monkeypatch, solver, "_verdict", counts)
+    critical = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    for spec, setup in ((SPEC3, setup3), (critical, setup5)):
+        counts.clear()
+        assert _solve_at(spec, setup).converged
+        assert counts == {"_verdict": 1}, spec.mode
 
 
 def test_mountain_pass_geometry_positive(setup5):
@@ -478,7 +503,7 @@ def test_mountain_pass_radius_is_the_shared_ray_root(setup5):
     local = _Functional(forms, spec.lam, 0.0, [spec.p + 1.0])
     two_star = spec.critical_exponent
     c1 = estimate_critical_constant(local, two_star) ** (-two_star / 2.0)
-    c2 = estimate_subcritical_constant(local, spec.p) ** (-(spec.p + 1.0) / 2.0)
+    c2 = estimate_subcritical_constant(local) ** (-(spec.p + 1.0) / 2.0)
     assert (beta, radius) == _ray_peak(1.0, (c1, c2), (two_star, spec.p + 1.0))
 
 
