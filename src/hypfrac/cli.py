@@ -1,11 +1,12 @@
 """Batch front-end: kernel tabulation, solves, and the verification suites.
 
 Exit codes: 0 success; 1 failing verification suite; 2 validation or
-usage error; 3 numerical failure; 4 energy-threshold failure in critical
-mode.  Reports are deterministic for a fixed config at a fixed BLAS
-thread count (timestamps go to a separate metadata file), so repeated
-runs are byte-identical and diff-able; the Newton polish's dense solve
-rounds differently at another thread count, which moves the last digits.
+usage error, or an unwritable path; 3 numerical failure; 4 energy-threshold
+failure in critical mode.  Reports are deterministic for a fixed config at
+a fixed BLAS thread count (timestamps go to a separate metadata file), so
+repeated runs are byte-identical and diff-able; the Newton polish's dense
+solve rounds differently at another thread count, which moves the last
+digits.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, solver
 from .cache import default_cache_dir
 from .errors import (ConvergenceError, DomainError, QuadratureError,
                      ReducedKernelError, TableRejectionError,
                      ThresholdNotMetError)
-from .funcspace import RadialFunction
 from .kernel import build_kernel_table
 from .pipeline import build_forms
 from .verify import SUITE_NAMES, run_suites
@@ -189,7 +187,7 @@ def cmd_solve(args) -> int:
         return EXIT_VALIDATION
 
     try:
-        grid, forms = build_forms(
+        _, forms = build_forms(
             cfg.problem.N, cfg.problem.s, r_max=cfg.r_max, n=cfg.node_count,
             cache_dir=cfg.cache_dir)
     except (QuadratureError, TableRejectionError, ReducedKernelError) as exc:
@@ -200,15 +198,9 @@ def cmd_solve(args) -> int:
         return EXIT_VALIDATION
 
     spec = cfg.problem
+    solve = solver.solve_subcritical if spec.mode == "subcritical" else solver.solve_critical
     try:
-        if spec.mode == "subcritical":
-            init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
-            report = solver.solve_subcritical(spec, init, forms, tol=cfg.tol,
-                                              max_iter=cfg.max_iter)
-        else:
-            seed = solver.search_threshold_seed(spec, forms)
-            report = solver.solve_critical(spec, seed, forms, tol=cfg.tol,
-                                           max_iter=cfg.max_iter)
+        report = solve(spec, forms, tol=cfg.tol, max_iter=cfg.max_iter)
     except ThresholdNotMetError as exc:
         print(f"threshold failure: sup_value={exc.sup_value:.8g} "
               f"threshold={exc.threshold:.8g}")
@@ -269,7 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output or cache path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

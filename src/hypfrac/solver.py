@@ -12,12 +12,14 @@ nonlinearity |u|^{2*-2}u + |u|^{p-1}u has f(t)/t strictly increasing, so
 each ray has one maximum and the mountain-pass level m equals the Nehari
 level inf_v max_t J(tv) (Willem, Minimax Theorems, 1996, Thm 4.2;
 Szulkin-Weth 2010); the lumped power terms stay homogeneous, so this
-holds for the discrete J too.  The critical solve first checks its seed
-against the compactness threshold S^(N/2)/N, with S estimated by
-concentration extrapolation of the critical quotient, and its descent
-rejects steps that concentrate the critical integral below the mesh
-scale.  The same descent and polish serve estimate_subcritical_constant,
-and one rule (_verdict) decides whether a solve of either mode converged.
+holds for the discrete J too.  Each solve picks its own seed: the
+Gaussian exp(-r^2) for I_lambda, and for J the member of a fixed family
+whose ray supremum is lowest, provided it lies below the compactness
+threshold S^(N/2)/N, with S estimated by concentration extrapolation of
+the critical quotient.  The critical descent rejects steps that
+concentrate the critical integral below the mesh scale.  The same descent
+and polish serve estimate_subcritical_constant, and one rule (_verdict)
+decides whether a solve of either mode converged.
 
 One ray law (_ray_peak) gives every ray root and ray level: the ray
 maxima of the descent, the seed search and check_threshold (_ray_max),
@@ -36,8 +38,8 @@ dense solves.
 Each energy functional -- I_lambda, and J_lambda with its critical power
 term -- is one _Functional, built once per (spec, forms) by
 _functional_for; values, Riesz gradients and Nehari scales are evaluated on
-that object, never by rebuilding it per profile (the seed search and the
-critical solve each build J and its threshold once).
+that object, never by rebuilding it per profile (solve_critical builds J
+and its threshold once and hands both to the seed search).
 
 Vectors live on a RadialGrid with the last node pinned to zero (truncation
 of decaying profiles).  The lambda metric is held as its two bands, which
@@ -476,21 +478,20 @@ def _verdict(fn: _Functional, spec: ProblemSpec, forms: QuadraticForms,
     )
 
 
-def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
-                      forms: QuadraticForms, tol: float = 1e-6,
+def solve_subcritical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
                       max_iter: int = 400) -> SolveReport:
-    """Ground state of the subcritical problem on the Nehari set.
+    """Ground state of the subcritical problem on the Nehari set, from the
+    seed _gaussian(grid).
 
     Never returns a silently bad answer: the report's converged flag is
-    _verdict's, with init as the seed.
+    _verdict's.
     """
     if spec.mode != "subcritical":
         raise DomainError("solve_subcritical needs spec.mode == 'subcritical'")
-    if not np.any(init.values != 0.0):
-        raise DomainError("initial profile must be nonzero")
     fn = _functional_for(spec, forms)
+    v0 = _gaussian(forms.grid)
 
-    v, history, stops = _critical_point(fn, init.values, tol, max_iter, 1e-13)
+    v, history, stops = _critical_point(fn, v0, tol, max_iter, 1e-13)
 
     energy = history[-1]
     report = SolveReport(
@@ -500,8 +501,14 @@ def solve_subcritical(spec: ProblemSpec, init: RadialFunction,
         iterations=stops["descent_steps"] + stops["newton_steps"],
         converged=False, energy_history=history, **stops,
     )
-    report.converged = _verdict(fn, spec, forms, report, init.values, tol)
+    report.converged = _verdict(fn, spec, forms, report, v0, tol)
     return report
+
+
+def _gaussian(grid, width: float = 1.0) -> np.ndarray:
+    v = np.exp(-(grid.nodes / width) ** 2)
+    v[-1] = 0.0
+    return v
 
 
 def _bubble(grid, eps: float) -> np.ndarray:
@@ -553,9 +560,7 @@ def estimate_subcritical_constant(fn: _Functional) -> float:
     """Best constant of the subcritical quotient of fn (its one power term
     |v|^e) via its ground state (the minimizer of the quotient itself)."""
     (e,) = fn.exponents
-    init = np.exp(-fn.grid.nodes ** 2)
-    init[-1] = 0.0
-    v, _, _ = _critical_point(fn, init, 1e-8, 400, 1e-12)
+    v, _, _ = _critical_point(fn, _gaussian(fn.grid), 1e-8, 400, 1e-12)
     return float(fn.quad_form(v) / fn.power_integral(v, e) ** (2.0 / e))
 
 
@@ -585,20 +590,6 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     return float(beta), float(rho_star)
 
 
-@dataclass(frozen=True)
-class ThresholdCheck:
-    sup_value: float
-    threshold: float
-    passes: bool
-
-    def require(self):
-        """ThresholdNotMetError, carrying the pair, unless the check passes."""
-        if not self.passes:
-            raise ThresholdNotMetError(
-                f"sup_ray J = {self.sup_value:.6g} >= threshold {self.threshold:.6g}",
-                sup_value=self.sup_value, threshold=self.threshold)
-
-
 def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
     """The compactness threshold S^(N/2)/N, S estimated on J = fn."""
     if spec.mode != "critical_perturbed":
@@ -606,18 +597,16 @@ def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
     return estimate_critical_constant(fn, spec.critical_exponent) ** (spec.N / 2.0) / spec.N
 
 
-def check_threshold(fn: _Functional, threshold: float,
-                    v: np.ndarray) -> ThresholdCheck:
-    """Ray supremum of J = fn through v against the threshold (_threshold)."""
+def check_threshold(fn: _Functional, v: np.ndarray) -> float:
+    """Ray supremum of J = fn through v, to set against _threshold."""
     if not np.any(v != 0.0) or np.any(v < 0.0):
         raise DomainError("seed profile must be nonzero and nonnegative")
-    sup_value = _ray_max(fn, v)[0]
-    return ThresholdCheck(float(sup_value), float(threshold), bool(sup_value < threshold))
+    return float(_ray_max(fn, v)[0])
 
 
-def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> RadialFunction:
+def search_threshold_seed(fn: _Functional, threshold: float) -> np.ndarray:
     """Deterministic sweep of concentrating bubbles and Gaussian bumps for
-    a profile satisfying the mountain-pass energy threshold.
+    a profile whose ray supremum under J = fn lies below threshold.
 
     No passing profile is asserted a priori.  The whole family is visited
     in a fixed order and the member with the smallest ray supremum is
@@ -626,27 +615,26 @@ def search_threshold_seed(spec: ProblemSpec, forms: QuadraticForms) -> RadialFun
     carries its ray supremum and the threshold, which documents that the
     condition fails for this family at this parameter point.
     """
-    candidates = [_bubble(forms.grid, eps) for eps in _SEED_BUBBLE_SCALES]
-    for sig in _SEED_GAUSSIAN_WIDTHS:
-        v = np.exp(-(forms.grid.nodes / sig) ** 2)
-        v[-1] = 0.0
-        candidates.append(v)
-    fn = _functional_for(spec, forms)
-    threshold = _threshold(fn, spec)
-    v, check = min(((v, check_threshold(fn, threshold, v)) for v in candidates),
-                   key=lambda pair: pair[1].sup_value)
-    check.require()
-    return RadialFunction(forms.grid, v)
+    candidates = [_bubble(fn.grid, eps) for eps in _SEED_BUBBLE_SCALES]
+    candidates += [_gaussian(fn.grid, sig) for sig in _SEED_GAUSSIAN_WIDTHS]
+    sup_value, v = min(((check_threshold(fn, v), v) for v in candidates),
+                       key=lambda pair: pair[0])
+    if not sup_value < threshold:
+        raise ThresholdNotMetError(
+            f"sup_ray J = {sup_value:.6g} >= threshold {threshold:.6g}",
+            sup_value=sup_value, threshold=threshold)
+    return v
 
 
-def solve_critical(spec: ProblemSpec, u0: RadialFunction,
-                   forms: QuadraticForms, tol: float = 1e-6,
+def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
                    max_iter: int = 400) -> SolveReport:
     """Mountain-pass solution of the critically perturbed problem.
 
-    The mountain-pass level of J is its Nehari level (module docstring),
+    J and its threshold are built once, and search_threshold_seed picks
+    the seed from them or raises ThresholdNotMetError, the one threshold
+    failure of a solve.  The mountain-pass level of J is its Nehari level (module docstring),
     so the solve is solve_subcritical's on J (_critical_point): descent
-    from the seed u0, Newton from relative gradient _HANDOFF_RTOL, the
+    from the seed, Newton from relative gradient _HANDOFF_RTOL, the
     descent resumed only if Newton fails; at most max_iter descent steps.
     The descent rejects steps that would concentrate the critical integral
     below the mesh scale: the lumped quadrature understates the critical
@@ -659,14 +647,12 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     the descent allows a rearrangement.
 
     The report's converged flag needs 0 < beta <= m < threshold and then
-    _verdict, with u0 as the seed.  Fails loudly (ThresholdNotMetError)
-    when the seed violates the energy threshold.
+    _verdict.
     """
     fn = _functional_for(spec, forms)
-    check = check_threshold(fn, _threshold(fn, spec), u0.values)
-    check.require()
+    threshold = _threshold(fn, spec)
+    v0 = search_threshold_seed(fn, threshold)
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
-    v0 = u0.values
     v_inf, history, stops = _critical_point(fn, v0, tol, max_iter, 1e-12)
     m = history[-1]
     u_norm = fn.metric_norm(v_inf)
@@ -679,19 +665,19 @@ def solve_critical(spec: ProblemSpec, u0: RadialFunction,
     if nontrivial and u_norm > mp_radius:
         beta = min(beta, fn.value((mp_radius / u_norm) * v_inf))
 
-    if check.threshold - m < 1e-3 * check.threshold:
+    if threshold - m < 1e-3 * threshold:
         warnings.warn(
             f"mountain-pass level {m:.6g} within 1e-3 of the compactness "
-            f"threshold {check.threshold:.6g}", RuntimeWarning)
+            f"threshold {threshold:.6g}", RuntimeWarning)
     report = SolveReport(
         solution=RadialFunction(forms.grid, v_inf), energy=m,
         nehari_value=fn.derivative_along(v_inf), residual=fn.residual_norm(v_inf),
         c_star=None, mp_level_m=m, beta=beta, mp_radius=mp_radius,
-        threshold=check.threshold,
+        threshold=threshold,
         iterations=stops["descent_steps"] + stops["newton_steps"],
         converged=False, energy_history=history, **stops,
     )
-    report.converged = 0.0 < beta <= m < check.threshold and _verdict(
+    report.converged = 0.0 < beta <= m < threshold and _verdict(
         fn, spec, forms, report, v0, tol)
     return report
 

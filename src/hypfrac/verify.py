@@ -204,15 +204,14 @@ def suite_embedding(cache_dir=None) -> list[CheckResult]:
 def _subcritical_setup(cache_dir=None):
     grid, forms = build_forms(3, 0.5, r_max=20.0, n=400, cache_dir=cache_dir)
     spec = solver.ProblemSpec(N=3, s=0.5, lam=0.0, p=3.0, mode="subcritical")
-    init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
     t0 = time.monotonic()
-    report = solver.solve_subcritical(spec, init, forms, tol=1e-6)
-    return grid, forms, spec, init, report, time.monotonic() - t0
+    report = solver.solve_subcritical(spec, forms, tol=1e-6)
+    return grid, forms, spec, report, time.monotonic() - t0
 
 
 def suite_nehari(cache_dir=None) -> list[CheckResult]:
     res = []
-    grid, forms, spec, init, report, took = _subcritical_setup(cache_dir)
+    grid, forms, spec, report, took = _subcritical_setup(cache_dir)
 
     fn = solver._functional_for(spec, forms)
 
@@ -247,7 +246,7 @@ def suite_nehari(cache_dir=None) -> list[CheckResult]:
         index == 1, f"index {index}, next eigenvalue {next_mu:.4f}"))
 
     spec_shift = solver.ProblemSpec(N=3, s=0.5, lam=0.5, p=3.0, mode="subcritical")
-    rep_shift = solver.solve_subcritical(spec_shift, init, forms, tol=1e-6)
+    rep_shift = solver.solve_subcritical(spec_shift, forms, tol=1e-6)
     res.append(CheckResult(
         "nehari", "minimum level decreases as lambda increases",
         rep_shift.converged and rep_shift.c_star < report.c_star,
@@ -280,7 +279,7 @@ def suite_nehari(cache_dir=None) -> list[CheckResult]:
 
 def suite_maxprinciple(cache_dir=None) -> list[CheckResult]:
     res = []
-    grid, forms, spec, _, report, _ = _subcritical_setup(cache_dir)
+    grid, forms, spec, report, _ = _subcritical_setup(cache_dir)
     check = solver.weak_max_check(report.solution, spec, forms)
     res.append(CheckResult(
         "maxprinciple", "converged solution passes the negative-part test",
@@ -303,10 +302,10 @@ CRITICAL_RESOLVED = dict(N=5, s=0.5, lam=1.0, p=2.0, r_max=12.0)
 
 
 def _seed_outcome(spec, forms):
-    """(seed, None) from the threshold seed search, or (None, (sup_value,
-    threshold)) when it raises ThresholdNotMetError."""
+    """(report, None) from solve_critical, or (None, (sup_value, threshold))
+    when its seed search raises ThresholdNotMetError."""
     try:
-        return solver.search_threshold_seed(spec, forms), None
+        return solver.solve_critical(spec, forms, tol=1e-6), None
     except ThresholdNotMetError as exc:
         return None, (exc.sup_value, exc.threshold)
 
@@ -322,14 +321,13 @@ def suite_critical(cache_dir=None) -> list[CheckResult]:
                               lam=CRITICAL_PINNED["lam"], p=CRITICAL_PINNED["p"],
                               mode="critical_perturbed")
     runs = [_seed_outcome(spec, forms) for _ in range(2)]
-    seeds = [seed for seed, _ in runs if seed is not None]
-    ok = runs[0][1] == runs[1][1] and len(seeds) != 1
-    if not seeds:
+    reports = [report for report, _ in runs if report is not None]
+    ok = runs[0][1] == runs[1][1] and len(reports) != 1
+    if not reports:
         detail = (f"threshold failure: best sup {runs[0][1][0]:.4f} "
                   f"vs threshold {runs[0][1][1]:.4f}")
     else:
         # a passing seed must lead to the same converged mountain pass twice
-        reports = [solver.solve_critical(spec, seed, forms, tol=1e-6) for seed in seeds]
         ok = (ok and all(r.converged for r in reports)
               and reports[0].mp_level_m == reports[-1].mp_level_m)
         detail = (f"seed found: m = {reports[0].mp_level_m:.6f}, "
@@ -343,12 +341,11 @@ def suite_critical(cache_dir=None) -> list[CheckResult]:
                             cache_dir=cache_dir)
     spec5 = solver.ProblemSpec(N=cfg["N"], s=cfg["s"], lam=cfg["lam"],
                                p=cfg["p"], mode="critical_perturbed")
-    seed5, failure = _seed_outcome(spec5, forms5)
-    if seed5 is None:
+    report, failure = _seed_outcome(spec5, forms5)
+    if report is None:
         res.append(CheckResult("critical", "resolved configuration seed search",
                                False, f"no passing seed: (sup, threshold) = {failure}"))
         return res
-    report = solver.solve_critical(spec5, seed5, forms5, tol=1e-6)
     res.append(CheckResult(  # converged is solver._verdict's, after beta <= m
         "critical", "mountain-pass solve at (5, 0.5, 1, 2)",
         report.converged,

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hypfrac.pipeline import build_forms
@@ -29,20 +28,22 @@ def setup5(cache_dir):
 
 @pytest.fixture(scope="session")
 def subcritical_report(setup3):
-    from hypfrac.funcspace import RadialFunction
     from hypfrac.solver import ProblemSpec, solve_subcritical
 
-    grid, forms = setup3
+    _, forms = setup3
     spec = ProblemSpec(N=3, s=0.5, lam=0.0, p=3.0, mode="subcritical")
-    init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
-    return spec, solve_subcritical(spec, init, forms, tol=1e-6)
+    return spec, solve_subcritical(spec, forms, tol=1e-6)
 
 
 @pytest.fixture(scope="session")
 def critical_report(setup5):
-    from hypfrac.solver import ProblemSpec, search_threshold_seed, solve_critical
+    """(spec, seed, report) of demo_critical; the seed is the search's, the
+    one solve_critical starts from."""
+    from hypfrac.solver import (ProblemSpec, _functional_for, _threshold,
+                                search_threshold_seed, solve_critical)
 
-    grid, forms = setup5
+    _, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    seed = search_threshold_seed(spec, forms)
-    return spec, seed, solve_critical(spec, seed, forms, tol=1e-6)
+    fn = _functional_for(spec, forms)
+    seed = search_threshold_seed(fn, _threshold(fn, spec))
+    return spec, seed, solve_critical(spec, forms, tol=1e-6)

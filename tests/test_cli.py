@@ -225,6 +225,28 @@ def test_solve_config_errors(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("blocked", ["out_dir", "cache_dir", "kernel_out"])
+def test_unwritable_path_is_a_usage_error(tmp_path, cache_dir, capsys, blocked):
+    # an out_dir under a regular file, a cache_dir that is one, or a kernel
+    # --out under one: a one-line error and exit 2, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if blocked == "kernel_out":
+        argv = ("kernel", "--dim", "3", "--s", "0.5", "--rho-min", "1e-3",
+                "--rho-max", "10", "--points", "64", "--out", str(blocker / "t.csv"))
+    else:
+        dirs = {"out_dir": (blocker / "out", cache_dir),
+                "cache_dir": (tmp_path / "out", blocker)}[blocked]
+        argv = ("solve", "--config", str(write_config(
+            tmp_path / "cfg.json",
+            {"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"},
+            *dirs, grid=_COARSE_GRID)))
+    assert run_cli(*argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(blocker) in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 # finite lambdas so negative that the solve overflows, or that its metric
 # does (-1e295), next to the largest that still run to a report; there the
 # ground state is a sub-grid spike at the origin, reported NOT converged
@@ -420,6 +442,30 @@ def test_trace_harness_finds_every_patched_name():
                           env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_trace_sees_the_seed_search_inside_the_critical_solve(tmp_path, cache_dir):
+    # the tracer wraps the seed search and check_threshold where solve_critical
+    # looks them up: the search's span sits inside the solve's, and the 11
+    # candidates are checked once each
+    root = Path(__file__).parent.parent
+    build_forms(5, 0.5, r_max=12.0, n=64, cache_dir=cache_dir)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 5, "s": 0.5, "lambda": 1.0, "p": 2.0, "mode": "critical_perturbed"},
+        tmp_path / "out", cache_dir,
+        grid={"R_max": 12.0, "node_count": 64, "spacing": "graded"})
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, "perfbench/trace_solve.py", str(trace),
+                           "solve", "--config", str(cfg)], cwd=root,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    got = json.loads(trace.read_text())
+    spans = got["spans"]
+    (search,) = [span for span in spans if span[1] == "search_threshold_seed"]
+    assert spans[search[4]][1] == "solve_critical"
+    assert got["counts"]["solver.threshold_checks"] == 11
 
 
 _IMPORT_BUDGET_RUN = """

@@ -130,12 +130,6 @@ def test_subcritical_solve_report(subcritical_report, setup3):
     assert np.all(np.diff(hist) <= 1e-10 * np.abs(hist[0]))
 
 
-def test_subcritical_solve_rejects_zero_init(setup3):
-    grid, forms = setup3
-    with pytest.raises(DomainError):
-        solve_subcritical(SPEC3, RadialFunction(grid, np.zeros(grid.n)), forms)
-
-
 def test_newton_polish_stops_at_its_floor(subcritical_report, setup3):
     # tol = 0 is below the round-off floor: the ground state's residual
     # (about 5e-13) already sits under sqrt(eps) |v|_lambda, so the first
@@ -159,7 +153,7 @@ def test_newton_polish_floor_rule_spares_slow_steps_above_it(critical_report,
     _, forms = setup5
     spec, seed, _ = critical_report
     fn = _functional_for(spec, forms)
-    v0 = _nehari_descent(fn, seed.values, 1e-6, 5)[0]
+    v0 = _nehari_descent(fn, seed, 1e-6, 5)[0]
     tol = 1e-12 * fn.metric_norm(v0)
     v, steps = _newton_polish(fn, v0, tol=tol)
     assert steps == 8
@@ -225,43 +219,37 @@ def test_check_threshold_positive_and_scale_invariant(setup5):
     v = (0.02 / (0.02 ** 2 + r ** 2)) ** 1.5 * np.exp(-r ** 2)
     v[-1] = 0.0
     fn = _functional_for(spec, forms)
-    check = check_threshold(fn, _threshold(fn, spec), v)
-    assert check.sup_value > 0.0
-    scaled = check_threshold(fn, _threshold(fn, spec), 3.7 * v)
-    assert scaled.sup_value == pytest.approx(check.sup_value, rel=1e-9)
-    assert scaled.threshold == check.threshold
+    sup_value = check_threshold(fn, v)
+    assert isinstance(sup_value, float) and sup_value > 0.0
+    assert check_threshold(fn, 3.7 * v) == pytest.approx(sup_value, rel=1e-9)
 
 
 def test_check_threshold_rejects_bad_seed(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     fn = _functional_for(spec, forms)
-    threshold = _threshold(fn, spec)
     with pytest.raises(DomainError):
-        check_threshold(fn, threshold, np.zeros(grid.n))
+        check_threshold(fn, np.zeros(grid.n))
     bad = -np.exp(-grid.nodes ** 2)
     with pytest.raises(DomainError):
-        check_threshold(fn, threshold, bad)
+        check_threshold(fn, bad)
 
 
 def test_pinned_configuration_documents_threshold_failure(setup3):
     # at (3, 0.5, 0.5, 3) the family search finds no admissible seed; the
-    # outcome is recorded, deterministic, and solve_critical refuses loudly
-    grid, forms = setup3
+    # outcome is recorded, and solve_critical refuses loudly with the pair
+    # the search reports
+    _, forms = setup3
     spec = ProblemSpec(N=3, s=0.5, lam=0.5, p=3.0, mode="critical_perturbed")
+    fn = _functional_for(spec, forms)
     failures = []
-    for _ in range(2):
+    for solve in (lambda: search_threshold_seed(fn, _threshold(fn, spec)),
+                  lambda: solve_critical(spec, forms)):
         with pytest.raises(ThresholdNotMetError) as err:
-            search_threshold_seed(spec, forms)
+            solve()
         failures.append((err.value.sup_value, err.value.threshold))
     assert failures[0] == failures[1]
     assert failures[0][0] > failures[0][1]
-    r = grid.nodes
-    v = (0.01 / (0.01 ** 2 + r ** 2)) ** 0.5 * np.exp(-r ** 2)
-    v[-1] = 0.0
-    with pytest.raises(ThresholdNotMetError) as err:
-        solve_critical(spec, RadialFunction(grid, v), forms)
-    assert err.value.sup_value > err.value.threshold
 
 
 def test_critical_solve_report(critical_report, setup5):
@@ -275,7 +263,7 @@ def test_critical_solve_report(critical_report, setup5):
     assert np.all(sol >= -1e-8 * sol.max())
     assert np.all(np.diff(sol) <= 1e-8 * sol.max())
     unorm = math.sqrt(norm_lambda_sq(report.solution, spec.lam, forms))
-    u0norm = math.sqrt(norm_lambda_sq(seed, spec.lam, forms))
+    u0norm = math.sqrt(norm_lambda_sq(RadialFunction(grid, seed), spec.lam, forms))
     assert unorm > 0.01 * u0norm
 
 
@@ -286,9 +274,9 @@ def test_verdict_checks_the_critical_nehari_identity(critical_report, setup5):
     _, forms = setup5
     spec, seed, report = critical_report
     fn = _functional_for(spec, forms)
-    assert solver._verdict(fn, spec, forms, report, seed.values, 1e-6)
+    assert solver._verdict(fn, spec, forms, report, seed, 1e-6)
     shifted = dataclasses.replace(report, energy=report.energy * (1.0 + 1e-6))
-    assert not solver._verdict(fn, spec, forms, shifted, seed.values, 1e-6)
+    assert not solver._verdict(fn, spec, forms, shifted, seed, 1e-6)
 
 
 def test_critical_ray_cross_check(critical_report, setup5):
@@ -313,13 +301,9 @@ def test_demo_critical_level_is_pinned(critical_report):
 
 
 def _solve_at(spec, setup):
-    # the ground state from the Gaussian, or the mountain-pass solution
-    # from the threshold seed search's seed
-    grid, forms = setup
-    if spec.mode == "subcritical":
-        return solve_subcritical(
-            spec, RadialFunction(grid, np.exp(-grid.nodes ** 2)), forms)
-    return solve_critical(spec, search_threshold_seed(spec, forms), forms)
+    # the ground state or the mountain-pass solution, each from its own seed
+    solve = solve_subcritical if spec.mode == "subcritical" else solve_critical
+    return solve(spec, setup[1])
 
 
 def _full_descent(spec, setup, monkeypatch):
@@ -438,16 +422,18 @@ def _counting(monkeypatch, owner, name, counts):
 
 
 def test_critical_path_builds_each_functional_once(setup5, monkeypatch):
-    # the seed search builds J and the threshold once for all candidates,
-    # and the mountain-pass geometry forms the lambda metric once for both
+    # a critical solve builds J and the threshold once for the seed search
+    # and the solve (the second critical constant is the mountain-pass
+    # envelope's), checks each of the 11 seed candidates once, and the
+    # mountain-pass geometry forms the lambda metric once for both
     # embedding constants
     _, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     counts = {}
     for name in ("_functional_for", "estimate_critical_constant", "check_threshold"):
         _counting(monkeypatch, solver, name, counts)
-    search_threshold_seed(spec, forms)
-    assert counts == {"_functional_for": 1, "estimate_critical_constant": 1,
+    solve_critical(spec, forms)
+    assert counts == {"_functional_for": 1, "estimate_critical_constant": 2,
                       "check_threshold": 11}
     counts.clear()
     _counting(monkeypatch, QuadraticForms, "lambda_metric", counts)
@@ -466,12 +452,7 @@ def test_solves_factor_the_lambda_metric_once(setup3, setup5, monkeypatch):
     for (grid, forms), spec in ((setup3, SPEC3), (setup5, critical)):
         fresh = QuadraticForms(grid, forms.s, forms.stiffness, forms.nonlocal_mat)
         counts.clear()
-        if spec.mode == "subcritical":
-            init = RadialFunction(grid, np.exp(-grid.nodes ** 2))
-            report = solve_subcritical(spec, init, fresh, tol=1e-6)
-        else:
-            report = solve_critical(spec, search_threshold_seed(spec, fresh), fresh,
-                                    tol=1e-6)
+        report = _solve_at(spec, (grid, fresh))
         weak_max_check(report.solution, spec, fresh)
         assert counts == {"metric_factor": 1}, spec.mode
 
