@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -185,6 +186,11 @@ def cmd_solve(args) -> int:
             DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # an out_dir that cannot be made ends the run before the solve, and is
+    # made only after it, so a failed solve leaves none
+    base = next(p for p in (cfg.out_dir, *cfg.out_dir.absolute().parents) if p.exists())
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot make out_dir {cfg.out_dir}: {base} is not a writable directory")
 
     try:
         _, forms = build_forms(

@@ -23,12 +23,17 @@ a few (rho x node) array calls of the ladder term sum.
 The reduction to a two-point kernel integrates the kernel over the sphere
 angle for each pair of grid radii, as an integral in the geodesic distance
 whose Gauss rule is graded per pair, deeper the closer the pair
-(_angular_weights).
+(_angular_weights).  W and the even-N table are built by one process per
+usable CPU (_split), with no option; each value is its own row of its own
+array call, so they match a one-process build bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -208,6 +213,65 @@ def _even_ladder_eval(N, s, r):
 # and fit in a 2 MiB L2.  N=4 W, 400 nodes: 921 page faults (78,560 at 2^16);
 # the angular rule took 0.40/0.33/0.31/0.40/0.45 s at 2^12..2^16 (2-vCPU Xeon).
 _CHUNK_NODES = 1 << 14
+# Work of fewer rows stays in one process, as a fork costs the parent
+# copy-on-write faults.  N=3 W took 8.0 ms in one process and 9.8 ms in two
+# on 63 rows, 16.3 and 13.2 ms on 95 (N=4: 11.3/12.3, 24.4/17.1; 2 vCPUs).
+_FORK_MIN_ROWS = 96
+
+
+def _split(task, args, rows, error):
+    """task(a) for each a in args, each call writing its own part of an
+    array in a shared anonymous mmap.  From _FORK_MIN_ROWS rows of work on,
+    one process per usable CPU pulls indices into args from one pipe (the
+    parent too, and more of them if a fork fails).  A helper's exception is
+    raised here with its type and message, a helper's death as error; no
+    helper outlives the call.  Helpers are forked, not spawned, so they start
+    from the parent's arrays without an import; they run no BLAS call."""
+    # 4-byte indices: the pipe's 64 KiB buffer holds 2^14 of them
+    fork = rows >= _FORK_MIN_ROWS and len(args) <= 1 << 14 and hasattr(os, "sched_getaffinity")
+    workers = min(len(os.sched_getaffinity(0)), len(args)) if fork else 1
+    if workers < 2:
+        for a in args:
+            task(a)
+        return
+    queue, put = os.pipe()
+    os.write(put, np.arange(len(args), dtype="<i4").tobytes())
+    os.close(put)
+    failed, report = os.pipe()
+    pids = []
+
+    def drain(discard=False):  # discarding stops every process after its task
+        while index := os.read(queue, 1 << 16 if discard else 4):
+            if not discard:
+                task(args[int.from_bytes(index, "little")])
+
+    try:
+        for _ in range(workers - 1):
+            try:
+                pids.append(pid := os.fork())
+            except OSError:
+                break
+            if pid == 0:  # a helper leaves only by os._exit
+                try:
+                    drain()
+                    os._exit(0)
+                except BaseException as exc:
+                    drain(discard=True)
+                    os.write(report, pickle.dumps(exc))
+                finally:
+                    os._exit(1)
+        drain()
+    finally:
+        drain(discard=True)
+        os.close(report)  # then read to the end, so that no helper blocks
+        message = b"".join(iter(lambda: os.read(failed, 1 << 16), b""))
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        os.close(queue)
+        os.close(failed)
+    if message:
+        raise pickle.loads(message)
+    if any(codes):
+        raise error(f"a helper process ended with code {min(codes)} before its part was done")
 
 
 def _level_groups(levels):
@@ -248,8 +312,10 @@ def _even_integral(N, s, rho):
     levels = np.ceil(np.log2(u1 / reach)).astype(int) + _NEAR_EXTRA_LEVELS
     panels = math.ceil(_FAR_EFOLDS / ((N - 1) * _FAR_PANEL))
     y, wy = gauss_panels(_FAR_PANEL * np.arange(panels + 1))
-    out = np.empty_like(rho)
-    for k, x, w in _level_groups(levels):
+    out = np.frombuffer(mmap.mmap(-1, 8 * rho.size))  # zeros, shared by _split
+
+    def chunk(group):
+        k, x, w = group
         u = u1[k, None] * x
         z = cm1[k, None] + u * u
         # acosh(1 + z); the square root is split, as z (z + 2) overflows
@@ -260,6 +326,8 @@ def _even_integral(N, s, rho):
         body = np.sinh(r) / np.sqrt(np.cosh(r) - (cm1[k, None] + 1.0))
         far = np.sum(body * _even_ladder_eval(N, s, r) * wy, axis=1)
         out[k] = near + far
+
+    _split(chunk, list(_level_groups(levels)), rho.size, QuadratureError)
     return out
 
 
@@ -520,8 +588,8 @@ class ReducedKernel:
         if bad.size:
             i, j = bad[0]
             raise ReducedKernelError(
-                f"non-positive off-diagonal weight {self.W[i, j]:.6g} at "
-                f"(r1, r2) = ({self.r_grid[i]:.6g}, {self.r_grid[j]:.6g})")
+                f"off-diagonal weight {self.W[i, j]:.6g} is not positive and finite "
+                f"at (r1, r2) = ({self.r_grid[i]:.6g}, {self.r_grid[j]:.6g})")
         # near-diagonal law: adjacent pairs should match it where the
         # separation is small relative to the radius (angular slab regime)
         # and where the law's own error, about c(s) (N - 1) delta with
@@ -545,7 +613,7 @@ class ReducedKernel:
 # which _level_groups cuts into L2-sized calls; neither size moves W.
 _LOWER_EXTRA_LEVELS = 4
 _UPPER_LEVELS = 4
-_BLOCK_ROWS = 128
+_BLOCK_ROWS = 32
 
 
 def _half_integral(N, r1, r2, frac_nodes, frac_w, from_lower, kernel_eval):
@@ -619,7 +687,8 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
     (about 82 kernel evaluations per pair on a 400-node grid).  Kernel
     values along it come from a monotone log-log interpolant of a dedicated
     dense table, which keeps the cost independent of the parity of N.  W
-    does not depend on the L2-sized array calls (_CHUNK_NODES) it runs in.
+    depends neither on the L2-sized array calls (_CHUNK_NODES) it runs in
+    nor on which of the processes of _split runs its row blocks.
     The result is checked with ReducedKernel.validate before it is returned.
     """
     if N < 3:
@@ -642,19 +711,17 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
     surface = sphere_area(N) * sphere_area(N - 1)
     vol = np.sinh(r) ** (N - 1)
 
-    W = np.zeros((n, n))
-    for start in range(0, n - 1, _BLOCK_ROWS):
+    W = np.frombuffer(mmap.mmap(-1, 8 * n * n)).reshape(n, n)  # zeros, shared by _split
+
+    def block(start):
         # the pairs (i, j > i) of rows start, ..., start + _BLOCK_ROWS - 1
         i, j = np.nonzero(np.triu(np.ones((_BLOCK_ROWS, n), dtype=bool), start + 1))
         i += start
         pair = surface * vol[i] * vol[j] * _angular_weights(N, r[i], r[j], kernel_eval)
-        if not np.all(np.isfinite(pair)):
-            k = int(np.argmin(np.isfinite(pair)))
-            raise ReducedKernelError(
-                f"angular quadrature failed at (r1, r2) = ({r[i[k]]:.6g}, {r[j[k]]:.6g})")
         W[i, j] = pair
         W[j, i] = pair
 
+    _split(block, range(0, n - 1, _BLOCK_ROWS), n, ReducedKernelError)
     prefactor = surface * table.near_amplitude * _sin_integral_const(N, s)
     rk = ReducedKernel(int(N), float(s), r, W, float(prefactor))
     rk.validate()

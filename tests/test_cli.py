@@ -226,9 +226,14 @@ def test_solve_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("blocked", ["out_dir", "cache_dir", "kernel_out"])
-def test_unwritable_path_is_a_usage_error(tmp_path, cache_dir, capsys, blocked):
+def test_unwritable_path_is_a_usage_error(tmp_path, cache_dir, capsys, monkeypatch,
+                                         blocked):
     # an out_dir under a regular file, a cache_dir that is one, or a kernel
-    # --out under one: a one-line error and exit 2, not a traceback
+    # --out under one: a one-line error and exit 2, not a traceback; the
+    # out_dir is checked before any solve
+    built = []
+    monkeypatch.setattr("hypfrac.cli.build_forms",
+                        lambda *a, **k: built.append(a) or build_forms(*a, **k))
     blocker = tmp_path / "file"
     blocker.write_text("")
     if blocked == "kernel_out":
@@ -245,6 +250,7 @@ def test_unwritable_path_is_a_usage_error(tmp_path, cache_dir, capsys, blocked):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(blocker) in err[0], err
     assert not (tmp_path / "out").exists()
+    assert len(built) == (blocked == "cache_dir")
 
 
 # finite lambdas so negative that the solve overflows, or that its metric

@@ -1,5 +1,10 @@
 import functools
+import json
 import math
+import os
+import signal
+import sys
+import time
 import types
 import warnings
 
@@ -424,6 +429,8 @@ def test_reduced_kernel_pair_node_count(tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(KernelTable, "interpolator", counted_interpolator)
+    # helpers would count in their own memory: build in this process
+    monkeypatch.setattr(kernel_module, "_FORK_MIN_ROWS", sys.maxsize)
     grid, _ = build_forms(4, 0.5, r_max=20.0, n=400, cache_dir=tmp_path)
     pairs = (grid.nodes.size - 1) * (grid.nodes.size - 2) // 2
     assert pairs == 79401
@@ -580,3 +587,107 @@ def test_reduced_kernel_rejects_bad_grid():
     # the angular reduction is written for N >= 3
     with pytest.raises(DomainError):
         build_reduced_kernel(2, 0.5, np.array([0.5, 1.0, 2.0, 3.0]))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts os.fork calls, with two usable CPUs whatever the host has."""
+    count = [0]
+    fork = os.fork
+
+    def counted():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return count
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_build_matches_one_process(forks, monkeypatch, cpus):
+    # each weight and table value is its own row of its own array call, so
+    # the process that computes it cannot move a bit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    grids = {N: make_grid(N, r_max=20.0, n=160).cell_midpoints for N in (3, 4)}
+    rho = np.geomspace(2e-3, 42.0, 800)
+    split = [build_reduced_kernel(N, 0.5, r).W for N, r in grids.items()]
+    split.append(kernel(4, 0.5, rho))
+    # N=3 W; N=4 W and its table; the N=4 kernel
+    assert forks[0] == 4 * (cpus - 1)
+    _no_child_left()
+    monkeypatch.setattr(kernel_module, "_FORK_MIN_ROWS", sys.maxsize)
+    alone = [build_reduced_kernel(N, 0.5, r).W for N, r in grids.items()]
+    alone.append(kernel(4, 0.5, rho))
+    assert forks[0] == 4 * (cpus - 1)
+    for a, b in zip(split, alone):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_small_builds_stay_in_one_process(forks):
+    r = make_grid(4, r_max=20.0, n=64).cell_midpoints
+    build_reduced_kernel(4, 0.5, r)
+    kernel(4, 0.5, np.geomspace(1e-2, 10.0, kernel_module._FORK_MIN_ROWS - 1))
+    # the 800-point table of the build is split
+    assert forks[0] == 1
+
+
+@pytest.mark.parametrize("row", [5, 40])
+def test_helper_error_is_the_one_process_error(forks, monkeypatch, tmp_path, capsys, row):
+    # the block holding the row fails in whichever process takes it (the
+    # parent takes row 5's block first, a helper mostly row 40's); the
+    # caller sees the error one process raises, and the CLI exits 3
+    r = make_grid(3, r_max=20.0, n=160).cell_midpoints
+    angular = kernel_module._angular_weights
+
+    def failing(N, r1, *args):
+        if np.any(r1 == r[row]):
+            raise ReducedKernelError(f"no weights for the block of r = {r[row]:.6g}")
+        return angular(N, r1, *args)
+
+    monkeypatch.setattr(kernel_module, "_angular_weights", failing)
+    with pytest.raises(ReducedKernelError) as split:
+        build_reduced_kernel(3, 0.5, r)
+    _no_child_left()
+    assert forks[0] == 1
+    with monkeypatch.context() as alone:
+        alone.setattr(kernel_module, "_FORK_MIN_ROWS", sys.maxsize)
+        with pytest.raises(ReducedKernelError) as one:
+            build_reduced_kernel(3, 0.5, r)
+    assert type(split.value) is type(one.value) and str(split.value) == str(one.value)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": {"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"},
+        "grid": {"R_max": 20.0, "node_count": 160, "spacing": "graded"},
+        "io": {"out_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "cache")}}))
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {one.value}\n"
+    assert not (tmp_path / "out").exists()
+    _no_child_left()
+
+
+def test_helper_that_dies_is_an_error(forks, monkeypatch):
+    # a helper killed mid-build must not leave a W with missing rows
+    parent = os.getpid()
+    r = make_grid(4, r_max=20.0, n=160).cell_midpoints
+    angular = kernel_module._angular_weights
+
+    def patched(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.05)  # leave the helper tasks to take
+        return angular(*args)
+
+    monkeypatch.setattr(kernel_module, "_angular_weights", patched)
+    with pytest.raises(ReducedKernelError, match="helper process ended with code -9"):
+        build_reduced_kernel(4, 0.5, r)
+    assert forks[0] == 2  # the table's split and W's
+    _no_child_left()
+
