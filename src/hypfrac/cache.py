@@ -2,10 +2,11 @@
 
 Keys are hashes of the defining data (dimension, order, grid nodes), so a
 stale entry can never be served for a different configuration.  The key
-also hashes _FORMAT_VERSION, which stands for the numerics that produced
-the entry: bump it whenever a change moves the weight matrix W or the
-forms, even in the last digits, so that no entry outlives its numerics.
-Writes go through a temporary file and an atomic rename.
+also hashes the code that built the entry (_code_digest, read once per
+process: the bytes of the modules behind the forms and numpy's version),
+so a change to the numerics, even one that moves only the last digits or
+none, changes every key, and no entry outlives the numerics that produced
+it.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -14,27 +15,22 @@ import hashlib
 import os
 import tempfile
 import zipfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 CACHE_ENV = "HYPFRAC_CACHE"
-# 2: the even-N kernel is a fixed Gauss rule (moves even-N W at 1e-13)
-# 3: entries hold only the nonlocal form, moved at 2e-16 by array assembly
-# 4: W's angular rule is graded per pair (W entries move by <= 2.0e-11
-#    relative, the nonlocal form by <= 1.1e-15 x max)
-# 5: the table interpolant is evaluated by direct index and Horner, the
-#    diagonal prefactor's Beta function by lgamma (W entries move by
-#    <= 6.9e-15 relative, the nonlocal form by <= 7.0e-16 x max)
-# 6: the even-N near-part substitution splits its square root (even-N
-#    kernel values move by <= 5.6e-14 relative, N=4 W entries by
-#    <= 7.3e-15 relative, the nonlocal form by <= 4.6e-16 x max)
-# 7: log K_nu by numpy's Temme series / CF2 instead of scipy's kve (at
-#    N = 3, 4, 5 kernel values move by <= 1.4e-14, 3.5e-15, 2.9e-14
-#    relative, W entries by <= 7.4e-15, 7.5e-15, 8.1e-15 relative, the
-#    nonlocal form by <= 3.3e-17, 5.9e-17, 6.2e-16 x max)
-# 8: per-row node sums in W (entries move by <= 6.7e-16 relative)
-_FORMAT_VERSION = 8
+# the modules whose code builds a cached form
+_NUMERICS = ("kernel.py", "specfun.py", "funcspace.py", "geometry.py", "pipeline.py", "cache.py")
+
+
+@lru_cache(maxsize=1)
+def _code_digest() -> bytes:
+    """sha256 of numpy's version and the bytes of the _NUMERICS modules, read
+    at the first key of the process, not at import."""
+    return hashlib.sha256(np.__version__.encode() + b"".join(
+        (Path(__file__).parent / name).read_bytes() for name in _NUMERICS)).digest()
 
 
 def default_cache_dir() -> Path:
@@ -45,8 +41,7 @@ def default_cache_dir() -> Path:
 
 
 def content_key(*parts) -> str:
-    h = hashlib.sha256()
-    h.update(str(_FORMAT_VERSION).encode())
+    h = hashlib.sha256(_code_digest())
     for part in parts:
         if isinstance(part, np.ndarray):
             h.update(np.ascontiguousarray(part).tobytes())

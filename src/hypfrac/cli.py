@@ -1,12 +1,14 @@
 """Batch front-end: kernel tabulation, solves, and the verification suites.
 
 Exit codes: 0 success; 1 failing verification suite; 2 validation or
-usage error, or an unwritable path; 3 numerical failure; 4 energy-threshold
-failure in critical mode.  Reports are deterministic for a fixed config at
-a fixed BLAS thread count (timestamps go to a separate metadata file), so
-repeated runs are byte-identical and diff-able; the Newton polish's dense
-solve rounds differently at another thread count, which moves the last
-digits.
+usage error (DomainError), or an unwritable path; 3 numerical failure --
+a NumericalError from any layer, printed as "numerical failure: <its
+message>", or a solve that did not converge; 4 energy-threshold failure
+in critical mode (ThresholdNotMetError).  Reports are deterministic for
+a fixed config at a fixed BLAS thread count (timestamps go to a separate
+metadata file), so repeated runs are byte-identical and diff-able; the
+Newton polish's dense solve rounds differently at another thread count,
+which moves the last digits.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from pathlib import Path
 
 from . import __version__, solver
 from .cache import default_cache_dir
-from .errors import (ConvergenceError, DomainError, QuadratureError,
-                     ReducedKernelError, TableRejectionError,
-                     ThresholdNotMetError)
+from .errors import DomainError, NumericalError, ThresholdNotMetError
 from .kernel import build_kernel_table
 from .pipeline import build_forms
 from .verify import SUITE_NAMES, run_suites
@@ -149,7 +149,7 @@ def cmd_kernel(args) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TableRejectionError, QuadratureError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     out = Path(args.out)
@@ -160,11 +160,10 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _solve_outputs(cfg: RunConfig, report: solver.SolveReport):
+def _solve_outputs(cfg: RunConfig, grid, report: solver.SolveReport):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     profile_name = "profile.csv"
-    sol = report.solution
-    _write_csv(cfg.out_dir / profile_name, "r,u", sol.grid.nodes, sol.values)
+    _write_csv(cfg.out_dir / profile_name, "r,u", grid.nodes, report.solution)
     payload = report.to_dict(solution_ref=profile_name)
     _write_json(cfg.out_dir / "report.json", payload)
     history = report.energy_history
@@ -193,10 +192,10 @@ def cmd_solve(args) -> int:
         raise OSError(f"cannot make out_dir {cfg.out_dir}: {base} is not a writable directory")
 
     try:
-        _, forms = build_forms(
+        grid, forms = build_forms(
             cfg.problem.N, cfg.problem.s, r_max=cfg.r_max, n=cfg.node_count,
             cache_dir=cfg.cache_dir)
-    except (QuadratureError, TableRejectionError, ReducedKernelError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DomainError as exc:
@@ -211,19 +210,10 @@ def cmd_solve(args) -> int:
         print(f"threshold failure: sup_value={exc.sup_value:.8g} "
               f"threshold={exc.threshold:.8g}")
         return EXIT_THRESHOLD
-    except (ConvergenceError, QuadratureError, ArithmeticError, ValueError) as exc:
-        # the config is valid here, so a ValueError (DomainError included)
-        # or an overflow comes from the numerics, e.g. a very negative lambda
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    not_finite = [name for name, value in report.to_dict().items()
-                  if isinstance(value, float) and not math.isfinite(value)]
-    if not_finite:
-        print(f"numerical failure: {', '.join(not_finite)} not finite",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    _solve_outputs(cfg, report)
+    _solve_outputs(cfg, grid, report)
     status = "converged" if report.converged else "NOT converged"
     print(f"{status}: energy {report.energy:.8f}, residual {report.residual:.3e}, "
           f"outputs in {cfg.out_dir}")

@@ -1,26 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Three outcomes, one type each: bad input (DomainError, exit code 2), a
+numerical failure (NumericalError, exit code 3) and a failed energy
+threshold (ThresholdNotMetError, exit code 4).  No caller tells numerical
+failures apart, so their one type carries the story in its message.
+"""
 
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance; the
-    message names the value and the error estimate at the point of failure."""
-
-
-class TableRejectionError(RuntimeError):
-    """A tabulated kernel violates its structural invariants.
-
-    Raised when the fitted asymptotic exponents fall outside the expected
-    bands, which signals a bug in the kernel evaluation rather than bad
-    user input.
-    """
-
-
-class ReducedKernelError(RuntimeError):
-    """Angular reduction of the two-point kernel failed at a node pair."""
+class NumericalError(RuntimeError):
+    """The numerics failed: a quadrature that missed its tolerance, a
+    kernel table or reduced kernel that breaks its structural invariants,
+    a helper process of a parallel build that died, a lambda metric that
+    is not finite or not positive definite, or a solve quantity that left
+    the floats.  The message names the quantity and where it failed."""
 
 
 class ThresholdNotMetError(RuntimeError):
@@ -30,7 +26,3 @@ class ThresholdNotMetError(RuntimeError):
         super().__init__(message)
         self.sup_value = sup_value
         self.threshold = threshold
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solve stopped before reaching its tolerance."""

@@ -24,7 +24,11 @@ bottom, which a coarse grid puts under (N-1)^2/4 (N = 3, 64 nodes: 0.954),
 so lambda_metric checks it by the L D L^T factorization (metric_factor),
 once per lambda, and the solvers solve with that factor (metric_solve).
 
-This module holds the forms and the norms built from them.  The energy
+A profile is a plain array of node values on the grid its forms hold
+(forms.grid).  lp_norm and schwarz_rearrange take the grid with it and
+check that it holds one finite value per node; the forms' own norms
+(norm_lambda_sq, seminorm_s_sq, dirichlet_sq) take it as it is.  This
+module holds the forms and the norms built from them.  The energy
 functionals and the best constants of their quotients live in solver
 (_functional_for, estimate_subcritical_constant,
 estimate_critical_constant), and profiles are written to CSV by cli.
@@ -37,14 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .geometry import radial_volume_weight
 from .kernel import ReducedKernel
 from .specfun import gauss_panels, geometric_panels
-
-
-def _spectral_gap_bound(n: int) -> float:
-    return (n - 1.0) ** 2 / 4.0
 
 
 @dataclass(frozen=True)
@@ -142,22 +142,6 @@ def _cell_rule(dim: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, dens.sum(axis=1)
 
 
-@dataclass
-class RadialFunction:
-    """Nodal values of a radial profile on a grid."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.nodes.shape:
-            raise DomainError("value vector does not match the grid")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("profile values must be finite")
-        self.values = v
-
-
 @dataclass(frozen=True)
 class QuadraticForms:
     """The stiffness (the cell coefficients c_k of sum c_k (u_{k+1} - u_k)^2)
@@ -174,7 +158,7 @@ class QuadraticForms:
     def lambda_metric(self, lam: float) -> np.ndarray:
         """stiffness - lam diag(grid.weights) as a (2, n) array of rows
         (superdiagonal, diagonal), the superdiagonal entry of column j in
-        row 0 at j (row 0 at 0 is unused); FloatingPointError if that
+        row 0 at j (row 0 at 0 is unused); NumericalError if that
         overflows or is not positive definite on the free nodes
         (metric_factor).  Built, checked and kept once per lam."""
         return self._checked_metric(lam)[0]
@@ -188,11 +172,11 @@ class QuadraticForms:
             c = np.concatenate(([0.0], self.stiffness, [0.0]))
             bands = np.stack((-c[:-1], c[1:] + c[:-1] - lam * self.grid.weights))
             if not np.isfinite(bands).all():
-                raise FloatingPointError(f"lambda metric is not finite at lambda = {lam:g}")
+                raise NumericalError(f"lambda metric is not finite at lambda = {lam:g}")
             try:
                 self._metrics[lam] = bands, metric_factor(bands)
-            except FloatingPointError:
-                raise FloatingPointError(
+            except NumericalError:
+                raise NumericalError(
                     f"lambda metric is not positive definite at lambda = {lam:g}") from None
             bands.flags.writeable = False  # every caller at this lam shares it
         return self._metrics[lam]
@@ -211,7 +195,7 @@ def metric_factor(bands: np.ndarray) -> tuple[list, list]:
     The steps of LAPACK's dpttrf, in its order of operations, so
     metric_solve reproduces LAPACK's tridiagonal solve bit for bit.  The
     recurrence does not vectorize, so it loops over Python floats.
-    FloatingPointError at the first pivot that is not > 0.
+    NumericalError at the first pivot that is not > 0.
     """
     d = bands[1, :-1].tolist()
     e = bands[0, 1:-1].tolist()
@@ -219,11 +203,11 @@ def metric_factor(bands: np.ndarray) -> tuple[list, list]:
     di = d[0]
     for i, ei in enumerate(e):
         if not di > 0.0:
-            raise FloatingPointError(f"metric pivot {i} is not positive")
+            raise NumericalError(f"metric pivot {i} is not positive")
         lower[i] = li = ei / di
         d[i + 1] = di = d[i + 1] - li * ei
     if not di > 0.0:
-        raise FloatingPointError(f"metric pivot {len(e)} is not positive")
+        raise NumericalError(f"metric pivot {len(e)} is not positive")
     return d, lower
 
 
@@ -383,39 +367,50 @@ def assemble_local_forms(grid: RadialGrid) -> np.ndarray:
     return _cell_rule(grid.dim, grid.nodes)[1] / grid.cell_widths ** 2
 
 
-def lp_norm(u: RadialFunction, q: float) -> float:
-    """Nodal L^q norm against the hyperbolic volume weights."""
+def _profile(grid: RadialGrid, v) -> np.ndarray:
+    """v as a float array of node values on grid; DomainError unless it
+    has one finite value per node."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != grid.nodes.shape:
+        raise DomainError("value vector does not match the grid")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("profile values must be finite")
+    return v
+
+
+def lp_norm(grid: RadialGrid, v, q: float) -> float:
+    """Nodal L^q norm of the profile v against grid's hyperbolic volume
+    weights."""
     if q < 1.0:
         raise DomainError(f"L^q norm needs q >= 1, got {q}")
-    return float(np.sum(np.abs(u.values) ** q * u.grid.weights) ** (1.0 / q))
+    return float(np.sum(np.abs(_profile(grid, v)) ** q * grid.weights) ** (1.0 / q))
 
 
-def norm_lambda_sq(u: RadialFunction, lam: float, forms: QuadraticForms) -> float:
-    """The lambda-shifted Dirichlet form u^T (stiffness - lam mass) u,
+def norm_lambda_sq(v: np.ndarray, lam: float, forms: QuadraticForms) -> float:
+    """The lambda-shifted Dirichlet form v^T (stiffness - lam mass) v,
     mass = diag(grid.weights).
 
     Only lam strictly below the spectral bottom (N-1)^2/4 keeps this an
     equivalent norm; larger values are rejected.
     """
-    bound = _spectral_gap_bound(u.grid.dim)
+    bound = (forms.grid.dim - 1.0) ** 2 / 4.0
     if not lam < bound:
         raise DomainError(f"lambda must be < (N-1)^2/4 = {bound}, got {lam}")
-    v = u.values
     return metric_pair(forms.lambda_metric(lam), v, v)
 
 
-def seminorm_s_sq(u: RadialFunction, forms: QuadraticForms) -> float:
+def seminorm_s_sq(v: np.ndarray, forms: QuadraticForms) -> float:
     """Nonlocal kernel seminorm squared; nonnegative by assembly."""
-    v = u.values
     return max(float(v @ forms.nonlocal_mat @ v), 0.0)
 
 
-def dirichlet_sq(u: RadialFunction, forms: QuadraticForms) -> float:
-    return float(forms.stiffness @ np.diff(u.values) ** 2)
+def dirichlet_sq(v: np.ndarray, forms: QuadraticForms) -> float:
+    return float(forms.stiffness @ np.diff(v) ** 2)
 
 
-def schwarz_rearrange(u: RadialFunction) -> RadialFunction:
-    """Decreasing radial rearrangement, equimeasurable at the cell level.
+def schwarz_rearrange(grid: RadialGrid, v) -> np.ndarray:
+    """Decreasing radial rearrangement of the profile v, equimeasurable at
+    the cell level.
 
     Node values with their volume weights are sorted by value (stable, so
     already-sorted input reproduces itself exactly) and laid out from the
@@ -424,13 +419,13 @@ def schwarz_rearrange(u: RadialFunction) -> RadialFunction:
     map exact on already-decreasing input (the partitions coincide) and
     idempotent, while resampling interleaved level sets at second order.
     """
-    vals = u.values
+    vals = _profile(grid, v)
     if np.any(vals < 0.0):
         raise DomainError(
             "rearrangement is defined for nonnegative profiles; "
             "take the absolute value first"
         )
-    w = u.grid.weights
+    w = grid.weights
     order = np.argsort(-vals, kind="stable")
     sorted_vals = vals[order]
     knots = np.concatenate(([0.0], np.cumsum(w[order])))
@@ -446,4 +441,4 @@ def schwarz_rearrange(u: RadialFunction) -> RadialFunction:
         idx = np.minimum(np.searchsorted(knots[1:], edges[:-1], side="right"),
                          vals.size - 1)
         out[~positive] = sorted_vals[idx[~positive]]
-    return RadialFunction(u.grid, out)
+    return out

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, ReducedKernelError, TableRejectionError
+from .errors import DomainError, NumericalError
 from .geometry import sphere_area
 from .specfun import bessel_k_log, gauss_panels, geometric_panels
 # not called here: perfbench/trace_solve.py wraps kernel.integrate_adaptive
@@ -219,14 +219,15 @@ _CHUNK_NODES = 1 << 14
 _FORK_MIN_ROWS = 96
 
 
-def _split(task, args, rows, error):
+def _split(task, args, rows):
     """task(a) for each a in args, each call writing its own part of an
     array in a shared anonymous mmap.  From _FORK_MIN_ROWS rows of work on,
     one process per usable CPU pulls indices into args from one pipe (the
     parent too, and more of them if a fork fails).  A helper's exception is
-    raised here with its type and message, a helper's death as error; no
-    helper outlives the call.  Helpers are forked, not spawned, so they start
-    from the parent's arrays without an import; they run no BLAS call."""
+    raised here with its type and message, a helper's death as a
+    NumericalError; no helper outlives the call.  Helpers are forked, not
+    spawned, so they start from the parent's arrays without an import; they
+    run no BLAS call."""
     # 4-byte indices: the pipe's 64 KiB buffer holds 2^14 of them
     fork = rows >= _FORK_MIN_ROWS and len(args) <= 1 << 14 and hasattr(os, "sched_getaffinity")
     workers = min(len(os.sched_getaffinity(0)), len(args)) if fork else 1
@@ -271,7 +272,8 @@ def _split(task, args, rows, error):
     if message:
         raise pickle.loads(message)
     if any(codes):
-        raise error(f"a helper process ended with code {min(codes)} before its part was done")
+        raise NumericalError(
+            f"a helper process ended with code {min(codes)} before its part was done")
 
 
 def _level_groups(levels):
@@ -327,7 +329,7 @@ def _even_integral(N, s, rho):
         far = np.sum(body * _even_ladder_eval(N, s, r) * wy, axis=1)
         out[k] = near + far
 
-    _split(chunk, list(_level_groups(levels)), rho.size, QuadratureError)
+    _split(chunk, list(_level_groups(levels)), rho.size)
     return out
 
 
@@ -357,7 +359,7 @@ def _even_body(N, s, rho):
             N, s, flat[inside])
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmin(np.isfinite(vals)))
-        raise QuadratureError(
+        raise NumericalError(
             f"even-dimension kernel quadrature returned {vals[bad]} at rho={flat[bad]}")
     return vals.reshape(rho.shape)
 
@@ -411,21 +413,21 @@ class KernelTable:
         # interpolator() indexes the knots as uniform in log rho
         x = np.log(self.rho_grid)
         if np.abs(x - np.linspace(x[0], x[-1], x.size)).max() > 1e-12 * (x[-1] - x[0]):
-            raise TableRejectionError("kernel table grid is not uniform in log rho")
+            raise NumericalError("kernel table grid is not uniform in log rho")
         if np.any(self.values <= 0.0):
-            raise TableRejectionError("kernel table contains non-positive values")
+            raise NumericalError("kernel table contains non-positive values")
         if np.any(np.diff(self.values) >= 0.0):
-            raise TableRejectionError("kernel table is not strictly decreasing")
+            raise NumericalError("kernel table is not strictly decreasing")
         expected = -(self.dim + 2.0 * self.order)
         if math.isfinite(self.near_exponent):
             if abs(self.near_exponent - expected) > NEAR_EXPONENT_BAND:
-                raise TableRejectionError(
+                raise NumericalError(
                     f"near-field exponent {self.near_exponent:.4f} outside "
                     f"{expected} +/- {NEAR_EXPONENT_BAND}"
                 )
         if math.isfinite(self.far_rate):
             if abs(self.far_rate - (self.dim - 1.0)) > FAR_RATE_BAND * (self.dim - 1.0):
-                raise TableRejectionError(
+                raise NumericalError(
                     f"far-field rate {self.far_rate:.4f} outside "
                     f"{self.dim - 1} +/- {100 * FAR_RATE_BAND}%"
                 )
@@ -502,7 +504,7 @@ def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
                        count: int) -> KernelTable:
     """Tabulate the kernel on a log-spaced grid and fit its asymptotics.
 
-    Rejects the table (TableRejectionError) if the fitted near-field
+    Rejects the table (NumericalError) if the fitted near-field
     exponent or far-field rate falls outside the structural bands; that
     signals a kernel implementation bug, not bad input.
     """
@@ -515,7 +517,7 @@ def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
     grid = np.geomspace(rho_min, rho_max, int(count))
     vals = np.asarray(kernel(N, s, grid), dtype=float)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-        raise TableRejectionError("kernel evaluation produced non-positive values")
+        raise NumericalError("kernel evaluation produced non-positive values")
 
     near = grid <= NEAR_WINDOW_MAX
     if np.count_nonzero(near) >= _MIN_FIT_POINTS:
@@ -572,7 +574,7 @@ class ReducedKernel:
         return self.prefactor * np.sinh(np.asarray(r, dtype=float)) ** (self.dim - 1)
 
     def validate(self):
-        """ReducedKernelError unless W is square on the grid, symmetric,
+        """NumericalError unless W is square on the grid, symmetric,
         positive and finite off the diagonal, and its adjacent pairs follow
         the near-diagonal law within 10% where that law is accurate:
         mid >= 10 delta and (N - 1) delta <= 0.1.  Grids of 128 or fewer
@@ -580,14 +582,14 @@ class ReducedKernel:
         compared at all."""
         n = self.r_grid.size
         if self.W.shape != (n, n):
-            raise ReducedKernelError("weight matrix shape does not match grid")
+            raise NumericalError("weight matrix shape does not match grid")
         if not np.array_equal(self.W, self.W.T):
-            raise ReducedKernelError("weight matrix is not symmetric")
+            raise NumericalError("weight matrix is not symmetric")
         off = ~np.eye(n, dtype=bool)
         bad = np.argwhere(off & ~((self.W > 0.0) & np.isfinite(self.W)))
         if bad.size:
             i, j = bad[0]
-            raise ReducedKernelError(
+            raise NumericalError(
                 f"off-diagonal weight {self.W[i, j]:.6g} is not positive and finite "
                 f"at (r1, r2) = ({self.r_grid[i]:.6g}, {self.r_grid[j]:.6g})")
         # near-diagonal law: adjacent pairs should match it where the
@@ -603,7 +605,7 @@ class ReducedKernel:
         off_law = np.flatnonzero(np.abs(actual - model) > 0.10 * model)
         if off_law.size:
             k = off_law[0]
-            raise ReducedKernelError(
+            raise NumericalError(
                 f"near-diagonal weight off by {abs(actual[k] / model[k] - 1.0):.2%} "
                 f"at r = {mid[k]:.4g} (pair {lo[k]:.6g}, {hi[k]:.6g})")
 
@@ -721,7 +723,7 @@ def build_reduced_kernel(N: int, s: float, r_grid) -> ReducedKernel:
         W[i, j] = pair
         W[j, i] = pair
 
-    _split(block, range(0, n - 1, _BLOCK_ROWS), n, ReducedKernelError)
+    _split(block, range(0, n - 1, _BLOCK_ROWS), n)
     prefactor = surface * table.near_amplitude * _sin_integral_const(N, s)
     rk = ReducedKernel(int(N), float(s), r, W, float(prefactor))
     rk.validate()

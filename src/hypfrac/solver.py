@@ -18,14 +18,15 @@ whose ray supremum is lowest, provided it lies below the compactness
 threshold S^(N/2)/N, with S estimated by concentration extrapolation of
 the critical quotient.  The critical descent rejects steps that
 concentrate the critical integral below the mesh scale.  The same descent
-and polish serve estimate_subcritical_constant, and one rule (_verdict)
-decides whether a solve of either mode converged.
+and polish serve estimate_subcritical_constant.  Both solvers build their
+report through one helper (_report), and one rule (_verdict) decides
+whether a solve of either mode converged.
 
 One ray law (_ray_peak) gives every ray root and ray level: the ray
 maxima of the descent, the seed search and check_threshold (_ray_max),
 and the mountain-pass envelope of mountain_pass_geometry.  It is Newton's
 iteration in log z from the smallest one-term root, monotone since f(t)/t
-is increasing, and a non-finite coefficient or root is a ConvergenceError,
+is increasing, and a non-finite coefficient or root is a NumericalError,
 never a zero ray.  Every linear solve is numpy's or the factored lambda
 metric's (funcspace.metric_solve); the package imports no scipy at all.
 The polish is plain damped Newton: it stops at its tolerance, or at the
@@ -41,11 +42,12 @@ _functional_for; values, Riesz gradients and Nehari scales are evaluated on
 that object, never by rebuilding it per profile (solve_critical builds J
 and its threshold once and hands both to the seed search).
 
-Vectors live on a RadialGrid with the last node pinned to zero (truncation
-of decaying profiles).  The lambda metric is held as its two bands, which
+Profiles are plain arrays of node values on forms.grid, the last node
+pinned to zero (truncation of decaying profiles); the report's solution
+is one.  The lambda metric is held as its two bands, which
 QuadraticForms.lambda_metric checks to be positive definite by factoring
-it once per lambda (funcspace.metric_factor); each _Functional solves with
-that factor.
+it once per lambda (funcspace.metric_factor); each _Functional solves
+with that factor.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ThresholdNotMetError
-from .funcspace import (QuadraticForms, RadialFunction, metric_pair, metric_solve,
-                        norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
+from .errors import DomainError, NumericalError, ThresholdNotMetError
+from .funcspace import (QuadraticForms, metric_pair, metric_solve, norm_lambda_sq,
+                        schwarz_rearrange, seminorm_s_sq)
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
@@ -116,16 +118,18 @@ class ProblemSpec:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: solution, levels, residuals, diagnostics.
+    """Outcome of one solve: solution (its node values on forms.grid),
+    levels, residuals, diagnostics.
 
     converged is the solve's one verdict, the one the CLI prints, writes
-    and exits by, decided by _verdict in both modes: the tolerances, the
-    Nehari identity E = sum_t (1/2 - 1/e_t) |u|_{e_t}^{e_t} over the
-    power terms to 1e-8 relative, the shape and resolution checks and
-    weak_max_check; in critical mode 0 < beta <= m < threshold comes first.
+    and exits by, decided by _verdict in both modes (through _report): the
+    tolerances, the Nehari identity E = sum_t (1/2 - 1/e_t) |u|_{e_t}^{e_t}
+    over the power terms to 1e-8 relative, the shape and resolution checks
+    and weak_max_check; in critical mode 0 < beta <= m < threshold comes
+    first.  Its numbers are finite: _report raises NumericalError otherwise.
     """
 
-    solution: RadialFunction
+    solution: np.ndarray
     energy: float
     nehari_value: float
     residual: float
@@ -256,14 +260,14 @@ def _ray_peak(q: float, coeffs, exponents) -> tuple[float, float]:
     root, falls monotonically to it; it stops when a step no longer lowers
     z.  With one term the start is the root (the Nehari scale).  A zero
     coefficient is an absent term.  DomainError if q <= 0 or every c_t is
-    0; ConvergenceError, naming the quantity, if q, a c_t or the root is
+    0; NumericalError, naming the quantity, if q, a c_t or the root is
     not finite.
     """
     if not math.isfinite(q):
-        raise ConvergenceError(f"ray quadratic form is not finite: {q}")
+        raise NumericalError(f"ray quadratic form is not finite: {q}")
     for c, e in zip(coeffs, exponents):
         if not math.isfinite(c):
-            raise ConvergenceError(f"ray power integral of order {e:.12g} is not finite: {c}")
+            raise NumericalError(f"ray power integral of order {e:.12g} is not finite: {c}")
     live = [(c, e - 2.0) for c, e in zip(coeffs, exponents) if c > 0.0]
     if q <= 0.0 or not live:
         raise DomainError("ray maximum undefined: zero profile or vanishing integral")
@@ -274,8 +278,8 @@ def _ray_peak(q: float, coeffs, exponents) -> tuple[float, float]:
         except OverflowError:  # p close to 1: this root lies beyond the floats
             pass
     if not 0.0 < z < math.inf:
-        raise ConvergenceError(f"Nehari scale {'overflows' if z else 'underflows'} "
-                               f"at p = {min(exponents) - 1.0:.12g}")
+        raise NumericalError(f"Nehari scale {'overflows' if z else 'underflows'} "
+                             f"at p = {min(exponents) - 1.0:.12g}")
     try:
         while True:
             terms = [c * z ** a for c, a in live]
@@ -285,7 +289,7 @@ def _ray_peak(q: float, coeffs, exponents) -> tuple[float, float]:
                 break
             z = lower
     except OverflowError:  # c_t tiny against q: z^(e_t - 2) beyond the floats
-        raise ConvergenceError(f"ray term overflows at z = {z:.6g}") from None
+        raise NumericalError(f"ray term overflows at z = {z:.6g}") from None
     # z^2 (q/2 - sum_t t/e_t), written so that no two large terms cancel
     return z * z * (q - sum(terms) + sum(
         a * t / (a + 2.0) for (_, a), t in zip(live, terms))) / 2.0, z
@@ -388,7 +392,7 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     stop = "budget"
     for it in range(1, max_iter + 1):
         if it % _REARRANGE_EVERY == 0:
-            cand = schwarz_rearrange(RadialFunction(fn.grid, np.abs(v))).values
+            cand = schwarz_rearrange(fn.grid, np.abs(v))
             cand[-1] = 0.0
             cand, level, cand_qv = project(cand)
             if level <= history[-1] + 1e-12 * abs(history[-1]):
@@ -404,7 +408,7 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
             cand[-1] = 0.0
             try:
                 cand, level, cand_qv = project(cand)
-            except (DomainError, ConvergenceError):
+            except (DomainError, NumericalError):
                 level = math.inf
             if (level <= history[-1] - _ARMIJO * eta * gnorm_sq
                     and not (guard_origin and origin_mass_share(fn, cand) > 0.5)):
@@ -462,20 +466,45 @@ def _verdict(fn: _Functional, spec: ProblemSpec, forms: QuadraticForms,
     nonincreasing to _SIGN_TOL of its peak and resolved (origin_mass_share);
     the Nehari identity E = sum_t (1/2 - 1/e_t) |u|_{e_t}^{e_t} to 1e-8
     relative (so E > 0); and, checked last, weak_max_check (u >= 0)."""
-    v = report.solution.values
+    v = report.solution
     unorm = fn.metric_norm(v)
     identity = report.energy - sum((0.5 - 1.0 / e) * fn.power_integral(v, e)
                                    for e in fn.exponents)
     return bool(
         report.residual < tol * max(unorm, 1e-30)
         and report.residual < tol
-        and abs(report.nehari_value) < tol * unorm ** 2
+        and abs(report.nehari_value) < tol * (unorm * unorm)
         and unorm > 0.01 * fn.metric_norm(v0)
         and np.all(np.diff(v) <= _SIGN_TOL * np.abs(v).max())
         and origin_mass_share(fn, v) <= 0.5
         and abs(identity) < 1e-8 * abs(report.energy)
-        and weak_max_check(report.solution, spec, forms).passes
+        and weak_max_check(v, spec, forms).passes
     )
+
+
+def _report(fn: _Functional, spec: ProblemSpec, forms: QuadraticForms, v0: np.ndarray,
+            tol: float, point: tuple, **levels) -> SolveReport:
+    """The SolveReport of a solve of either mode from its seed v0 and its
+    _critical_point result point = (v, history, stops), with the levels
+    (c_star, mp_level_m, beta, mp_radius, threshold) of its mode.
+    NumericalError, naming them, if any of its numbers is not finite;
+    otherwise converged is _verdict's, after 0 < beta <= m < threshold in
+    critical mode."""
+    v, history, stops = point
+    report = SolveReport(
+        solution=v, energy=history[-1], nehari_value=fn.derivative_along(v),
+        residual=fn.residual_norm(v), **levels,
+        iterations=stops["descent_steps"] + stops["newton_steps"],
+        converged=False, energy_history=history, **stops)
+    not_finite = [name for name, value in report.to_dict().items()
+                  if isinstance(value, float) and not math.isfinite(value)]
+    if not_finite:
+        raise NumericalError(f"{', '.join(not_finite)} not finite")
+    report.converged = (
+        spec.mode == "subcritical"
+        or 0.0 < report.beta <= report.mp_level_m < report.threshold
+    ) and _verdict(fn, spec, forms, report, v0, tol)
+    return report
 
 
 def solve_subcritical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
@@ -490,19 +519,9 @@ def solve_subcritical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-
         raise DomainError("solve_subcritical needs spec.mode == 'subcritical'")
     fn = _functional_for(spec, forms)
     v0 = _gaussian(forms.grid)
-
-    v, history, stops = _critical_point(fn, v0, tol, max_iter, 1e-13)
-
-    energy = history[-1]
-    report = SolveReport(
-        solution=RadialFunction(forms.grid, v), energy=energy,
-        nehari_value=fn.derivative_along(v), residual=fn.residual_norm(v),
-        c_star=energy, mp_level_m=None, beta=None, mp_radius=None, threshold=None,
-        iterations=stops["descent_steps"] + stops["newton_steps"],
-        converged=False, energy_history=history, **stops,
-    )
-    report.converged = _verdict(fn, spec, forms, report, v0, tol)
-    return report
+    point = _critical_point(fn, v0, tol, max_iter, 1e-13)
+    return _report(fn, spec, forms, v0, tol, point, c_star=point[1][-1],
+                   mp_level_m=None, beta=None, mp_radius=None, threshold=None)
 
 
 def _gaussian(grid, width: float = 1.0) -> np.ndarray:
@@ -570,7 +589,7 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     Maximizes the lower envelope rho^2/2 - C1 rho^{2*}/2* - C2 rho^{p+1}/(p+1)
     built from the embedding constants of the local functional (no nonlocal
     form): that is the ray peak (_ray_peak) at q = 1 with coefficients C1
-    and C2.  FloatingPointError if a constant over- or underflows (an
+    and C2.  NumericalError if a constant over- or underflows (an
     underflowed C1 is not an absent term) or the peak is not finite.
     """
     local = _Functional(forms, spec.lam, 0.0, [spec.p + 1.0])
@@ -582,19 +601,24 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
         coeffs = (s_crit ** (-two_star / 2.0), s_sub ** (-(spec.p + 1.0) / 2.0))
         if min(coeffs) >= np.finfo(float).tiny:
             beta, rho_star = _ray_peak(1.0, coeffs, (two_star, spec.p + 1.0))
-    except (ArithmeticError, ConvergenceError, DomainError):
+    except (ArithmeticError, NumericalError, DomainError):
         pass
     if not 0.0 < beta < math.inf:
-        raise FloatingPointError(
+        raise NumericalError(
             f"mountain-pass envelope is not finite at lambda = {spec.lam:g}")
     return float(beta), float(rho_star)
 
 
 def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
-    """The compactness threshold S^(N/2)/N, S estimated on J = fn."""
+    """The compactness threshold S^(N/2)/N, S estimated on J = fn;
+    NumericalError if S^(N/2) overflows (a very negative lambda)."""
     if spec.mode != "critical_perturbed":
         raise DomainError("threshold check requires a critical_perturbed spec")
-    return estimate_critical_constant(fn, spec.critical_exponent) ** (spec.N / 2.0) / spec.N
+    try:
+        return estimate_critical_constant(fn, spec.critical_exponent) ** (spec.N / 2.0) / spec.N
+    except OverflowError:
+        raise NumericalError(
+            f"compactness threshold overflows at lambda = {spec.lam:g}") from None
 
 
 def check_threshold(fn: _Functional, v: np.ndarray) -> float:
@@ -632,10 +656,11 @@ def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
 
     J and its threshold are built once, and search_threshold_seed picks
     the seed from them or raises ThresholdNotMetError, the one threshold
-    failure of a solve.  The mountain-pass level of J is its Nehari level (module docstring),
-    so the solve is solve_subcritical's on J (_critical_point): descent
-    from the seed, Newton from relative gradient _HANDOFF_RTOL, the
-    descent resumed only if Newton fails; at most max_iter descent steps.
+    failure of a solve.  The mountain-pass level of J is its Nehari level
+    (module docstring), so the solve is solve_subcritical's on J
+    (_critical_point): descent from the seed, Newton from relative gradient
+    _HANDOFF_RTOL, the descent resumed only if Newton fails; at most
+    max_iter descent steps.
     The descent rejects steps that would concentrate the critical integral
     below the mesh scale: the lumped quadrature understates the critical
     norm of sub-grid spikes, and chasing them would produce a spurious
@@ -653,8 +678,8 @@ def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
     threshold = _threshold(fn, spec)
     v0 = search_threshold_seed(fn, threshold)
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
-    v_inf, history, stops = _critical_point(fn, v0, tol, max_iter, 1e-12)
-    m = history[-1]
+    point = _critical_point(fn, v0, tol, max_iter, 1e-12)
+    v_inf, m = point[0], point[1][-1]
     u_norm = fn.metric_norm(v_inf)
     nontrivial = u_norm > 0.01 * fn.metric_norm(v0)
 
@@ -669,17 +694,8 @@ def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
         warnings.warn(
             f"mountain-pass level {m:.6g} within 1e-3 of the compactness "
             f"threshold {threshold:.6g}", RuntimeWarning)
-    report = SolveReport(
-        solution=RadialFunction(forms.grid, v_inf), energy=m,
-        nehari_value=fn.derivative_along(v_inf), residual=fn.residual_norm(v_inf),
-        c_star=None, mp_level_m=m, beta=beta, mp_radius=mp_radius,
-        threshold=threshold,
-        iterations=stops["descent_steps"] + stops["newton_steps"],
-        converged=False, energy_history=history, **stops,
-    )
-    report.converged = 0.0 < beta <= m < threshold and _verdict(
-        fn, spec, forms, report, v0, tol)
-    return report
+    return _report(fn, spec, forms, v0, tol, point, c_star=None, mp_level_m=m,
+                   beta=beta, mp_radius=mp_radius, threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -690,21 +706,20 @@ class WeakMaxReport:
     neg_seminorm_sq: float
 
 
-def weak_max_check(u: RadialFunction, spec: ProblemSpec,
+def weak_max_check(v: np.ndarray, spec: ProblemSpec,
                    forms: QuadraticForms) -> WeakMaxReport:
-    """Nonnegativity check through the negative-part mechanism.
+    """Nonnegativity check of the profile v on forms.grid through the
+    negative-part mechanism.
 
     A genuine solution has vanishing negative part in both the lambda norm
     and the kernel seminorm; a sign-changing profile fails all three tests.
     """
-    v = u.values
     peak = float(np.abs(v).max()) or 1.0
     neg = np.maximum(-v, 0.0)
     neg[-1] = 0.0
-    neg_fun = RadialFunction(u.grid, neg)
-    scale = max(norm_lambda_sq(u, spec.lam, forms), _WEAK_MAX_TOL)
-    neg_lambda = norm_lambda_sq(neg_fun, spec.lam, forms)
-    neg_semi = seminorm_s_sq(neg_fun, forms)
+    scale = max(norm_lambda_sq(v, spec.lam, forms), _WEAK_MAX_TOL)
+    neg_lambda = norm_lambda_sq(neg, spec.lam, forms)
+    neg_semi = seminorm_s_sq(neg, forms)
     passes = (
         float(v.min()) >= -_SIGN_TOL * peak
         and neg_lambda < _WEAK_MAX_TOL * scale

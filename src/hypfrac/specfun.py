@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, NumericalError
 
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _GL_HI = np.polynomial.legendre.leggauss(15)
@@ -207,7 +207,7 @@ def _panel_estimates(f, a, b):
     y_lo = _eval_vectorized(f, x_lo)
     i_lo = half * float(np.dot(_GL_LO[1], y_lo))
     if not (math.isfinite(i_hi) and math.isfinite(i_lo)):
-        raise QuadratureError(
+        raise NumericalError(
             f"non-finite integrand on panel [{a:.6g}, {b:.6g}]: "
             f"15-point value {i_hi}, 7-point value {i_lo}")
     return i_hi, abs(i_hi - i_lo)
@@ -233,7 +233,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float, rel_tol: float = 0.0):
     while total_err > max(tol, rel_tol * abs(total_val)):
         neg_err, pa, pb, pval, depth = heapq.heappop(heap)
         if depth >= MAX_BISECTIONS:
-            raise QuadratureError(
+            raise NumericalError(
                 f"refinement depth {MAX_BISECTIONS} exhausted at value "
                 f"{total_val:.6g}; error estimate {total_err:.3e} > tol {tol:.3e}")
         mid = 0.5 * (pa + pb)

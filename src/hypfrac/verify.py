@@ -20,8 +20,8 @@ import numpy as np
 from . import solver
 from ._goldens import ODD_KERNEL_FD_ORACLE
 from .errors import ThresholdNotMetError
-from .funcspace import (RadialFunction, assemble_local_forms, dirichlet_sq,
-                        lp_norm, make_grid, schwarz_rearrange, seminorm_s_sq)
+from .funcspace import (assemble_local_forms, dirichlet_sq, lp_norm, make_grid,
+                        schwarz_rearrange, seminorm_s_sq)
 from .kernel import FAR_RATE_BAND, NEAR_EXPONENT_BAND, build_kernel_table, kernel
 from .pipeline import build_forms
 
@@ -153,11 +153,8 @@ def suite_embedding(cache_dir=None) -> list[CheckResult]:
 
     ratios = {}
     for n_nodes, (grid, forms) in grids.items():
-        fam = profile_family(grid)
-        ratios[n_nodes] = np.array([
-            seminorm_s_sq(RadialFunction(grid, v), forms)
-            / dirichlet_sq(RadialFunction(grid, v), forms)
-            for v in fam])
+        ratios[n_nodes] = np.array([seminorm_s_sq(v, forms) / dirichlet_sq(v, forms)
+                                    for v in profile_family(grid)])
     drift = float(np.max(np.abs(ratios[800] / ratios[400] - 1.0)))
     max_ratio = float(ratios[400].max())
     res.append(CheckResult(
@@ -168,11 +165,8 @@ def suite_embedding(cache_dir=None) -> list[CheckResult]:
     # embedding constants per order at N = 3
     for s in KERNEL_ORDERS:
         grid, forms = build_forms(3, s, r_max=20.0, n=400, cache_dir=cache_dir)
-        fam = profile_family(grid)
-        c_emb = max(
-            seminorm_s_sq(RadialFunction(grid, v), forms)
-            / dirichlet_sq(RadialFunction(grid, v), forms)
-            for v in fam)
+        c_emb = max(seminorm_s_sq(v, forms) / dirichlet_sq(v, forms)
+                    for v in profile_family(grid))
         res.append(CheckResult(
             "embedding", f"[u]_s^2 <= C grad-energy at s={s}",
             np.isfinite(c_emb) and c_emb > 0.0, f"C = {c_emb:.4f}"))
@@ -180,11 +174,8 @@ def suite_embedding(cache_dir=None) -> list[CheckResult]:
     # spectral bottom over the family
     grid, forms = grids[400]
     bound = (grid.dim - 1.0) ** 2 / 4.0
-    quotients = []
-    for v in profile_family(grid):
-        u = RadialFunction(grid, v)
-        quotients.append(dirichlet_sq(u, forms) / lp_norm(u, 2.0) ** 2)
-    qmin = float(min(quotients))
+    qmin = float(min(dirichlet_sq(v, forms) / lp_norm(grid, v, 2.0) ** 2
+                     for v in profile_family(grid)))
     res.append(CheckResult(
         "embedding", "Rayleigh quotients >= 0.98 (N-1)^2/4 across family",
         qmin >= 0.98 * bound, f"min {qmin:.4f} vs bound {bound:.4f}"))
@@ -240,7 +231,7 @@ def suite_nehari(cache_dir=None) -> list[CheckResult]:
 
     # the Nehari minimum is a mountain-pass point: one descent direction
     # (along its ray), positive curvature across the Nehari set
-    index, next_mu = morse_index(fn, report.solution.values)
+    index, next_mu = morse_index(fn, report.solution)
     res.append(CheckResult(
         "nehari", "ground state has Morse index 1",
         index == 1, f"index {index}, next eigenvalue {next_mu:.4f}"))
@@ -259,15 +250,13 @@ def suite_nehari(cache_dir=None) -> list[CheckResult]:
     worst_lq, worst_energy = 0.0, -1.0
     for seed in REARRANGE_SEEDS:
         for v in random_smooth_profiles(fine, 100, seed=seed):
-            u0 = RadialFunction(fine, v)
-            star = schwarz_rearrange(u0)
+            star = schwarz_rearrange(fine, v)
             for q in (2.0, 4.0, 6.0):
-                worst_lq = max(worst_lq, abs(lp_norm(star, q) / lp_norm(u0, q) - 1.0))
+                worst_lq = max(worst_lq, abs(lp_norm(fine, star, q) / lp_norm(fine, v, q) - 1.0))
         for v in random_smooth_profiles(grid, 100, seed=seed):
-            u0 = RadialFunction(grid, v)
-            star = schwarz_rearrange(u0)
-            d0, d1 = dirichlet_sq(u0, forms), dirichlet_sq(star, forms)
-            s0, s1 = seminorm_s_sq(u0, forms), seminorm_s_sq(star, forms)
+            star = schwarz_rearrange(grid, v)
+            d0, d1 = dirichlet_sq(v, forms), dirichlet_sq(star, forms)
+            s0, s1 = seminorm_s_sq(v, forms), seminorm_s_sq(star, forms)
             worst_energy = max(worst_energy, (d1 - d0) / max(d0, 1e-30),
                                (s1 - s0) / max(s0, 1e-30))
     res.append(CheckResult(
@@ -290,7 +279,7 @@ def suite_maxprinciple(cache_dir=None) -> list[CheckResult]:
         bad = (np.exp(-grid.nodes ** 2)
                - depth * np.exp(-((grid.nodes - 3.0) / width) ** 2))
         bad[-1] = 0.0
-        check_bad = solver.weak_max_check(RadialFunction(grid, bad), spec, forms)
+        check_bad = solver.weak_max_check(bad, spec, forms)
         res.append(CheckResult(
             "maxprinciple", f"sign-changing profile ({depth}, {width}) fails the test",
             not check_bad.passes, f"min {check_bad.min_value:.3f}"))
@@ -352,8 +341,7 @@ def suite_critical(cache_dir=None) -> list[CheckResult]:
         f"beta {report.beta:.4f} <= m {report.mp_level_m:.4f} "
         f"< threshold {report.threshold:.4f}, residual {report.residual:.2e}"))
 
-    index, next_mu = morse_index(solver._functional_for(spec5, forms5),
-                                report.solution.values)
+    index, next_mu = morse_index(solver._functional_for(spec5, forms5), report.solution)
     res.append(CheckResult(
         "critical", "mountain-pass solution has Morse index 1",
         index == 1, f"index {index}, next eigenvalue {next_mu:.4f}"))

@@ -1,8 +1,13 @@
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypfrac.cache
 from hypfrac.cache import atomic_write_npz, content_key, default_cache_dir, load_npz
 from hypfrac.pipeline import build_forms
 
@@ -21,11 +26,27 @@ def test_content_key_distinguishes_grids():
     assert len({a, b, c}) == 3
 
 
-def test_content_key_covers_format_version(monkeypatch):
-    nodes = np.linspace(0, 1, 10)
-    before = content_key("forms", 3, "0.5", nodes)
-    monkeypatch.setattr("hypfrac.cache._FORMAT_VERSION", 99)
-    assert content_key("forms", 3, "0.5", nodes) != before
+def _key_of(root):
+    """content_key of one fixed entry in a fresh process on the package
+    under root."""
+    code = ("import numpy as np; from hypfrac.cache import content_key; "
+            "print(content_key('forms', 3, '0.5', np.linspace(0, 1, 10)))")
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          env={**os.environ, "PYTHONPATH": str(root)},
+                          capture_output=True, text=True).stdout
+
+
+def test_content_key_covers_the_code_of_the_numerics(tmp_path):
+    # an entry is keyed by the code that built it: a byte-identical copy of
+    # the package keys it alike, one comment byte added to kernel.py does not
+    package = Path(hypfrac.cache.__file__).parent
+    shutil.copytree(package, tmp_path / "hypfrac",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    before = _key_of(tmp_path)
+    assert before == _key_of(package.parent)
+    with open(tmp_path / "hypfrac" / "kernel.py", "a") as fh:
+        fh.write("#")
+    assert _key_of(tmp_path) != before
 
 
 def test_atomic_write_roundtrip(tmp_path):

@@ -380,6 +380,20 @@ def test_solve_overflowing_nehari_scale(tmp_path, cache_dir, capsys):
     assert not out.exists()
 
 
+def test_solve_overflowing_threshold(tmp_path, cache_dir, capsys):
+    # S^(N/2) leaves the floats at lambda = -1e250: a numerical failure
+    # that names the threshold, not a bare OverflowError
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"N": 3, "s": 0.5, "lambda": -1e250, "p": 3.0, "mode": "critical_perturbed"},
+        out, cache_dir, grid=_COARSE_GRID)
+    assert run_cli("solve", "--config", str(cfg)) == EXIT_NUMERICAL
+    assert ("numerical failure: compactness threshold overflows at lambda = -1e+250"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_shipped_configs_load():
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
     assert configs

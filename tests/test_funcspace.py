@@ -6,9 +6,8 @@ from scipy.integrate import quad
 from scipy.linalg import LinAlgError, cholesky_banded, eigh, eigvalsh, solveh_banded
 
 from hypfrac.cli import RunConfig, _solve_outputs
-from hypfrac.errors import DomainError
-from hypfrac.funcspace import (QuadraticForms, RadialFunction,
-                               _adjacent_slope_matrix, _cell_pair_integral,
+from hypfrac.errors import DomainError, NumericalError
+from hypfrac.funcspace import (QuadraticForms, _adjacent_slope_matrix, _cell_pair_integral,
                                assemble_forms, assemble_local_forms, dirichlet_sq,
                                lp_norm, make_grid, metric_factor, metric_solve,
                                norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
@@ -24,7 +23,7 @@ GAUSS_DIRICHLET = 9.0459559749408172
 
 
 def gaussian(grid):
-    return RadialFunction(grid, np.exp(-grid.nodes ** 2))
+    return np.exp(-grid.nodes ** 2)
 
 
 def test_grid_invariants(setup3):
@@ -64,7 +63,7 @@ def test_forms_symmetric_psd(setup3):
 
 def test_constant_annihilated(setup3):
     grid, forms = setup3
-    ones = RadialFunction(grid, np.ones(grid.n))
+    ones = np.ones(grid.n)
     scale = float(np.abs(forms.stiffness).max())
     assert abs(dirichlet_sq(ones, forms)) < 1e-12 * scale
     assert seminorm_s_sq(ones, forms) < 1e-12 * float(np.abs(forms.nonlocal_mat).max())
@@ -153,7 +152,7 @@ def test_metric_factor_verdict_matches_cholesky_banded():
             try:
                 metric_factor(bands)
                 ldl = True
-            except FloatingPointError:
+            except NumericalError:
                 ldl = False
             try:
                 cholesky_banded(bands[:, :-1])
@@ -161,14 +160,14 @@ def test_metric_factor_verdict_matches_cholesky_banded():
             except LinAlgError:
                 chol = False
             assert ldl == chol == (sign < 0.0), (k, sign)
-    with pytest.raises(FloatingPointError,
+    with pytest.raises(NumericalError,
                        match="lambda metric is not positive definite at lambda = 0.96"):
         forms.lambda_metric(0.96)
 
 
 def test_norm_lambda_basics(setup3):
     grid, forms = setup3
-    zero = RadialFunction(grid, np.zeros(grid.n))
+    zero = np.zeros(grid.n)
     assert norm_lambda_sq(zero, 0.3, forms) == 0.0
     u = gaussian(grid)
     assert norm_lambda_sq(u, 0.0, forms) == pytest.approx(
@@ -183,14 +182,13 @@ def test_norm_lambda_positive_near_spectral_bound(setup3):
     grid, forms = setup3
     lam = 0.9 * (grid.dim - 1.0) ** 2 / 4.0
     for v in random_smooth_profiles(grid, 20, seed=5):
-        u = RadialFunction(grid, v)
-        assert norm_lambda_sq(u, lam, forms) > 0.0
+        assert norm_lambda_sq(v, lam, forms) > 0.0
 
 
 def test_seminorm_nonnegative_and_zero_on_constants(setup3):
     grid, forms = setup3
     for v in random_smooth_profiles(grid, 10, seed=6):
-        assert seminorm_s_sq(RadialFunction(grid, v), forms) >= 0.0
+        assert seminorm_s_sq(v, forms) >= 0.0
 
 
 def _seminorm_cross_oracle(grid, v1, v2, n_r=180, n_g=96, r_cap=14.0):
@@ -236,9 +234,9 @@ def test_seminorm_two_bump_interaction_decays(setup3):
     inter = []
     for d in (4.0, 6.0, 8.0, 10.0):
         u2 = bump(d)
-        q12 = seminorm_s_sq(RadialFunction(grid, u1 + u2), forms)
-        q1 = seminorm_s_sq(RadialFunction(grid, u1), forms)
-        q2 = seminorm_s_sq(RadialFunction(grid, u2), forms)
+        q12 = seminorm_s_sq(u1 + u2, forms)
+        q1 = seminorm_s_sq(u1, forms)
+        q2 = seminorm_s_sq(u2, forms)
         inter.append(q12 - q1 - q2)
     assert np.all(np.diff(np.abs(inter)) < 0.0)
 
@@ -249,30 +247,52 @@ def test_seminorm_two_bump_interaction_decays(setup3):
 def test_lp_norm_homogeneity(setup3):
     grid, forms = setup3
     u = gaussian(grid)
-    scaled = RadialFunction(grid, -2.5 * u.values)
     for q in (1.0, 2.0, 3.5):
-        assert lp_norm(scaled, q) == pytest.approx(2.5 * lp_norm(u, q), rel=1e-14)
+        assert lp_norm(grid, -2.5 * u, q) == pytest.approx(2.5 * lp_norm(grid, u, q),
+                                                          rel=1e-14)
 
 
 def test_lp_norm_gaussian_golden(setup3):
     grid, _ = setup3
     u = gaussian(grid)
-    assert lp_norm(u, 2.0) ** 2 == pytest.approx(GAUSS_L2_SQ, rel=2e-3)
-    assert lp_norm(u, 4.0) ** 4 == pytest.approx(GAUSS_L4_4, rel=2e-3)
+    assert lp_norm(grid, u, 2.0) ** 2 == pytest.approx(GAUSS_L2_SQ, rel=2e-3)
+    assert lp_norm(grid, u, 4.0) ** 4 == pytest.approx(GAUSS_L4_4, rel=2e-3)
 
 
 def test_lp_norm_rejects_bad_exponent(setup3):
     grid, _ = setup3
     with pytest.raises(DomainError):
-        lp_norm(gaussian(grid), 0.5)
+        lp_norm(grid, gaussian(grid), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.ones(1), np.ones(399), np.ones(401)],
+                         ids=["1", "n-1", "n+1"])
+def test_profile_length_must_match_the_grid(setup3, bad):
+    # a length-1 profile would broadcast against the weights without a word
+    grid, _ = setup3
+    with pytest.raises(DomainError, match="does not match the grid"):
+        lp_norm(grid, bad, 2.0)
+    with pytest.raises(DomainError, match="does not match the grid"):
+        schwarz_rearrange(grid, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_values_must_be_finite(setup3, bad):
+    grid, _ = setup3
+    v = gaussian(grid)
+    v[5] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        lp_norm(grid, v, 2.0)
+    with pytest.raises(DomainError, match="must be finite"):
+        schwarz_rearrange(grid, v)
 
 
 def test_norms_converge_under_doubling(setup3, setup3_fine):
     grid, _ = setup3
     fine, _ = setup3_fine
     for q in (2.0, 4.0):
-        a = lp_norm(gaussian(grid), q)
-        b = lp_norm(gaussian(fine), q)
+        a = lp_norm(grid, gaussian(grid), q)
+        b = lp_norm(fine, gaussian(fine), q)
         assert abs(b / a - 1.0) < 1e-3
 
 
@@ -286,17 +306,16 @@ def test_rearrange_identity_on_decreasing(setup3):
     grid, _ = setup3
     v = np.exp(-grid.nodes)
     v[-1] = 0.0
-    u = RadialFunction(grid, v)
-    assert np.abs(schwarz_rearrange(u).values - v).max() < 1e-12
+    assert np.abs(schwarz_rearrange(grid, v) - v).max() < 1e-12
 
 
 def test_rearrange_idempotent(setup3):
     grid, _ = setup3
     for v in random_smooth_profiles(grid, 10, seed=8):
-        s1 = schwarz_rearrange(RadialFunction(grid, v))
-        s2 = schwarz_rearrange(s1)
-        assert np.abs(s2.values - s1.values).max() < 1e-12 * max(v.max(), 1.0)
-        assert np.all(np.diff(s1.values) <= 1e-12 * v.max())
+        s1 = schwarz_rearrange(grid, v)
+        s2 = schwarz_rearrange(grid, s1)
+        assert np.abs(s2 - s1).max() < 1e-12 * max(v.max(), 1.0)
+        assert np.all(np.diff(s1) <= 1e-12 * v.max())
 
 
 def test_rearrange_rejects_negative(setup3):
@@ -304,46 +323,41 @@ def test_rearrange_rejects_negative(setup3):
     v = np.ones(grid.n)
     v[3] = -0.1
     with pytest.raises(DomainError, match="absolute value"):
-        schwarz_rearrange(RadialFunction(grid, v))
+        schwarz_rearrange(grid, v)
 
 
 def test_rearrange_preserves_lq():
     fine = make_grid(3, r_max=20.0, n=2000)
     worst = 0.0
     for v in random_smooth_profiles(fine, 25, seed=9):
-        u = RadialFunction(fine, v)
-        star = schwarz_rearrange(u)
+        star = schwarz_rearrange(fine, v)
         for q in (2.0, 4.0, 6.0):
-            worst = max(worst, abs(lp_norm(star, q) / lp_norm(u, q) - 1.0))
+            worst = max(worst, abs(lp_norm(fine, star, q) / lp_norm(fine, v, q) - 1.0))
     assert worst < 1e-3
 
 
 def test_rearrange_energy_nonincreasing(setup3):
     grid, forms = setup3
     for v in random_smooth_profiles(grid, 25, seed=10):
-        u = RadialFunction(grid, v)
-        star = schwarz_rearrange(u)
-        assert dirichlet_sq(star, forms) <= dirichlet_sq(u, forms) * (1 + 1e-3)
-        assert seminorm_s_sq(star, forms) <= seminorm_s_sq(u, forms) * (1 + 1e-3)
+        star = schwarz_rearrange(grid, v)
+        assert dirichlet_sq(star, forms) <= dirichlet_sq(v, forms) * (1 + 1e-3)
+        assert seminorm_s_sq(star, forms) <= seminorm_s_sq(v, forms) * (1 + 1e-3)
 
 
 def test_seminorm_embedding_bound_reported(setup3):
     grid, forms = setup3
-    ratios = []
-    for v in random_smooth_profiles(grid, 20, seed=12):
-        u = RadialFunction(grid, v)
-        ratios.append(seminorm_s_sq(u, forms) / dirichlet_sq(u, forms))
-    c_emb = max(ratios)
+    c_emb = max(seminorm_s_sq(v, forms) / dirichlet_sq(v, forms)
+                for v in random_smooth_profiles(grid, 20, seed=12))
     assert math.isfinite(c_emb) and 0.0 < c_emb < 10.0
 
 
-def test_profile_csv_roundtrip(tmp_path, subcritical_report):
+def test_profile_csv_roundtrip(tmp_path, setup3, subcritical_report):
     # the solve outputs carry every node and energy to the last bit
+    grid, _ = setup3
     spec, report = subcritical_report
-    _solve_outputs(RunConfig(problem=spec, out_dir=tmp_path), report)
+    _solve_outputs(RunConfig(problem=spec, out_dir=tmp_path), grid, report)
     for name, header, columns in (
-            ("profile.csv", "r,u",
-             (report.solution.grid.nodes, report.solution.values)),
+            ("profile.csv", "r,u", (grid.nodes, report.solution)),
             ("convergence.csv", "iteration,energy",
              (np.arange(len(report.energy_history)), report.energy_history))):
         path = tmp_path / name

@@ -13,7 +13,7 @@ import pytest
 
 from hypfrac._goldens import ODD_KERNEL_FD_ORACLE
 from hypfrac.cli import main as cli_main
-from hypfrac.errors import DomainError, ReducedKernelError, TableRejectionError
+from hypfrac.errors import DomainError, NumericalError
 from hypfrac.funcspace import make_grid
 from hypfrac import kernel as kernel_module
 from hypfrac.kernel import (BesselTerm, KernelTable, ReducedKernel,
@@ -408,7 +408,7 @@ def test_table_rejects_grid_not_uniform_in_log_rho():
     grid = np.linspace(1e-3, 10.0, 64)
     other = KernelTable(3, 0.5, grid, kernel(3, 0.5, grid), table.near_exponent,
                         table.far_rate, table.near_amplitude)
-    with pytest.raises(TableRejectionError, match="not uniform in log rho"):
+    with pytest.raises(NumericalError, match="not uniform in log rho"):
         other.validate()
 
 
@@ -549,7 +549,7 @@ def test_reduced_kernel_rejects_scaled_adjacent_weights():
     k = np.arange(r.size - 1)
     W[k, k + 1] *= 0.85
     W[k + 1, k] *= 0.85
-    with pytest.raises(ReducedKernelError, match="near-diagonal weight off by"):
+    with pytest.raises(NumericalError, match="near-diagonal weight off by"):
         ReducedKernel(rk.dim, rk.order, r, W, rk.prefactor).validate()
 
 
@@ -567,7 +567,7 @@ def test_reduced_kernel_names_a_nonpositive_pair(reduced3):
     W[17, 52] = W[52, 17] = 0.0
     r = reduced3.r_grid
     bad = ReducedKernel(reduced3.dim, reduced3.order, r, W, reduced3.prefactor)
-    with pytest.raises(ReducedKernelError) as err:
+    with pytest.raises(NumericalError) as err:
         bad.validate()
     assert f"({r[17]:.6g}, {r[52]:.6g})" in str(err.value)
 
@@ -647,17 +647,17 @@ def test_helper_error_is_the_one_process_error(forks, monkeypatch, tmp_path, cap
 
     def failing(N, r1, *args):
         if np.any(r1 == r[row]):
-            raise ReducedKernelError(f"no weights for the block of r = {r[row]:.6g}")
+            raise NumericalError(f"no weights for the block of r = {r[row]:.6g}")
         return angular(N, r1, *args)
 
     monkeypatch.setattr(kernel_module, "_angular_weights", failing)
-    with pytest.raises(ReducedKernelError) as split:
+    with pytest.raises(NumericalError) as split:
         build_reduced_kernel(3, 0.5, r)
     _no_child_left()
     assert forks[0] == 1
     with monkeypatch.context() as alone:
         alone.setattr(kernel_module, "_FORK_MIN_ROWS", sys.maxsize)
-        with pytest.raises(ReducedKernelError) as one:
+        with pytest.raises(NumericalError) as one:
             build_reduced_kernel(3, 0.5, r)
     assert type(split.value) is type(one.value) and str(split.value) == str(one.value)
 
@@ -686,7 +686,7 @@ def test_helper_that_dies_is_an_error(forks, monkeypatch):
         return angular(*args)
 
     monkeypatch.setattr(kernel_module, "_angular_weights", patched)
-    with pytest.raises(ReducedKernelError, match="helper process ended with code -9"):
+    with pytest.raises(NumericalError, match="helper process ended with code -9"):
         build_reduced_kernel(4, 0.5, r)
     assert forks[0] == 2  # the table's split and W's
     _no_child_left()

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from hypfrac import solver
-from hypfrac.errors import ConvergenceError, DomainError, ThresholdNotMetError
-from hypfrac.funcspace import (QuadraticForms, RadialFunction, lp_norm,
-                               metric_pair, norm_lambda_sq)
+from hypfrac.errors import DomainError, NumericalError, ThresholdNotMetError
+from hypfrac.funcspace import QuadraticForms, lp_norm, metric_pair, norm_lambda_sq
 from hypfrac.solver import (ProblemSpec, _functional_for, _Functional,
                             _nehari_descent, _newton_polish, _ray_max,
                             _ray_peak, _threshold, check_threshold,
@@ -54,9 +53,9 @@ def test_energy_identity_on_nehari_set(setup3):
     grid, forms = setup3
     fn = _functional_for(SPEC3, forms)
     for v in random_smooth_profiles(grid, 5, seed=21):
-        u = RadialFunction(grid, _ray_max(fn, v)[1] * v)
-        rhs = (0.5 - 0.25) * lp_norm(u, 4.0) ** 4
-        assert fn.value(u.values) == pytest.approx(rhs, rel=1e-8)
+        u = _ray_max(fn, v)[1] * v
+        rhs = (0.5 - 0.25) * lp_norm(grid, u, 4.0) ** 4
+        assert fn.value(u) == pytest.approx(rhs, rel=1e-8)
 
 
 def test_energy_gaussian_against_doubled_resolution(setup3, setup3_fine):
@@ -75,7 +74,7 @@ def test_gradient_matches_directional_derivative(setup3):
     for k in range(0, 4, 2):
         u = profiles[k]
         v = profiles[k + 1]
-        v = v / np.sqrt(norm_lambda_sq(RadialFunction(grid, v), 0.0, forms))
+        v = v / np.sqrt(norm_lambda_sq(v, 0.0, forms))
         g = fn.riesz_gradient(u, fn.quad @ u)
         pairing = metric_pair(forms.lambda_metric(0.0), g, v)
         fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
@@ -122,9 +121,9 @@ def test_subcritical_solve_report(subcritical_report, setup3):
     assert report.residual < 1e-6 * unorm
     assert abs(report.nehari_value) < 1e-6 * unorm ** 2
     assert report.c_star > 0.0
-    peak = u.values.max()
-    assert np.all(u.values >= -1e-8 * peak)
-    assert np.all(np.diff(u.values) <= 1e-8 * peak)
+    peak = u.max()
+    assert np.all(u >= -1e-8 * peak)
+    assert np.all(np.diff(u) <= 1e-8 * peak)
     # energy history is monotone along accepted descent steps
     hist = np.array(report.energy_history)
     assert np.all(np.diff(hist) <= 1e-10 * np.abs(hist[0]))
@@ -138,7 +137,7 @@ def test_newton_polish_stops_at_its_floor(subcritical_report, setup3):
     _, forms = setup3
     spec, report = subcritical_report
     fn = _functional_for(spec, forms)
-    v0 = report.solution.values
+    v0 = report.solution
     v, its = _newton_polish(fn, v0, tol=0.0)
     assert its == 1
     assert fn.residual_norm(v) <= fn.residual_norm(v0)
@@ -191,8 +190,7 @@ def test_gradient_J_finite_difference(setup5):
     profiles = [v * taper for v in random_smooth_profiles(grid, 2, seed=31)]
     fn = _functional_for(spec, forms)
     u = profiles[0]
-    v = profiles[1] / np.sqrt(norm_lambda_sq(
-        RadialFunction(grid, profiles[1]), spec.lam, forms))
+    v = profiles[1] / np.sqrt(norm_lambda_sq(profiles[1], spec.lam, forms))
     pairing = metric_pair(forms.lambda_metric(spec.lam),
                           fn.riesz_gradient(u, fn.quad @ u), v)
     h = 1e-5
@@ -208,7 +206,7 @@ def test_step2_coercivity_inequality(setup5):
     factor = (spec.p - 1.0) / (2.0 * (spec.p + 1.0))
     for v in random_smooth_profiles(grid, 10, seed=32):
         lhs = fn.value(v) - fn.derivative_along(v) / (spec.p + 1.0)
-        rhs = factor * norm_lambda_sq(RadialFunction(grid, v), spec.lam, forms)
+        rhs = factor * norm_lambda_sq(v, spec.lam, forms)
         assert lhs >= rhs - 1e-12 * abs(lhs)
 
 
@@ -253,17 +251,17 @@ def test_pinned_configuration_documents_threshold_failure(setup3):
 
 
 def test_critical_solve_report(critical_report, setup5):
-    grid, forms = setup5
+    _, forms = setup5
     spec, seed, report = critical_report
     assert report.converged
     assert report.residual < 1e-6
     assert report.beta <= report.mp_level_m < report.threshold
     assert report.beta > 0.0
-    sol = report.solution.values
+    sol = report.solution
     assert np.all(sol >= -1e-8 * sol.max())
     assert np.all(np.diff(sol) <= 1e-8 * sol.max())
     unorm = math.sqrt(norm_lambda_sq(report.solution, spec.lam, forms))
-    u0norm = math.sqrt(norm_lambda_sq(RadialFunction(grid, seed), spec.lam, forms))
+    u0norm = math.sqrt(norm_lambda_sq(seed, spec.lam, forms))
     assert unorm > 0.01 * u0norm
 
 
@@ -285,7 +283,7 @@ def test_critical_ray_cross_check(critical_report, setup5):
     grid, forms = setup5
     spec, _, report = critical_report
     fn = _functional_for(spec, forms)
-    level, zeta, _ = _ray_max(fn, report.solution.values)
+    level, zeta, _ = _ray_max(fn, report.solution)
     assert zeta == pytest.approx(1.0, abs=1e-10)
     assert level == pytest.approx(report.mp_level_m, rel=1e-12)
     assert min(report.energy_history) >= report.mp_level_m * (1.0 - 1e-12)
@@ -330,8 +328,8 @@ def test_handoff_matches_full_descent(request, monkeypatch, spec, setup):
     assert handoff.converged and not handoff.descent_resumed
     assert handoff.descent_steps < full.descent_steps
     assert handoff.energy == pytest.approx(full.energy, rel=1e-10)
-    peak = np.abs(full.solution.values).max()
-    assert np.abs(handoff.solution.values - full.solution.values).max() <= 1e-9 * peak
+    peak = np.abs(full.solution).max()
+    assert np.abs(handoff.solution - full.solution).max() <= 1e-9 * peak
 
 
 def test_handoff_fallback_resumes_descent(setup5, monkeypatch):
@@ -356,7 +354,7 @@ def test_morse_index_counts_descent_directions(subcritical_report, critical_repo
         fn = _functional_for(spec, forms)
         index, next_mu = morse_index(fn, np.zeros(grid.n))
         assert index == 0 and next_mu >= 1.0
-        index, next_mu = morse_index(fn, report.solution.values)
+        index, next_mu = morse_index(fn, report.solution)
         assert index == 1 and next_mu > 0.0
 
 
@@ -392,7 +390,7 @@ def test_ray_max_rejects_an_overflowing_power_integral(setup3, setup5):
                                 (ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0,
                                              mode="critical_perturbed"), setup5)):
         v = 1e100 * np.exp(-grid.nodes ** 2)
-        with pytest.raises(ConvergenceError, match="not finite"):
+        with pytest.raises(NumericalError, match="not finite"):
             _ray_max(_functional_for(spec, forms), v)
 
 
@@ -516,7 +514,7 @@ def test_weak_max_rejects_sign_changing(setup3):
     bad = np.exp(-grid.nodes ** 2) \
         - 0.4 * np.exp(-((grid.nodes - 3.0) / 0.7) ** 2)
     bad[-1] = 0.0
-    check = weak_max_check(RadialFunction(grid, bad), SPEC3, forms)
+    check = weak_max_check(bad, SPEC3, forms)
     assert not check.passes
     assert check.neg_norm_lambda_sq > 0.0
     assert check.neg_seminorm_sq > 0.0
@@ -524,8 +522,7 @@ def test_weak_max_rejects_sign_changing(setup3):
 
 def test_weak_max_accepts_nonnegative(setup3):
     grid, forms = setup3
-    u = RadialFunction(grid, np.exp(-grid.nodes ** 2))
-    assert weak_max_check(u, SPEC3, forms).passes
+    assert weak_max_check(np.exp(-grid.nodes ** 2), SPEC3, forms).passes
 
 
 def test_solve_report_json_fields(subcritical_report):

@@ -7,7 +7,8 @@ import pytest
 import mpmath
 from scipy.special import kv, kve
 
-from hypfrac.errors import DomainError, QuadratureError
+from _mpmath_log_k import LOG_K, ORACLE_X
+from hypfrac.errors import DomainError, NumericalError
 from hypfrac.specfun import (_BAND_EDGES, _BAND_STEPS, _SERIES_MAX, _SERIES_TERMS,
                              _steed_cf2, _temme_series, bessel_k_log, integrate_adaptive)
 
@@ -49,11 +50,20 @@ def _mp_log_k(nu, x):
         return float(mpmath.log(mpmath.besselk(nu, x)))
 
 
+def _ref_log_k(nu, x):
+    """50-digit log K_nu at each point of x: the frozen table of
+    _mpmath_log_k for an integer order at the oracle's arguments, live
+    mpmath otherwise."""
+    if nu in LOG_K and x.tolist() == list(ORACLE_X):
+        return np.array(LOG_K[nu])
+    return np.array([_mp_log_k(nu, t) for t in x])
+
+
 def _assert_near_mpmath(got, nu, x):
     """|got - log K_nu(x)| at most scipy's own error (log kve - x; where
     AMOS gives no value, past x of about 1e9, none), plus 2 ulp of
     max(|log K|, 1): log K cannot be nearer than K's own rounding."""
-    ref = np.array([_mp_log_k(nu, t) for t in x])
+    ref = _ref_log_k(nu, x)
     with np.errstate(invalid="ignore"):
         scipy_err = np.nan_to_num(np.abs(np.log(kve(nu, x)) - x - ref), nan=0.0)
     slack = 2.0 * np.spacing(np.maximum(np.abs(ref), 1.0))
@@ -75,6 +85,17 @@ def test_high_order_logs_match_mpmath():
 _ORACLE_X = sorted(
     set(np.geomspace(1e-6, 600.0 * (5 - 1) / 2, 16).tolist())
     | {float(np.nextafter(e, t)) for e in _BAND_EDGES for t in (0.0, e, math.inf)})
+
+
+def test_frozen_log_k_matches_mpmath():
+    # the frozen references are mpmath's at the oracle's own arguments:
+    # three points per order, the smallest, the x = 2 switch and the
+    # largest, are recomputed live
+    assert list(ORACLE_X) == _ORACLE_X
+    for nu, ref in LOG_K.items():
+        assert len(ref) == len(ORACLE_X)
+        for k in (0, ORACLE_X.index(_SERIES_MAX), -1):
+            assert ref[k] == _mp_log_k(nu, ORACLE_X[k]), (nu, ORACLE_X[k])
 
 
 @pytest.mark.parametrize("nu0", [0.75, 1.0, 1.25])
@@ -208,7 +229,7 @@ def test_integral_deterministic():
 def test_integral_failure_carries_estimate():
     # 1/(1-u) has a non-integrable endpoint: refinement must give up
     # loudly and name its running value and error estimate
-    with pytest.raises(QuadratureError) as err:
+    with pytest.raises(NumericalError) as err:
         integrate_adaptive(lambda u: 1.0 / (1.0 - u), 0.0, 1.0, 1e-8)
     match = re.search(r"exhausted at value (\S+); error estimate (\S+) > tol",
                       str(err.value))
