@@ -1,10 +1,13 @@
 """Batch front-end: kernel tabulation, solves, and the verification suites.
 
 Exit codes: 0 success; 1 failing verification suite; 2 validation or
-usage error (DomainError), or an unwritable path; 3 numerical failure --
-a NumericalError from any layer, printed as "numerical failure: <its
-message>", or a solve that did not converge; 4 energy-threshold failure
-in critical mode (ThresholdNotMetError).  Reports are deterministic for
+usage error (DomainError), or an unwritable path (OSError); 3 numerical
+failure -- a NumericalError from any layer, or a solve that did not
+converge; 4 energy-threshold failure in critical mode
+(ThresholdNotMetError).  The commands return 0, 1 or a solve's verdict
+and raise everything else; main alone maps those errors to their exit
+codes and messages, and the config parse alone prints its own, "config
+error: ...", with exit code 2.  Reports are deterministic for
 a fixed config at a fixed BLAS thread count (timestamps go to a separate
 metadata file), so repeated runs are byte-identical and diff-able; the
 Newton polish's dense solve rounds differently at another thread count,
@@ -143,15 +146,7 @@ def _write_csv(path: Path, header: str, *columns):
 
 
 def cmd_kernel(args) -> int:
-    try:
-        table = build_kernel_table(args.dim, args.s, args.rho_min,
-                                   args.rho_max, args.points)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    table = build_kernel_table(args.dim, args.s, args.rho_min, args.rho_max, args.points)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, "rho,kernel_value", table.rho_grid, table.values)
@@ -181,8 +176,7 @@ def _solve_outputs(cfg: RunConfig, grid, report: solver.SolveReport):
 def cmd_solve(args) -> int:
     try:
         cfg = RunConfig.from_file(args.config, mode_override=args.mode)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            DomainError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # an out_dir that cannot be made ends the run before the solve, and is
@@ -190,29 +184,11 @@ def cmd_solve(args) -> int:
     base = next(p for p in (cfg.out_dir, *cfg.out_dir.absolute().parents) if p.exists())
     if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
         raise OSError(f"cannot make out_dir {cfg.out_dir}: {base} is not a writable directory")
-
-    try:
-        grid, forms = build_forms(
-            cfg.problem.N, cfg.problem.s, r_max=cfg.r_max, n=cfg.node_count,
-            cache_dir=cfg.cache_dir)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    grid, forms = build_forms(cfg.problem.N, cfg.problem.s, r_max=cfg.r_max,
+                              n=cfg.node_count, cache_dir=cfg.cache_dir)
     spec = cfg.problem
     solve = solver.solve_subcritical if spec.mode == "subcritical" else solver.solve_critical
-    try:
-        report = solve(spec, forms, tol=cfg.tol, max_iter=cfg.max_iter)
-    except ThresholdNotMetError as exc:
-        print(f"threshold failure: sup_value={exc.sup_value:.8g} "
-              f"threshold={exc.threshold:.8g}")
-        return EXIT_THRESHOLD
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = solve(spec, forms, tol=cfg.tol, max_iter=cfg.max_iter)
     _solve_outputs(cfg, grid, report)
     status = "converged" if report.converged else "NOT converged"
     print(f"{status}: energy {report.energy:.8f}, residual {report.residual:.3e}, "
@@ -259,7 +235,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # an output or cache path that cannot be written
+    except ThresholdNotMetError as exc:
+        print(f"threshold failure: sup_value={exc.sup_value:.8g} "
+              f"threshold={exc.threshold:.8g}")
+        return EXIT_THRESHOLD
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (DomainError, OSError) as exc:  # bad input, or a path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,15 +14,17 @@ class DomainError(ValueError):
 class NumericalError(RuntimeError):
     """The numerics failed: a quadrature that missed its tolerance, a
     kernel table or reduced kernel that breaks its structural invariants,
-    a helper process of a parallel build that died, a lambda metric that
-    is not finite or not positive definite, or a solve quantity that left
-    the floats.  The message names the quantity and where it failed."""
+    a lambda metric that is not finite or not positive definite, or a
+    solve quantity that left the floats.  The message names the quantity
+    and where it failed.  A helper process of a parallel build that dies
+    is not a failure: the parent redoes its share."""
 
 
 class ThresholdNotMetError(RuntimeError):
-    """The mountain-pass energy threshold test failed for the seed profile."""
+    """The mountain-pass energy threshold test failed for the seed profile;
+    it carries the seed's ray supremum and the threshold it did not meet."""
 
-    def __init__(self, message, sup_value=None, threshold=None):
+    def __init__(self, message, *, sup_value, threshold):
         super().__init__(message)
         self.sup_value = sup_value
         self.threshold = threshold

@@ -25,7 +25,8 @@ angle for each pair of grid radii, as an integral in the geodesic distance
 whose Gauss rule is graded per pair, deeper the closer the pair
 (_angular_weights).  W and the even-N table are built by one process per
 usable CPU (_split), with no option; each value is its own row of its own
-array call, so they match a one-process build bit for bit.
+array call, so they match a one-process build bit for bit, and the parent
+redoes whatever part a helper left undone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import pickle
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -222,58 +222,48 @@ _FORK_MIN_ROWS = 96
 def _split(task, args, rows):
     """task(a) for each a in args, each call writing its own part of an
     array in a shared anonymous mmap.  From _FORK_MIN_ROWS rows of work on,
-    one process per usable CPU pulls indices into args from one pipe (the
-    parent too, and more of them if a fork fails).  A helper's exception is
-    raised here with its type and message, a helper's death as a
-    NumericalError; no helper outlives the call.  Helpers are forked, not
-    spawned, so they start from the parent's arrays without an import; they
-    run no BLAS call."""
+    one process per usable CPU pulls indices into args from one pipe, the
+    parent too, and marks each task done in a shared byte once it returns.
+    A process whose task raises pulls no more.  Once every helper is
+    reaped, the parent runs each task no process marked done, in index
+    order, so a task that failed raises here what a one-process build
+    raises, and the share of a helper that died or was never forked is
+    redone bit for bit.  Helpers are forked, not spawned, so they start
+    from the parent's arrays without an import; they run no BLAS call."""
+    done = mmap.mmap(-1, len(args))  # zeros, shared with the helpers
     # 4-byte indices: the pipe's 64 KiB buffer holds 2^14 of them
     fork = rows >= _FORK_MIN_ROWS and len(args) <= 1 << 14 and hasattr(os, "sched_getaffinity")
     workers = min(len(os.sched_getaffinity(0)), len(args)) if fork else 1
-    if workers < 2:
-        for a in args:
+    if workers > 1:
+        queue, put = os.pipe()
+        os.write(put, np.arange(len(args), dtype="<i4").tobytes())
+        os.close(put)
+        pids = []
+
+        def pull():
+            while index := os.read(queue, 4):
+                k = int.from_bytes(index, "little")
+                task(args[k])
+                done[k] = 1
+
+        try:
+            while len(pids) < workers - 1:
+                if (pid := os.fork()) == 0:  # a helper leaves only by os._exit
+                    try:
+                        pull()
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            pull()
+        except Exception:  # a failed fork or task: the loop below redoes it
+            pass
+        finally:
+            for pid in pids:
+                os.waitpid(pid, 0)
+            os.close(queue)
+    for k, a in enumerate(args):
+        if not done[k]:
             task(a)
-        return
-    queue, put = os.pipe()
-    os.write(put, np.arange(len(args), dtype="<i4").tobytes())
-    os.close(put)
-    failed, report = os.pipe()
-    pids = []
-
-    def drain(discard=False):  # discarding stops every process after its task
-        while index := os.read(queue, 1 << 16 if discard else 4):
-            if not discard:
-                task(args[int.from_bytes(index, "little")])
-
-    try:
-        for _ in range(workers - 1):
-            try:
-                pids.append(pid := os.fork())
-            except OSError:
-                break
-            if pid == 0:  # a helper leaves only by os._exit
-                try:
-                    drain()
-                    os._exit(0)
-                except BaseException as exc:
-                    drain(discard=True)
-                    os.write(report, pickle.dumps(exc))
-                finally:
-                    os._exit(1)
-        drain()
-    finally:
-        drain(discard=True)
-        os.close(report)  # then read to the end, so that no helper blocks
-        message = b"".join(iter(lambda: os.read(failed, 1 << 16), b""))
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        os.close(queue)
-        os.close(failed)
-    if message:
-        raise pickle.loads(message)
-    if any(codes):
-        raise NumericalError(
-            f"a helper process ended with code {min(codes)} before its part was done")
 
 
 def _level_groups(levels):

@@ -612,8 +612,6 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
 def _threshold(fn: _Functional, spec: ProblemSpec) -> float:
     """The compactness threshold S^(N/2)/N, S estimated on J = fn;
     NumericalError if S^(N/2) overflows (a very negative lambda)."""
-    if spec.mode != "critical_perturbed":
-        raise DomainError("threshold check requires a critical_perturbed spec")
     try:
         return estimate_critical_constant(fn, spec.critical_exponent) ** (spec.N / 2.0) / spec.N
     except OverflowError:
@@ -674,6 +672,8 @@ def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
     The report's converged flag needs 0 < beta <= m < threshold and then
     _verdict.
     """
+    if spec.mode != "critical_perturbed":
+        raise DomainError("solve_critical needs spec.mode == 'critical_perturbed'")
     fn = _functional_for(spec, forms)
     threshold = _threshold(fn, spec)
     v0 = search_threshold_seed(fn, threshold)

@@ -185,27 +185,13 @@ def bessel_k_log(nu: float, x, count: int = 1):
     return out.reshape((count,) + xv.shape)
 
 
-def _eval_vectorized(f, x):
-    """Call f on an array of nodes, falling back to a scalar loop."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(t)) for t in x], dtype=float)
-
-
 def _panel_estimates(f, a, b):
-    """(I_15, |I_15 - I_7|) for one panel [a, b]."""
+    """(I_15, |I_15 - I_7|) for one panel [a, b]; f is called once on each
+    node array, and a constant it returns is broadcast to the nodes."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x_hi = mid + half * _GL_HI[0]
-    y_hi = _eval_vectorized(f, x_hi)
-    i_hi = half * float(np.dot(_GL_HI[1], y_hi))
-    x_lo = mid + half * _GL_LO[0]
-    y_lo = _eval_vectorized(f, x_lo)
-    i_lo = half * float(np.dot(_GL_LO[1], y_lo))
+    i_hi, i_lo = (half * float(np.dot(w, np.broadcast_to(f(mid + half * x), x.shape)))
+                  for x, w in (_GL_HI, _GL_LO))
     if not (math.isfinite(i_hi) and math.isfinite(i_lo)):
         raise NumericalError(
             f"non-finite integrand on panel [{a:.6g}, {b:.6g}]: "

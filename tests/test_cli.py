@@ -12,6 +12,7 @@ import pytest
 from hypfrac import solver, verify
 from hypfrac.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE_FAILURE,
                          EXIT_THRESHOLD, EXIT_VALIDATION, RunConfig, main)
+from hypfrac.errors import DomainError
 from hypfrac.pipeline import build_forms
 
 
@@ -251,6 +252,24 @@ def test_unwritable_path_is_a_usage_error(tmp_path, cache_dir, capsys, monkeypat
     assert len(err) == 1 and err[0].startswith("error: ") and str(blocker) in err[0], err
     assert not (tmp_path / "out").exists()
     assert len(built) == (blocked == "cache_dir")
+
+
+def test_domain_error_in_a_solve_is_a_usage_error(tmp_path, cache_dir, capsys, monkeypatch):
+    # a DomainError raised by the solve itself: exit 2 with one line, not a
+    # traceback, and no out_dir
+    def reject(spec, forms, tol, max_iter):
+        raise DomainError("ray maximum undefined: zero profile")
+
+    monkeypatch.setattr(solver, "solve_subcritical", reject)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"},
+                       out, cache_dir, grid=_COARSE_GRID)
+    assert run_cli("solve", "--config", str(cfg)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: ray maximum undefined: zero profile\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # finite lambdas so negative that the solve overflows, or that its metric

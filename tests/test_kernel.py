@@ -1,6 +1,8 @@
+import errno
 import functools
 import json
 import math
+import mmap
 import os
 import signal
 import sys
@@ -673,21 +675,61 @@ def test_helper_error_is_the_one_process_error(forks, monkeypatch, tmp_path, cap
     _no_child_left()
 
 
-def test_helper_that_dies_is_an_error(forks, monkeypatch):
-    # a helper killed mid-build must not leave a W with missing rows
+@pytest.mark.parametrize("period", [1, 2])
+def test_failed_fork_is_redone_by_the_parent(monkeypatch, period):
+    # three usable CPUs, and every fork (period 1) or every second fork
+    # (period 2) fails with EAGAIN: the helpers already running, and then
+    # the parent, do the whole build
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks = [0]
+    fork = os.fork
+
+    def refusing():
+        forks[0] += 1
+        if forks[0] % period == 0:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refusing)
+    # W's row blocks the parent computes; a helper's calls stay in the helper
+    calls = [0]
+    angular = kernel_module._angular_weights
+
+    def counted(*args):
+        calls[0] += 1
+        return angular(*args)
+
+    monkeypatch.setattr(kernel_module, "_angular_weights", counted)
+    r = make_grid(4, r_max=20.0, n=160).cell_midpoints
+    split = build_reduced_kernel(4, 0.5, r).W
+    _no_child_left()
+    assert forks[0] == 2 * period  # the table's split and W's
+    # with no helper the parent computes all 5 blocks; with one, the
+    # helper's done marks leave the parent none to redo
+    assert calls[0] == {1: 5, 2: 0}[period]
+    monkeypatch.setattr(kernel_module, "_FORK_MIN_ROWS", sys.maxsize)
+    assert split.tobytes() == build_reduced_kernel(4, 0.5, r).W.tobytes()
+
+
+def test_killed_helper_share_is_redone_by_the_parent(forks, monkeypatch):
+    # a helper killed mid-build leaves its task unmarked, and the parent
+    # redoes it: W is the one-process W, bit for bit
     parent = os.getpid()
+    killed = mmap.mmap(-1, 1)
     r = make_grid(4, r_max=20.0, n=160).cell_midpoints
     angular = kernel_module._angular_weights
 
     def patched(*args):
         if os.getpid() != parent:
+            killed[0] = 1
             os.kill(os.getpid(), signal.SIGKILL)
         time.sleep(0.05)  # leave the helper tasks to take
         return angular(*args)
 
     monkeypatch.setattr(kernel_module, "_angular_weights", patched)
-    with pytest.raises(NumericalError, match="helper process ended with code -9"):
-        build_reduced_kernel(4, 0.5, r)
-    assert forks[0] == 2  # the table's split and W's
+    split = build_reduced_kernel(4, 0.5, r).W
     _no_child_left()
-
+    assert forks[0] == 2  # the table's split and W's
+    assert killed[0] == 1
+    monkeypatch.setattr(kernel_module, "_FORK_MIN_ROWS", sys.maxsize)
+    assert split.tobytes() == build_reduced_kernel(4, 0.5, r).W.tobytes()

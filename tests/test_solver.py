@@ -248,6 +248,19 @@ def test_pinned_configuration_documents_threshold_failure(setup3):
         failures.append((err.value.sup_value, err.value.threshold))
     assert failures[0] == failures[1]
     assert failures[0][0] > failures[0][1]
+    # the CLI prints both numbers, so an error without them cannot be made
+    with pytest.raises(TypeError):
+        ThresholdNotMetError("sup_ray J >= threshold")
+
+
+def test_each_solver_rejects_the_other_mode(setup3):
+    # each solver checks its spec's mode on entry, before any work
+    _, forms = setup3
+    critical = dataclasses.replace(SPEC3, mode="critical_perturbed")
+    with pytest.raises(DomainError, match="solve_subcritical needs"):
+        solve_subcritical(critical, forms)
+    with pytest.raises(DomainError, match="solve_critical needs"):
+        solve_critical(SPEC3, forms)
 
 
 def test_critical_solve_report(critical_report, setup5):
