@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, solver
-from .cache import default_cache_dir
 from .errors import DomainError, NumericalError, ThresholdNotMetError
 from .kernel import build_kernel_table
 from .pipeline import build_forms
@@ -198,8 +197,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    cache = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    ok = run_suites(names, cache_dir=cache)
+    ok = run_suites(names, cache_dir=args.cache_dir)
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 

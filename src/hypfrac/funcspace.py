@@ -22,7 +22,8 @@ the last node is pinned in solves.  The lambda-shifted metric, held as two
 bands, is then positive definite for lambda below the discrete spectral
 bottom, which a coarse grid puts under (N-1)^2/4 (N = 3, 64 nodes: 0.954),
 so lambda_metric checks it by the L D L^T factorization (metric_factor),
-once per lambda, and the solvers solve with that factor (metric_solve).
+once per lambda, and hands out the bands with that factor, which the
+solvers solve with (metric_solve).
 
 A profile is a plain array of node values on the grid its forms hold
 (forms.grid).  lp_norm and schwarz_rearrange take the grid with it and
@@ -54,6 +55,9 @@ class RadialGrid:
     nodes[0] = 0 and the weights are the integrals of the piecewise-linear
     hat functions against omega_{N-1} sinh^(N-1); they sum to the volume of
     the truncated ball, so they double as cell volumes for rearrangement.
+    Every weight must be positive, the origin's too: make_grid's is about
+    omega_{N-1} h^N / (N (N+1)) for a first cell of width h, 8.3e-24 at
+    the least over the grids the tests sweep.
     """
 
     dim: int
@@ -67,8 +71,8 @@ class RadialGrid:
         if self.dim < 2:
             raise DomainError(f"grid dimension must be >= 2, got {self.dim}")
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != nodes.shape or np.any(w[1:] <= 0.0) or w[0] < 0.0:
-            raise DomainError("weights must be positive (origin may carry zero)")
+        if w.shape != nodes.shape or not np.all(w > 0.0):
+            raise DomainError("weights must be positive")
 
     @property
     def n(self) -> int:
@@ -155,19 +159,13 @@ class QuadraticForms:
 
     _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def lambda_metric(self, lam: float) -> np.ndarray:
-        """stiffness - lam diag(grid.weights) as a (2, n) array of rows
-        (superdiagonal, diagonal), the superdiagonal entry of column j in
-        row 0 at j (row 0 at 0 is unused); NumericalError if that
-        overflows or is not positive definite on the free nodes
-        (metric_factor).  Built, checked and kept once per lam."""
-        return self._checked_metric(lam)[0]
-
-    def lambda_factor(self, lam: float) -> tuple[list, list]:
-        """metric_factor of lambda_metric(lam), made by its check."""
-        return self._checked_metric(lam)[1]
-
-    def _checked_metric(self, lam: float) -> tuple[np.ndarray, tuple[list, list]]:
+    def lambda_metric(self, lam: float) -> tuple[np.ndarray, tuple[list, list]]:
+        """(bands, factor): stiffness - lam diag(grid.weights) as a (2, n)
+        array of rows (superdiagonal, diagonal), the superdiagonal entry of
+        column j in row 0 at j (row 0 at 0 is unused), and its
+        metric_factor on the free nodes; NumericalError if the bands
+        overflow or are not positive definite there.  Built, checked and
+        kept once per lam."""
         if lam not in self._metrics:
             c = np.concatenate(([0.0], self.stiffness, [0.0]))
             bands = np.stack((-c[:-1], c[1:] + c[:-1] - lam * self.grid.weights))
@@ -396,7 +394,7 @@ def norm_lambda_sq(v: np.ndarray, lam: float, forms: QuadraticForms) -> float:
     bound = (forms.grid.dim - 1.0) ** 2 / 4.0
     if not lam < bound:
         raise DomainError(f"lambda must be < (N-1)^2/4 = {bound}, got {lam}")
-    return metric_pair(forms.lambda_metric(lam), v, v)
+    return metric_pair(forms.lambda_metric(lam)[0], v, v)
 
 
 def seminorm_s_sq(v: np.ndarray, forms: QuadraticForms) -> float:
@@ -415,9 +413,10 @@ def schwarz_rearrange(grid: RadialGrid, v) -> np.ndarray:
     Node values with their volume weights are sorted by value (stable, so
     already-sorted input reproduces itself exactly) and laid out from the
     origin in the volume coordinate; each node then receives the average
-    of the laid-out profile over its own volume cell.  Averaging keeps the
-    map exact on already-decreasing input (the partitions coincide) and
-    idempotent, while resampling interleaved level sets at second order.
+    of the laid-out profile over its own volume cell, whose volume
+    RadialGrid holds positive.  Averaging keeps the map exact on
+    already-decreasing input (the partitions coincide) and idempotent,
+    while resampling interleaved level sets at second order.
     """
     vals = _profile(grid, v)
     if np.any(vals < 0.0):
@@ -427,18 +426,7 @@ def schwarz_rearrange(grid: RadialGrid, v) -> np.ndarray:
         )
     w = grid.weights
     order = np.argsort(-vals, kind="stable")
-    sorted_vals = vals[order]
     knots = np.concatenate(([0.0], np.cumsum(w[order])))
-    cdf = np.concatenate(([0.0], np.cumsum(sorted_vals * w[order])))
+    cdf = np.concatenate(([0.0], np.cumsum(vals[order] * w[order])))
     edges = np.concatenate(([0.0], np.cumsum(w)))
-    mass = np.diff(np.interp(edges, knots, cdf))
-    out = np.empty_like(vals)
-    positive = w > 0.0
-    out[positive] = mass[positive] / w[positive]
-    if not positive.all():
-        # zero-volume cells (only the origin can qualify) take the level
-        # of the layout at their position
-        idx = np.minimum(np.searchsorted(knots[1:], edges[:-1], side="right"),
-                         vals.size - 1)
-        out[~positive] = sorted_vals[idx[~positive]]
-    return out
+    return np.diff(np.interp(edges, knots, cdf)) / w

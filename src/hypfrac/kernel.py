@@ -25,8 +25,9 @@ angle for each pair of grid radii, as an integral in the geodesic distance
 whose Gauss rule is graded per pair, deeper the closer the pair
 (_angular_weights).  W and the even-N table are built by one process per
 usable CPU (_split), with no option; each value is its own row of its own
-array call, so they match a one-process build bit for bit, and the parent
-redoes whatever part a helper left undone.
+array call, so they match a one-process build bit for bit.  A refused fork
+ends the forking, not the parent's share of the work, and the parent redoes
+whatever part a helper left undone.
 """
 
 from __future__ import annotations
@@ -109,21 +110,18 @@ class BesselTermSum:
     """Finite sum of Bessel-ladder terms with base order nu0 and scale a.
 
     Evaluation goes through logarithms per term so that the far field
-    underflows gracefully instead of producing inf * 0.
+    underflows gracefully instead of producing inf * 0.  bessel_base and
+    apply_operator, the only builders, give a > 0 and nonzero
+    coefficients; kernel() checks rho before any evaluation, and
+    bessel_k_log raises DomainError for a rho that is not finite and > 0.
     """
 
     nu0: float
     a: float
     terms: tuple
 
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise DomainError(f"argument scale must be > 0, got {self.a}")
-
     def evaluate(self, rho):
         rho_v = np.atleast_1d(np.asarray(rho, dtype=float))
-        if rho_v.size == 0 or np.any(rho_v <= 0.0) or not np.all(np.isfinite(rho_v)):
-            raise DomainError("term sums are evaluated at finite rho > 0")
         log_rho = np.log(rho_v)
         log_sh = _log_sinh(rho_v)
         log_ch = _log_cosh(rho_v)
@@ -133,8 +131,6 @@ class BesselTermSum:
             (count,) + rho_v.shape)
         out = np.zeros_like(rho_v)
         for t in self.terms:
-            if t.coeff == 0.0:
-                continue
             mag = (
                 math.log(abs(t.coeff))
                 + t.rho_pow * log_rho
@@ -224,12 +220,14 @@ def _split(task, args, rows):
     array in a shared anonymous mmap.  From _FORK_MIN_ROWS rows of work on,
     one process per usable CPU pulls indices into args from one pipe, the
     parent too, and marks each task done in a shared byte once it returns.
-    A process whose task raises pulls no more.  Once every helper is
-    reaped, the parent runs each task no process marked done, in index
-    order, so a task that failed raises here what a one-process build
-    raises, and the share of a helper that died or was never forked is
-    redone bit for bit.  Helpers are forked, not spawned, so they start
-    from the parent's arrays without an import; they run no BLAS call."""
+    A refused fork ends the forking, and the parent pulls alongside the
+    helpers already forked.  A process whose task raises pulls no more.
+    Once every helper is reaped, the parent runs each task no process
+    marked done, in index order, so a task that failed raises here what a
+    one-process build raises, the share of a helper that died is redone
+    bit for bit, and below the cut-off it is the whole build.  Helpers
+    are forked, not spawned, so they start from the parent's arrays
+    without an import; they run no BLAS call."""
     done = mmap.mmap(-1, len(args))  # zeros, shared with the helpers
     # 4-byte indices: the pipe's 64 KiB buffer holds 2^14 of them
     fork = rows >= _FORK_MIN_ROWS and len(args) <= 1 << 14 and hasattr(os, "sched_getaffinity")
@@ -247,15 +245,18 @@ def _split(task, args, rows):
                 done[k] = 1
 
         try:
-            while len(pids) < workers - 1:
-                if (pid := os.fork()) == 0:  # a helper leaves only by os._exit
-                    try:
-                        pull()
-                    finally:
-                        os._exit(0)
-                pids.append(pid)
+            try:
+                while len(pids) < workers - 1:
+                    if (pid := os.fork()) == 0:  # a helper leaves only by os._exit
+                        try:
+                            pull()
+                        finally:
+                            os._exit(0)
+                    pids.append(pid)
+            except OSError:  # a refused fork: run with the helpers there are
+                pass
             pull()
-        except Exception:  # a failed fork or task: the loop below redoes it
+        except Exception:  # a failed task: the loop below redoes it
             pass
         finally:
             for pid in pids:
@@ -373,11 +374,6 @@ def kernel(N: int, s: float, rho):
     vals = body(int(N), float(s), rho_v)
     vals = np.where(vals < UNDERFLOW_FLOOR, 0.0, vals)
     return vals if np.ndim(rho) else float(vals[0])
-
-
-def _fit_line(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)
 
 
 @dataclass(frozen=True)
@@ -511,7 +507,7 @@ def build_kernel_table(N: int, s: float, rho_min: float, rho_max: float,
 
     near = grid <= NEAR_WINDOW_MAX
     if np.count_nonzero(near) >= _MIN_FIT_POINTS:
-        near_exponent, _ = _fit_line(np.log(grid[near]), np.log(vals[near]))
+        near_exponent = float(np.polyfit(np.log(grid[near]), np.log(vals[near]), 1)[0])
         near_amplitude = float(np.exp(np.mean(
             np.log(vals[near]) + (N + 2.0 * s) * np.log(grid[near])
         )))

@@ -46,8 +46,8 @@ Profiles are plain arrays of node values on forms.grid, the last node
 pinned to zero (truncation of decaying profiles); the report's solution
 is one.  The lambda metric is held as its two bands, which
 QuadraticForms.lambda_metric checks to be positive definite by factoring
-it once per lambda (funcspace.metric_factor); each _Functional solves
-with that factor.
+it once per lambda (funcspace.metric_factor) and returns with that
+factor; each _Functional unpacks the pair once and solves with the factor.
 """
 
 from __future__ import annotations
@@ -170,20 +170,19 @@ class _Functional:
     the gradient and Hessian are exact on the nodal quadrature.  A, the
     one dense matrix, is the banded lambda metric plus nonlocal_mat (an
     n x n array, or 0.0 for a local functional), built in place; every
-    Riesz solve uses the factor the forms made when they checked the metric.
+    Riesz solve uses the factor the forms return with the metric's bands.
     """
 
     def __init__(self, forms: QuadraticForms, lam: float, nonlocal_mat, exponents):
         grid = self.grid = forms.grid
         self.weights = grid.weights
-        self.metric = metric = forms.lambda_metric(lam)
-        self.factor = forms.lambda_factor(lam)
+        self.metric, self.factor = forms.lambda_metric(lam)
         i = np.arange(grid.n)
         self.quad = np.empty((grid.n, grid.n))
         self.quad[...] = nonlocal_mat
-        self.quad[i, i] += metric[1]
-        self.quad[i[:-1], i[1:]] += metric[0, 1:]
-        self.quad[i[1:], i[:-1]] += metric[0, 1:]
+        self.quad[i, i] += self.metric[1]
+        self.quad[i[:-1], i[1:]] += self.metric[0, 1:]
+        self.quad[i[1:], i[:-1]] += self.metric[0, 1:]
         self.exponents = tuple(exponents)
 
     def power_integral(self, v, e) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import hypfrac
 
-CODE_LINE_BOUND = 1909
+CODE_LINE_BOUND = 1886
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
@@ -46,5 +46,5 @@ def test_code_lines_of_a_snippet():
 
 def test_src_stays_within_its_code_line_bound():
     package = Path(hypfrac.__file__).parent
-    count = sum(code_lines(p.read_text()) for p in package.glob("*.py"))
-    assert count <= CODE_LINE_BOUND
+    counts = {p.name: code_lines(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert sum(counts.values()) <= CODE_LINE_BOUND, counts

@@ -7,9 +7,9 @@ from scipy.linalg import LinAlgError, cholesky_banded, eigh, eigvalsh, solveh_ba
 
 from hypfrac.cli import RunConfig, _solve_outputs
 from hypfrac.errors import DomainError, NumericalError
-from hypfrac.funcspace import (QuadraticForms, _adjacent_slope_matrix, _cell_pair_integral,
-                               assemble_forms, assemble_local_forms, dirichlet_sq,
-                               lp_norm, make_grid, metric_factor, metric_solve,
+from hypfrac.funcspace import (QuadraticForms, RadialGrid, _adjacent_slope_matrix,
+                               _cell_pair_integral, assemble_forms, assemble_local_forms,
+                               dirichlet_sq, lp_norm, make_grid, metric_factor, metric_solve,
                                norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
 from hypfrac.geometry import radial_volume_weight
 from hypfrac.kernel import build_reduced_kernel
@@ -31,7 +31,7 @@ def test_grid_invariants(setup3):
     assert grid.nodes[0] == 0.0
     assert np.all(np.diff(grid.nodes) > 0.0)
     assert np.all(grid.weights[1:] > 0.0)
-    assert grid.weights[0] >= 0.0
+    assert grid.weights[0] > 0.0
     # weights sum to the truncated volume
     vol = quad(lambda r: radial_volume_weight(3, r), 0.0, grid.r_max,
                limit=400)[0]
@@ -48,6 +48,23 @@ def test_grid_validation():
     assert np.all(np.diff(big.nodes) > 0.0)
     assert big.nodes[-1] == 20.0
     assert np.all(big.weights[1:] > 0.0)
+    # every cell has volume, the origin's too
+    grid = make_grid(3, n=16)
+    weights = grid.weights.copy()
+    weights[0] = 0.0
+    with pytest.raises(DomainError, match="weights must be positive"):
+        RadialGrid(3, grid.nodes, weights)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_every_grid_weight_is_positive_and_finite(dim):
+    # RadialGrid and schwarz_rearrange divide by every weight; the origin's,
+    # about omega_{N-1} h^N / (N (N+1)) for a first cell of width h, is the
+    # smallest (8.3e-24 at N = 6, n = 12800, R_max 1)
+    for n in (16, 400, 12800):
+        for r_max in (1.0, 12.0, 20.0, 80.0):
+            w = make_grid(dim, r_max=r_max, n=n).weights
+            assert np.all(np.isfinite(w)) and np.all(w > 0.0), (n, r_max)
 
 
 def test_forms_symmetric_psd(setup3):
@@ -100,7 +117,7 @@ def test_lambda_metric_is_stiffness_minus_lumped_mass(request, setup):
     stiffness[k + 1, k] -= coef
     mass = np.diag(grid.weights)
     for lam in (0.0, 0.5, 0.999, 1.0, -3.0, -1e10):
-        bands = forms.lambda_metric(lam)
+        bands = forms.lambda_metric(lam)[0]
         assert bands.shape == (2, grid.n), lam
         got = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[0, 1:], -1)
         want = stiffness - lam * mass
@@ -123,7 +140,7 @@ def test_metric_solve_matches_lapack_bit_for_bit(dim, lams):
     forms = local_forms(dim, 400)
     rng = np.random.default_rng(dim)
     for lam in lams:
-        bands = forms.lambda_metric(lam)
+        bands = forms.lambda_metric(lam)[0]
         factor = metric_factor(bands)
         for _ in range(10):
             b = rng.standard_normal(forms.grid.n - 1) * 10.0 ** rng.uniform(-6, 6)
@@ -138,7 +155,7 @@ def test_metric_factor_verdict_matches_cholesky_banded():
     # with LAPACK's banded Cholesky on every side
     forms = local_forms(3, 64)
     grid, free = forms.grid, slice(None, -1)
-    stiff = forms.lambda_metric(0.0)
+    stiff = forms.lambda_metric(0.0)[0]
     dense = (np.diag(stiff[1]) + np.diag(stiff[0, 1:], 1)
              + np.diag(stiff[0, 1:], -1))[free, free]
     lam1 = eigh(dense, np.diag(grid.weights[free]), eigvals_only=True,

@@ -76,7 +76,7 @@ def test_gradient_matches_directional_derivative(setup3):
         v = profiles[k + 1]
         v = v / np.sqrt(norm_lambda_sq(v, 0.0, forms))
         g = fn.riesz_gradient(u, fn.quad @ u)
-        pairing = metric_pair(forms.lambda_metric(0.0), g, v)
+        pairing = metric_pair(forms.lambda_metric(0.0)[0], g, v)
         fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
         assert pairing == pytest.approx(fd, rel=1e-5)
 
@@ -164,7 +164,7 @@ def test_functional_quad_is_metric_plus_nonlocal(request, setup):
     # built in place on one copy of the nonlocal form, bit-identical to the
     # dense sum of the three metric diagonals and the nonlocal form
     grid, forms = request.getfixturevalue(setup)
-    metric = forms.lambda_metric(0.5)
+    metric = forms.lambda_metric(0.5)[0]
     dense = np.diag(metric[1]) + np.diag(metric[0, 1:], 1) + np.diag(metric[0, 1:], -1)
     for nonlocal_mat in (forms.nonlocal_mat, 0.0):
         fn = _Functional(forms, 0.5, nonlocal_mat, [4.0])
@@ -191,7 +191,7 @@ def test_gradient_J_finite_difference(setup5):
     fn = _functional_for(spec, forms)
     u = profiles[0]
     v = profiles[1] / np.sqrt(norm_lambda_sq(profiles[1], spec.lam, forms))
-    pairing = metric_pair(forms.lambda_metric(spec.lam),
+    pairing = metric_pair(forms.lambda_metric(spec.lam)[0],
                           fn.riesz_gradient(u, fn.quad @ u), v)
     h = 1e-5
     fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
