@@ -15,7 +15,9 @@ forms represent the energies:
 
 Weights and stiffness come from one Gauss rule over all cells, and no
 assembly loops over cells.  Only the nonlocal form is costly to build (it
-needs the reduced kernel), so pipeline caches it alone.
+needs the reduced kernel), so pipeline caches it alone.  This module
+never imports kernel: assemble_forms is handed the reduced kernel that
+pipeline built, so a solve on cached forms loads no kernel code.
 
 Functions are treated as extended by zero beyond the truncation radius;
 the last node is pinned in solves.  The lambda-shifted metric, held as two
@@ -44,7 +46,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .geometry import radial_volume_weight
-from .kernel import ReducedKernel
 from .specfun import gauss_panels, geometric_panels
 
 
@@ -279,7 +280,7 @@ def _adjacent_slope_matrix(h_lo, h_hi, s):
     return t20, t11, t02
 
 
-def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> QuadraticForms:
+def assemble_forms(grid: RadialGrid, s: float, reduced) -> QuadraticForms:
     """Assemble the stiffness and the nonlocal seminorm form.
 
     The reduced kernel must be built on this grid's cell midpoints.  Cell
@@ -290,6 +291,8 @@ def assemble_forms(grid: RadialGrid, s: float, reduced: ReducedKernel) -> Quadra
     integrated analytically against the near-diagonal law under linear
     interpolation.  Everything assembles into differences and slopes, so
     the result is symmetric PSD and exactly annihilates constants.
+    reduced is a kernel.ReducedKernel, left unannotated so that this
+    module need not import kernel.
     """
     mids = grid.cell_midpoints
     if reduced.dim != grid.dim or reduced.r_grid.size != mids.size or \

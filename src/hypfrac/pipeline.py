@@ -5,7 +5,8 @@ nonlocal form it feeds is cached on disk keyed by a content hash of
 (dimension, order, grid nodes); a stale entry can never match a different
 configuration.  An entry holds the nonlocal form only: the stiffness and
 the lumped mass form (the grid's weights) are O(n) to rebuild from the
-grid, so a cache hit rebuilds them.
+grid, so a cache hit rebuilds them.  A hit reads no kernel: hypfrac.kernel
+is imported only to build an entry, by build_reduced_kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from pathlib import Path
 from .cache import atomic_write_npz, content_key, default_cache_dir, load_npz
 from .funcspace import (QuadraticForms, RadialGrid, assemble_forms,
                         assemble_local_forms, make_grid)
-from .kernel import build_reduced_kernel
+
+
+def build_reduced_kernel(dim: int, s: float, r_grid):
+    """kernel.build_reduced_kernel, its module imported on the first call: a
+    solve on cached forms never loads it."""
+    from . import kernel
+    return kernel.build_reduced_kernel(dim, s, r_grid)
 
 
 def build_forms(dim: int, s: float, r_max: float = 20.0, n: int = 400,

@@ -147,20 +147,12 @@ class SolveReport:
     descent_stop: str = ""
     descent_resumed: bool = False
 
+    # report.json's keys after "solution", in its order
+    _REPORT_KEYS = ("energy", "nehari_value", "residual", "c_star", "mp_level_m", "beta",
+                    "mp_radius", "threshold", "iterations", "converged")
+
     def to_dict(self, solution_ref=None) -> dict:
-        return {
-            "solution": solution_ref,
-            "energy": self.energy,
-            "nehari_value": self.nehari_value,
-            "residual": self.residual,
-            "c_star": self.c_star,
-            "mp_level_m": self.mp_level_m,
-            "beta": self.beta,
-            "mp_radius": self.mp_radius,
-            "threshold": self.threshold,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return {"solution": solution_ref, **{k: getattr(self, k) for k in self._REPORT_KEYS}}
 
 
 class _Functional:
@@ -310,7 +302,7 @@ def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 
 def _newton_polish(fn: _Functional, v0: np.ndarray,
-                   tol: float) -> tuple[np.ndarray, int]:
+                   tol: float) -> tuple[np.ndarray, int, float]:
     """Damped Newton on the Euler-Lagrange system, merit = residual norm.
 
     The Newton system is solved on the free nodes with symmetric Jacobi
@@ -323,7 +315,8 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
     halve it once it is below _NEWTON_FLOOR max(|v|_lambda, 1) (past that
     point backtracked steps only crawl along the floor, a dense solve
     each).  Only improving steps are taken, so the returned iterate is the
-    best one seen.  Returns (iterate, Newton steps taken).
+    best one seen.  Returns (iterate, Newton steps taken, its residual
+    norm).
     """
     v = v0.copy()
     v[-1] = 0.0
@@ -333,9 +326,11 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
         h = fn.hessian(v)[:-1, :-1]
         d = np.sqrt(np.abs(np.diag(h)))
         d[d == 0.0] = 1.0
+        # h is a fresh copy: scaled in place, not through two n^2 temporaries
+        h /= d[:, None]
+        h /= d[None, :]
         try:
-            step = np.linalg.solve(h / d[:, None] / d[None, :],
-                                   fn.residual_vec(v)[:-1] / d) / d
+            step = np.linalg.solve(h, fn.residual_vec(v)[:-1] / d) / d
         except np.linalg.LinAlgError:
             break
         for k in range(40):
@@ -352,7 +347,7 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
         steps += 1
         if stalled and res < _NEWTON_FLOOR * max(fn.metric_norm(v), 1.0):
             break
-    return v, steps
+    return v, steps, res
 
 
 def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
@@ -441,16 +436,16 @@ def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
     def polish(v):
         return _newton_polish(fn, v, tol=polish_rtol * max(fn.metric_norm(v), 1.0))
 
-    w, newton_steps = polish(v)
+    w, newton_steps, res = polish(v)
     zone = max(polish_rtol, _NEWTON_FLOOR) * max(fn.metric_norm(w), 1.0)
     resumed = stop == "gradient_tol" and tol < _HANDOFF_RTOL and not (
-        fn.residual_norm(w) < zone and fn.value(w) <= history[-1] * (1.0 + 1e-12)
+        res < zone and fn.value(w) <= history[-1] * (1.0 + 1e-12)
         and np.all(w >= -_SIGN_TOL * np.abs(w).max()))
     if resumed:
         v, more, rest, stop = _nehari_descent(fn, v, tol, max_iter - descent_steps)
         descent_steps += more
         history += rest[1:]
-        w, more = polish(v)
+        w, more, _ = polish(v)
         newton_steps += more
     history.append(fn.value(w))
     return w, history, {"descent_steps": descent_steps, "newton_steps": newton_steps,

@@ -25,8 +25,6 @@ from .funcspace import (assemble_local_forms, dirichlet_sq, lp_norm, make_grid,
 from .kernel import FAR_RATE_BAND, NEAR_EXPONENT_BAND, build_kernel_table, kernel
 from .pipeline import build_forms
 
-SUITE_NAMES = ("kernel", "embedding", "nehari", "maxprinciple", "critical")
-
 KERNEL_DIMS = (2, 3, 4, 5)
 KERNEL_ORDERS = (0.25, 0.5, 0.75)
 NEHARI_SEEDS = (606, 20240709)
@@ -353,6 +351,7 @@ def suite_critical(cache_dir=None) -> list[CheckResult]:
     return res
 
 
+# keyed by cli.SUITE_NAMES, in its order
 _SUITES = {
     "kernel": suite_kernel,
     "embedding": suite_embedding,

@@ -11,7 +11,7 @@ import pytest
 
 from hypfrac import solver, verify
 from hypfrac.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE_FAILURE,
-                         EXIT_THRESHOLD, EXIT_VALIDATION, RunConfig, main)
+                         EXIT_THRESHOLD, EXIT_VALIDATION, SUITE_NAMES, RunConfig, main)
 from hypfrac.errors import DomainError
 from hypfrac.pipeline import build_forms
 
@@ -451,6 +451,19 @@ def test_verify_single_suite(cache_dir, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_unknown_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("verify", "--suite", "bogus")
+    assert err.value.code == EXIT_VALIDATION
+    msg = capsys.readouterr().err
+    assert msg.startswith("usage: hypfrac verify") and "invalid choice: 'bogus'" in msg
+
+
+def test_suite_names_are_the_suites_verify_runs():
+    # --suite all runs SUITE_NAMES in order, each by its entry in verify
+    assert tuple(verify._SUITES) == SUITE_NAMES
+
+
 def test_verify_reports_crashing_suite(monkeypatch, capsys):
     def crash(cache_dir=None):
         raise RuntimeError("boom")
@@ -458,13 +471,13 @@ def test_verify_reports_crashing_suite(monkeypatch, capsys):
     def stub(name):
         return lambda cache_dir=None: [verify.CheckResult(name, "stub", True, "ok")]
 
-    suites = {name: stub(name) for name in verify.SUITE_NAMES}
+    suites = {name: stub(name) for name in SUITE_NAMES}
     suites["nehari"] = crash
     monkeypatch.setattr(verify, "_SUITES", suites)
     assert run_cli("verify", "--suite", "all") == EXIT_SUITE_FAILURE
     out = capsys.readouterr().out
     assert "FAIL  [nehari] raised RuntimeError: boom" in out
-    assert out.count("PASS  [") == len(verify.SUITE_NAMES) - 1
+    assert out.count("PASS  [") == len(SUITE_NAMES) - 1
     # the detail column starts at one offset whatever the suite tag's length
     assert len({line.rindex(" ok") for line in out.splitlines()
                 if line.startswith("  PASS  [")}) == 1
@@ -507,13 +520,16 @@ def test_trace_sees_the_seed_search_inside_the_critical_solve(tmp_path, cache_di
     assert got["counts"]["solver.threshold_checks"] == 11
 
 
+# "lazy": those of the modules hypfrac loads only on demand that the run loaded
 _IMPORT_BUDGET_RUN = """
 import json, sys
 from hypfrac.cli import main
 codes = [main(["solve", "--config", path]) for path in sys.argv[1:]]
+lazy = ("hypfrac.kernel", "hypfrac.verify", "hypfrac._goldens", "numpy.polynomial")
 print(json.dumps({"codes": codes,
                   "loaded": sorted(m for m in sys.modules
-                                   if m == "scipy" or m.startswith("scipy."))}))
+                                   if m == "scipy" or m.startswith("scipy.")),
+                  "lazy": sorted(m for m in lazy if m in sys.modules)}))
 """
 
 
@@ -529,7 +545,8 @@ def _run_import_budget(configs):
 def test_warm_solves_import_no_scipy(tmp_path, cache_dir):
     # a solve on cached forms evaluates no kernel and solves its linear
     # systems with numpy and the factored lambda metric: it must load no
-    # scipy module at all
+    # scipy module at all, nor the kernel, the verify suites or
+    # numpy.polynomial
     problems = [({"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"}, 20.0),
                 ({"N": 5, "s": 0.5, "lambda": 1.0, "p": 2.0,
                   "mode": "critical_perturbed"}, 12.0)]
@@ -542,12 +559,14 @@ def test_warm_solves_import_no_scipy(tmp_path, cache_dir):
     got = _run_import_budget(configs)
     assert got["codes"] == [EXIT_OK, EXIT_OK]
     assert got["loaded"] == []
+    assert got["lazy"] == []
 
 
 def test_cold_solve_imports_no_scipy(tmp_path):
     # a solve on an empty cache evaluates the kernel, odd N by the Bessel
     # ladder and even N by its integral, with numpy's Bessel K: it must
-    # load no scipy module at all either
+    # load no scipy module at all either; it loads the kernel, and still
+    # none of the verify suites or numpy.polynomial
     configs = []
     for k, dim in enumerate((3, 4)):
         problem = {"N": dim, "s": 0.5, "lambda": 0.0, "p": 2.0, "mode": "subcritical"}
@@ -558,3 +577,4 @@ def test_cold_solve_imports_no_scipy(tmp_path):
     got = _run_import_budget(configs)
     assert got["codes"] == [EXIT_OK, EXIT_OK]
     assert got["loaded"] == []
+    assert got["lazy"] == ["hypfrac.kernel"]

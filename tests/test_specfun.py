@@ -9,8 +9,9 @@ from scipy.special import kv, kve
 
 from _mpmath_log_k import LOG_K, ORACLE_X
 from hypfrac.errors import DomainError, NumericalError
-from hypfrac.specfun import (_BAND_EDGES, _BAND_STEPS, _SERIES_MAX, _SERIES_TERMS,
-                             _steed_cf2, _temme_series, bessel_k_log, integrate_adaptive)
+from hypfrac.specfun import (_BAND_EDGES, _BAND_STEPS, _GL_PANEL, _SERIES_MAX,
+                             _SERIES_TERMS, _steed_cf2, _temme_series, bessel_k_log,
+                             integrate_adaptive)
 
 # high-precision reference values (computed offline at 40 digits)
 K0_AT_1 = 0.42102443824070834
@@ -196,6 +197,14 @@ def test_log_consistent_with_value():
 
 def test_log_far_field_golden():
     assert bessel_k_log(0.0, 100.0) == pytest.approx(LOG_K0_AT_100, abs=1e-10)
+
+
+def test_panel_rule_is_numpys_leggauss_8():
+    # the fixed panel rule is written out so that a solve never loads
+    # numpy.polynomial; its nodes and weights must be numpy's to the bit
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(_GL_PANEL[0], x)
+    assert np.array_equal(_GL_PANEL[1], w)
 
 
 def test_integral_exponential():
