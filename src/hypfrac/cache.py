@@ -22,7 +22,7 @@ import numpy as np
 
 CACHE_ENV = "HYPFRAC_CACHE"
 # the modules whose code builds a cached form
-_NUMERICS = ("kernel.py", "specfun.py", "funcspace.py", "geometry.py", "pipeline.py", "cache.py")
+_NUMERICS = ("kernel.py", "specfun.py", "funcspace.py", "pipeline.py", "cache.py")
 
 
 @lru_cache(maxsize=1)

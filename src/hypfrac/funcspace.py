@@ -1,5 +1,9 @@
 """Radial discretization of the mixed local-nonlocal energy space.
 
+In geodesic polar coordinates the hyperbolic volume element is
+omega_{N-1} * sinh(r)^(N-1) dr dsigma; every radial integral of the
+package is taken against this weight (radial_volume_weight).
+
 Profiles are piecewise linear on one graded radial grid (dense near the
 origin, where symmetrized ground states concentrate).  Three quadratic
 forms represent the energies:
@@ -45,8 +49,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .geometry import radial_volume_weight
 from .specfun import gauss_panels, geometric_panels
+
+
+def sphere_area(n: int) -> float:
+    """Surface area omega_{n-1} of the unit sphere S^{n-1} in R^n.
+
+    Computed as 2 pi^(n/2) / Gamma(n/2), exact for every integer n >= 1.
+    """
+    if n < 1:
+        raise DomainError(f"sphere dimension must be >= 1, got {n}")
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def radial_volume_weight(n: int, r):
+    """Radial density omega_{n-1} sinh(r)^(n-1) of the hyperbolic volume.
+
+    Accepts a scalar or an array of radii; n must be >= 2.
+    """
+    if int(n) != n or n < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {n}")
+    rv = np.asarray(r, dtype=float)
+    if np.any(rv < 0.0) or not np.all(np.isfinite(rv)):
+        raise DomainError("radii must be finite and >= 0")
+    w = sphere_area(int(n)) * np.sinh(rv) ** (int(n) - 1)
+    return float(w) if np.ndim(w) == 0 else w
 
 
 @dataclass(frozen=True)
@@ -226,7 +253,6 @@ def metric_solve(factor: tuple[list, list], b: np.ndarray) -> np.ndarray:
 
 def _sqrt_weight_f2(t, s):
     """Second antiderivative of t^-(1+2s); -log t at the s = 1/2 degeneracy."""
-    t = np.asarray(t, dtype=float)
     if abs(s - 0.5) < 1e-12:
         return -np.log(t)
     return t ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
@@ -257,7 +283,7 @@ def _adjacent_slope_matrix(h_lo, h_hi, s):
     """
     two_s = 2.0 * s
     h_lo, h_hi = h_lo[:, None], h_hi[:, None]
-    x, wx = geometric_panels(1.0, 10)
+    x, wx = geometric_panels(10)
 
     def inner_moment0(a, h):
         # integral over b in [0,h] of (a+b)^-(1+2s)
@@ -283,24 +309,19 @@ def _adjacent_slope_matrix(h_lo, h_hi, s):
 def assemble_forms(grid: RadialGrid, s: float, reduced) -> QuadraticForms:
     """Assemble the stiffness and the nonlocal seminorm form.
 
-    The reduced kernel must be built on this grid's cell midpoints.  Cell
-    pairs separated by at least one full cell get the tabulated weight,
-    rescaled by the exact integral of the near-diagonal power law over the
-    cell rectangle (so the quadrature respects the |r1 - r2|^-(1+2s) mass
-    distribution); the same-cell and shared-node contributions are
-    integrated analytically against the near-diagonal law under linear
-    interpolation.  Everything assembles into differences and slopes, so
-    the result is symmetric PSD and exactly annihilates constants.
-    reduced is a kernel.ReducedKernel, left unannotated so that this
-    module need not import kernel.
+    Precondition, not checked: reduced is built on this grid's cell
+    midpoints at order s, as pipeline.build_forms, the one production
+    caller, builds it.  Cell pairs separated by at least one full cell get
+    the tabulated weight, rescaled by the exact integral of the
+    near-diagonal power law over the cell rectangle (so the quadrature
+    respects the |r1 - r2|^-(1+2s) mass distribution); the same-cell and
+    shared-node contributions are integrated analytically against the
+    near-diagonal law under linear interpolation.  Everything assembles
+    into differences and slopes, so the result is symmetric PSD and
+    exactly annihilates constants.  reduced is a kernel.ReducedKernel,
+    left unannotated so that this module need not import kernel.
     """
     mids = grid.cell_midpoints
-    if reduced.dim != grid.dim or reduced.r_grid.size != mids.size or \
-            not np.allclose(reduced.r_grid, mids, rtol=1e-12, atol=1e-14):
-        raise DomainError("reduced kernel was built on a different grid")
-    if abs(reduced.order - s) > 1e-12:
-        raise DomainError("reduced kernel order does not match requested s")
-
     n = grid.n
     nodes = grid.nodes
     h = grid.cell_widths

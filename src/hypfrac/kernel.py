@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .geometry import sphere_area
+from .funcspace import sphere_area
 from .specfun import bessel_k_log, gauss_panels, geometric_panels
 # not called here: perfbench/trace_solve.py wraps kernel.integrate_adaptive
 from .specfun import integrate_adaptive  # noqa: F401
@@ -82,18 +82,16 @@ def normalizing_constant(N: int, s: float) -> float:
 
 def _log_sinh(x):
     """log(sinh x) without overflow; x > 0 elementwise."""
-    x = np.asarray(x, dtype=float)
     return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
 
 
 def _log_cosh(x):
-    x = np.asarray(x, dtype=float)
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
 
 
 def _coshm1(x):
     """cosh(x) - 1 = 2 sinh^2(x/2), stable for small x."""
-    return 2.0 * np.sinh(np.asarray(x, dtype=float) / 2.0) ** 2
+    return 2.0 * np.sinh(x / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,6 @@ def apply_operator(term_sum: BesselTermSum) -> BesselTermSum:
     acc = {}
 
     def add(coeff, m, k, j, p):
-        if coeff == 0.0:
-            return
         key = (m, k, j, round(p, 12))
         acc[key] = acc.get(key, 0.0) + coeff
 
@@ -172,10 +168,8 @@ def apply_operator(term_sum: BesselTermSum) -> BesselTermSum:
         mu = term_sum.nu0 + t.order_shift
         c, m, k, j, p = t.coeff, t.order_shift, t.inv_sinh_pow, t.cosh_pow, t.rho_pow
         add(-c * (p + mu), m, k + 1, j, p - 1.0)
-        if k:
-            add(c * k, m, k + 2, j + 1, p)
-        if j:
-            add(-c * j, m, k, j - 1, p)
+        add(c * k, m, k + 2, j + 1, p)
+        add(-c * j, m, k, j - 1, p)
         add(c * a, m + 1, k + 1, j, p)
 
     terms = tuple(
@@ -197,11 +191,8 @@ def _ladder(N: int, s: float, applications: int) -> BesselTermSum:
 def _even_ladder_eval(N, s, r):
     """G(r) = ((-d/dr)/sinh r)^(N/2) applied to the base profile, with the
     integrand forced to zero beyond the underflow radius."""
-    ts = _ladder(int(N), float(s), N // 2)
-    r = np.asarray(r, dtype=float)
-    safe = np.minimum(r, _RADIAL_CUTOFF)
-    vals = np.atleast_1d(ts.evaluate(safe))
-    return np.where(np.atleast_1d(r) > _RADIAL_CUTOFF, 0.0, vals)
+    vals = _ladder(N, s, N // 2).evaluate(np.minimum(r, _RADIAL_CUTOFF))
+    return np.where(r > _RADIAL_CUTOFF, 0.0, vals)
 
 
 # One array call holds at most _CHUNK_NODES (row x node) entries, so its
@@ -270,11 +261,11 @@ def _split(task, args, rows):
 def _level_groups(levels):
     """Yield (rows, nodes, weights): the rows that share a geometric-panel
     level count, in chunks of at most _CHUNK_NODES (row x node) entries,
-    with geometric_panels(1.0, level) built once per level.  Each row's
+    with geometric_panels(level) built once per level.  Each row's
     integral comes from its own row of one array call, so its value never
     depends on which other rows share that call."""
-    for lv in np.unique(levels):
-        x, w = geometric_panels(1.0, int(lv))
+    for lv in np.flatnonzero(np.bincount(levels)):
+        x, w = geometric_panels(lv)
         rows = np.flatnonzero(levels == lv)
         step = max(1, _CHUNK_NODES // x.size)
         for start in range(0, rows.size, step):
@@ -396,12 +387,6 @@ class KernelTable:
     near_amplitude: float
 
     def validate(self):
-        # interpolator() indexes the knots as uniform in log rho
-        x = np.log(self.rho_grid)
-        if np.abs(x - np.linspace(x[0], x[-1], x.size)).max() > 1e-12 * (x[-1] - x[0]):
-            raise NumericalError("kernel table grid is not uniform in log rho")
-        if np.any(self.values <= 0.0):
-            raise NumericalError("kernel table contains non-positive values")
         if np.any(np.diff(self.values) >= 0.0):
             raise NumericalError("kernel table is not strictly decreasing")
         expected = -(self.dim + 2.0 * self.order)
@@ -424,10 +409,10 @@ class KernelTable:
         P is the piecewise cubic Hermite interpolant of (log rho, log value)
         with the PCHIP slopes of _pchip_slopes, which keep it monotone
         between knots; beyond the tabulated range the end cubics extend it.
-        validate() holds the knots uniform in log rho, so each point's
-        interval is a direct index: five gathers (x_k, four coefficients)
-        and a Horner recurrence in place in the call's own arrays; evaluate
-        returns a new array of rho's shape.
+        build_kernel_table lays the knots out by np.geomspace, uniform in
+        log rho, so each point's interval is a direct index: five gathers
+        (x_k, four coefficients) and a Horner recurrence in place in the
+        call's own arrays; evaluate returns a new array of rho's shape.
         """
         x, y = np.log(self.rho_grid), np.log(self.values)
         d = _pchip_slopes(x, y)
@@ -560,18 +545,14 @@ class ReducedKernel:
         return self.prefactor * np.sinh(np.asarray(r, dtype=float)) ** (self.dim - 1)
 
     def validate(self):
-        """NumericalError unless W is square on the grid, symmetric,
-        positive and finite off the diagonal, and its adjacent pairs follow
-        the near-diagonal law within 10% where that law is accurate:
-        mid >= 10 delta and (N - 1) delta <= 0.1.  Grids of 128 or fewer
-        nodes have no pair in that window, so there the law is not
-        compared at all."""
-        n = self.r_grid.size
-        if self.W.shape != (n, n):
-            raise NumericalError("weight matrix shape does not match grid")
-        if not np.array_equal(self.W, self.W.T):
-            raise NumericalError("weight matrix is not symmetric")
-        off = ~np.eye(n, dtype=bool)
+        """NumericalError unless W is positive and finite off the diagonal
+        and its adjacent pairs follow the near-diagonal law within 10% where
+        that law is accurate: mid >= 10 delta and (N - 1) delta <= 0.1.
+        Grids of 128 or fewer nodes have no pair in that window, so there
+        the law is not compared at all.  W is square on the grid and
+        symmetric by construction: build_reduced_kernel writes W[i, j] and
+        W[j, i] from one array, and _split redoes any block left undone."""
+        off = ~np.eye(self.r_grid.size, dtype=bool)
         bad = np.argwhere(off & ~((self.W > 0.0) & np.isfinite(self.W)))
         if bad.size:
             i, j = bad[0]
@@ -654,11 +635,9 @@ def _angular_weights(N, r1, r2, kernel_eval):
     upper half, in w = sqrt(Sigma - d), is smooth and takes _UPPER_LEVELS.
     Pairs with the same level count share array calls (_level_groups).
     """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
     levels = np.maximum(np.ceil(0.5 * np.log2(r1 / (r2 - r1))), 0.0).astype(int)
     levels += _LOWER_EXTRA_LEVELS
-    upper = geometric_panels(1.0, _UPPER_LEVELS)
+    upper = geometric_panels(_UPPER_LEVELS)
     out = np.empty_like(r1)
     for k, x, w in _level_groups(levels):
         out[k] = (_half_integral(N, r1[k], r2[k], x, w, True, kernel_eval)

@@ -248,9 +248,7 @@ def gauss_panels(edges):
     return (0.5 * (a + b) + half * xs).ravel(), (half * ws).ravel()
 
 
-def geometric_panels(upper: float, levels: int):
-    """gauss_panels on [0, 2^-levels u], [2^-levels u, 2^(1-levels) u], ...,
-    [u/2, u] of [0, u = upper], which resolve an integrable singularity at
-    zero."""
-    return gauss_panels(
-        upper * np.concatenate(([0.0], 2.0 ** (-np.arange(levels, -1, -1, dtype=float)))))
+def geometric_panels(levels: int):
+    """gauss_panels on [0, 2^-levels], [2^-levels, 2^(1-levels)], ...,
+    [1/2, 1] of [0, 1], which resolve an integrable singularity at zero."""
+    return gauss_panels(np.concatenate(([0.0], 2.0 ** (-np.arange(levels, -1, -1, dtype=float)))))

@@ -22,7 +22,7 @@ from ._goldens import ODD_KERNEL_FD_ORACLE
 from .errors import ThresholdNotMetError
 from .funcspace import (assemble_local_forms, dirichlet_sq, lp_norm, make_grid,
                         schwarz_rearrange, seminorm_s_sq)
-from .kernel import FAR_RATE_BAND, NEAR_EXPONENT_BAND, build_kernel_table, kernel
+from .kernel import build_kernel_table, kernel
 from .pipeline import build_forms
 
 KERNEL_DIMS = (2, 3, 4, 5)
@@ -119,10 +119,7 @@ def suite_kernel(cache_dir=None) -> list[CheckResult]:
             try:
                 tab = build_kernel_table(n_dim, s, 1e-4, 30.0, 400)
                 took = time.monotonic() - t0
-                near_dev = abs(tab.near_exponent + n_dim + 2 * s)
-                far_dev = abs(tab.far_rate - (n_dim - 1)) / (n_dim - 1)
-                ok = (near_dev < NEAR_EXPONENT_BAND and far_dev < FAR_RATE_BAND
-                      and took < 10.0)
+                ok = took < 10.0  # build_kernel_table raises outside the bands
                 detail = (f"near {tab.near_exponent:+.3f} (want {-(n_dim + 2 * s)}), "
                           f"far {tab.far_rate:.3f} (want {n_dim - 1}), {took:.1f}s")
             except Exception as exc:  # table rejection is what we're testing for
@@ -304,9 +301,7 @@ def suite_critical(cache_dir=None) -> list[CheckResult]:
     # search; at this parameter point the documented outcome matters, not a
     # particular branch
     grid, forms = build_forms(3, 0.5, r_max=20.0, n=400, cache_dir=cache_dir)
-    spec = solver.ProblemSpec(N=CRITICAL_PINNED["N"], s=CRITICAL_PINNED["s"],
-                              lam=CRITICAL_PINNED["lam"], p=CRITICAL_PINNED["p"],
-                              mode="critical_perturbed")
+    spec = solver.ProblemSpec(**CRITICAL_PINNED, mode="critical_perturbed")
     runs = [_seed_outcome(spec, forms) for _ in range(2)]
     reports = [report for report, _ in runs if report is not None]
     ok = runs[0][1] == runs[1][1] and len(reports) != 1

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from hypfrac.pipeline import build_forms
@@ -6,6 +9,14 @@ from hypfrac.pipeline import build_forms
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("hypfrac_cache")
+
+
+@pytest.fixture(scope="session")
+def perfbench_reference():
+    """perfbench/reference.json's pinned answers per config; the tests that
+    pin an answer read it here, so a rebuild of that file re-pins them."""
+    path = Path(__file__).parent.parent / "perfbench" / "reference.json"
+    return json.loads(path.read_text())["configs"]
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -47,6 +48,28 @@ def test_content_key_covers_the_code_of_the_numerics(tmp_path):
     with open(tmp_path / "hypfrac" / "kernel.py", "a") as fh:
         fh.write("#")
     assert _key_of(tmp_path) != before
+
+
+_LOADED_BY_A_COLD_BUILD = """
+import json, sys
+from hypfrac import cache
+from hypfrac.pipeline import build_forms
+build_forms(3, 0.5, r_max=20.0, n=64, cache_dir=sys.argv[1])
+print(json.dumps({"numerics": cache._NUMERICS,
+                  "loaded": [m for m in sys.modules if m.startswith("hypfrac.")]}))
+"""
+
+
+def test_code_digest_covers_the_modules_a_cold_build_loads(tmp_path):
+    # _NUMERICS names exactly the modules behind a form: a stale name fails
+    # every key, a missing one lets an entry outlive the code that built it
+    src = Path(hypfrac.cache.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_A_COLD_BUILD, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    loaded = {name.removeprefix("hypfrac.") + ".py" for name in got["loaded"]}
+    assert set(got["numerics"]) == loaded - {"errors.py"}
 
 
 def test_atomic_write_roundtrip(tmp_path):

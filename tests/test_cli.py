@@ -140,7 +140,7 @@ def test_critical_level_agrees_across_blas_thread_counts(tmp_path, cache_dir):
     assert levels[1] == pytest.approx(levels[0], rel=1e-12)
 
 
-def test_solve_critical_threshold_failure_exit_code(tmp_path, cache_dir):
+def test_solve_critical_threshold_failure_exit_code(tmp_path, cache_dir, perfbench_reference):
     # the documented failure at the pinned parameters: exit 4 with the
     # offending pair printed, identically in two separate processes
     cfg = write_config(
@@ -152,9 +152,11 @@ def test_solve_critical_threshold_failure_exit_code(tmp_path, cache_dir):
             for _ in range(2)]
     assert [run.returncode for run in runs] == [EXIT_THRESHOLD, EXIT_THRESHOLD]
     out = runs[0].stdout
-    # the pair perfbench/reference.json records for this config; it moves
-    # only when that file is rebuilt
-    assert out == "threshold failure: sup_value=4.4909355 threshold=4.176805\n"
+    # the pair perfbench/reference.json records for this config
+    ref = perfbench_reference["critical-threshold-failure"]
+    assert ref["exit_code"] == EXIT_THRESHOLD
+    assert out == (f"threshold failure: sup_value={ref['sup_value']:.8g} "
+                   f"threshold={ref['threshold']:.8g}\n")
     assert runs[1].stdout == out
 
 
@@ -525,7 +527,8 @@ _IMPORT_BUDGET_RUN = """
 import json, sys
 from hypfrac.cli import main
 codes = [main(["solve", "--config", path]) for path in sys.argv[1:]]
-lazy = ("hypfrac.kernel", "hypfrac.verify", "hypfrac._goldens", "numpy.polynomial")
+lazy = ("hypfrac.kernel", "hypfrac.verify", "hypfrac._goldens", "numpy.polynomial",
+        "numpy.ma")
 print(json.dumps({"codes": codes,
                   "loaded": sorted(m for m in sys.modules
                                    if m == "scipy" or m.startswith("scipy.")),
@@ -545,8 +548,8 @@ def _run_import_budget(configs):
 def test_warm_solves_import_no_scipy(tmp_path, cache_dir):
     # a solve on cached forms evaluates no kernel and solves its linear
     # systems with numpy and the factored lambda metric: it must load no
-    # scipy module at all, nor the kernel, the verify suites or
-    # numpy.polynomial
+    # scipy module at all, nor the kernel, the verify suites,
+    # numpy.polynomial or numpy.ma
     problems = [({"N": 3, "s": 0.5, "lambda": 0.0, "p": 3.0, "mode": "subcritical"}, 20.0),
                 ({"N": 5, "s": 0.5, "lambda": 1.0, "p": 2.0,
                   "mode": "critical_perturbed"}, 12.0)]
@@ -566,7 +569,7 @@ def test_cold_solve_imports_no_scipy(tmp_path):
     # a solve on an empty cache evaluates the kernel, odd N by the Bessel
     # ladder and even N by its integral, with numpy's Bessel K: it must
     # load no scipy module at all either; it loads the kernel, and still
-    # none of the verify suites or numpy.polynomial
+    # none of the verify suites, numpy.polynomial or numpy.ma
     configs = []
     for k, dim in enumerate((3, 4)):
         problem = {"N": dim, "s": 0.5, "lambda": 0.0, "p": 2.0, "mode": "subcritical"}

@@ -10,8 +10,8 @@ from hypfrac.errors import DomainError, NumericalError
 from hypfrac.funcspace import (QuadraticForms, RadialGrid, _adjacent_slope_matrix,
                                _cell_pair_integral, assemble_forms, assemble_local_forms,
                                dirichlet_sq, lp_norm, make_grid, metric_factor, metric_solve,
-                               norm_lambda_sq, schwarz_rearrange, seminorm_s_sq)
-from hypfrac.geometry import radial_volume_weight
+                               norm_lambda_sq, radial_volume_weight, schwarz_rearrange,
+                               seminorm_s_sq)
 from hypfrac.kernel import build_reduced_kernel
 from hypfrac.verify import random_smooth_profiles
 
@@ -420,13 +420,3 @@ def test_nonlocal_form_matches_loop_reference():
         got = assemble_forms(grid, s, reduced).nonlocal_mat
         want = _nonlocal_loop_reference(grid, s, reduced)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), s
-
-
-def test_forms_reject_mismatched_kernel():
-    grid = make_grid(3, r_max=8.0, n=64)
-    reduced = build_reduced_kernel(3, 0.5, grid.cell_midpoints)
-    other = make_grid(3, r_max=8.0, n=32)
-    with pytest.raises(DomainError):
-        assemble_forms(other, 0.5, reduced)
-    with pytest.raises(DomainError):
-        assemble_forms(grid, 0.75, reduced)

@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypfrac.errors import DomainError
-from hypfrac.geometry import radial_volume_weight, sphere_area
+from hypfrac.funcspace import radial_volume_weight, sphere_area
 
 
 def test_volume_weight_vanishes_at_origin():

@@ -267,7 +267,7 @@ def _leggauss(n_gauss):
 
 def _direct_angular_weight(n_dim, s, r1, r2, n_gauss=4000):
     """Brute-force angular reduction at a single node pair."""
-    from hypfrac.geometry import sphere_area
+    from hypfrac.funcspace import sphere_area
 
     x, w = _leggauss(n_gauss)
     gamma = 0.5 * math.pi * (x + 1.0)
@@ -330,8 +330,8 @@ def _graded_rule_pairs():
 def _deep_rule(N, r1, r2, kernel_eval):
     """The angular integrand of _angular_weights under a deep fixed layout
     of 26 lower and 14 upper levels."""
-    return (_half_integral(N, r1, r2, *geometric_panels(1.0, 26), True, kernel_eval)
-            + _half_integral(N, r1, r2, *geometric_panels(1.0, 14), False, kernel_eval))
+    return (_half_integral(N, r1, r2, *geometric_panels(26), True, kernel_eval)
+            + _half_integral(N, r1, r2, *geometric_panels(14), False, kernel_eval))
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -400,18 +400,6 @@ def test_pchip_slopes_flat_and_clamped_branches():
     flat = KernelTable(4, 0.5, np.exp(x), np.exp(y), math.nan, math.nan, math.nan)
     lx = np.linspace(x[0] - 0.1, x[-1] + 0.1, 997)
     assert np.abs(flat.interpolator()(np.exp(lx)) / np.exp(ref(lx)) - 1.0).max() <= 1e-13
-
-
-def test_table_rejects_grid_not_uniform_in_log_rho():
-    # interpolator() finds intervals by a direct index, which a grid built
-    # another way would turn into silently wrong values
-    table = build_kernel_table(3, 0.5, 1e-3, 10.0, 64)
-    table.validate()
-    grid = np.linspace(1e-3, 10.0, 64)
-    other = KernelTable(3, 0.5, grid, kernel(3, 0.5, grid), table.near_exponent,
-                        table.far_rate, table.near_amplitude)
-    with pytest.raises(NumericalError, match="not uniform in log rho"):
-        other.validate()
 
 
 def test_reduced_kernel_pair_node_count(tmp_path, monkeypatch):

@@ -304,13 +304,13 @@ def test_critical_ray_cross_check(critical_report, setup5):
     assert min(report.energy_history) >= report.mp_level_m * (1.0 - 1e-12)
 
 
-def test_demo_critical_level_is_pinned(critical_report):
-    # demo_critical's mountain-pass level and threshold as
-    # perfbench/reference.json records them at n = 400; both values mirror
-    # that file and move only when it is rebuilt
+def test_demo_critical_level_is_pinned(critical_report, perfbench_reference):
+    # demo_critical's mountain-pass level and threshold at n = 400, as
+    # perfbench/reference.json records them
+    ref = perfbench_reference["critical"]["headline"]
     _, _, report = critical_report
-    assert report.mp_level_m == pytest.approx(152.38354230253222, rel=1e-10)
-    assert report.threshold == pytest.approx(168.8781837103525, rel=1e-10)
+    assert report.mp_level_m == pytest.approx(ref["mp_level_m"], rel=1e-10)
+    assert report.threshold == pytest.approx(ref["threshold"], rel=1e-10)
 
 
 def _solve_at(spec, setup):
