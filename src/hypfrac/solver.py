@@ -3,12 +3,14 @@
 Both modes find their critical point one way (_critical_point): a
 projected gradient descent of the ray maximum (absolute value, periodic
 decreasing rearrangement, ray re-projection after every step) drives the
-iterate into the basin (relative gradient _HANDOFF_RTOL), and a Newton
-polish on the full Euler-Lagrange system finishes to near machine
-residual; the descent resumes only if the polished point fails its
-guard.  For I_lambda the ray maximum is the energy on the Nehari set,
-whose infimum is the ground-state level c*.  For J_lambda the
-nonlinearity |u|^{2*-2}u + |u|^{p-1}u has f(t)/t strictly increasing, so
+iterate into the basin (relative gradient _HANDOFF_RTOL, or below ten
+times that once the descent stalls: its relative gradient has not halved
+over _STALL_WINDOW iterations), and a Newton polish on the full
+Euler-Lagrange system finishes to near machine residual; the descent
+resumes only if the polished point fails its guard.  For I_lambda the
+ray maximum is the energy on the Nehari set, whose infimum is the
+ground-state level c*.  For J_lambda the nonlinearity
+|u|^{2*-2}u + |u|^{p-1}u has f(t)/t strictly increasing, so
 each ray has one maximum and the mountain-pass level m equals the Nehari
 level inf_v max_t J(tv) (Willem, Minimax Theorems, 1996, Thm 4.2;
 Szulkin-Weth 2010); the lumped power terms stay homogeneous, so this
@@ -27,14 +29,15 @@ maxima of the descent, the seed search and check_threshold (_ray_max),
 and the mountain-pass envelope of mountain_pass_geometry.  It is Newton's
 iteration in log z from the smallest one-term root, monotone since f(t)/t
 is increasing, and a non-finite coefficient or root is a NumericalError,
-never a zero ray.  Every linear solve is numpy's or the factored lambda
-metric's (funcspace.metric_solve); the package imports no scipy at all.
-The polish is plain damped Newton: it stops at its tolerance, or at the
-round-off floor, and keeps the best iterate either way.  The floor is
-reached when the line search can no longer lower the residual, or when
-an accepted step fails to halve a residual already below sqrt(eps)
-max(|v|_lambda, 1); a tolerance below the floor then costs no further
-dense solves.
+never a zero ray.  Every linear solve is numpy's, the factored lambda
+metric's (funcspace.metric_solve) or, for the Newton step of a local
+functional, whose Hessian is tridiagonal, funcspace.tridiag_solve's; the
+package imports no scipy at all.  The polish is plain damped Newton: it
+stops at its tolerance, or at the round-off floor, and keeps the best
+iterate either way.  The floor is reached when the line search can no
+longer lower the residual, or when an accepted step fails to halve a
+residual already below sqrt(eps) max(|v|_lambda, 1); a tolerance below
+the floor then costs no further solves.
 
 Each energy functional -- I_lambda, and J_lambda with its critical power
 term -- is one _Functional, built once per (spec, forms) by
@@ -60,12 +63,15 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ThresholdNotMetError
 from .funcspace import (QuadraticForms, metric_pair, metric_solve, norm_lambda_sq,
-                        schwarz_rearrange, seminorm_s_sq)
+                        schwarz_rearrange, seminorm_s_sq, tridiag_solve)
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
-# relative Riesz gradient at which _critical_point hands the descent to Newton
+# relative Riesz gradient at which _critical_point hands the descent to Newton;
+# below 10 times it a descent that has not halved its relative gradient over
+# the last _STALL_WINDOW iterations is handed over as well
 _HANDOFF_RTOL = 1e-3
+_STALL_WINDOW = 5
 # guard on the _newton_polish loop; it meets tol or stalls within a few steps
 _NEWTON_MAX_ITER = 60
 # relative residual (to max(|v|_lambda, 1)) below which a Newton step that
@@ -159,29 +165,41 @@ class _Functional:
     """Quadratic part plus power nonlinearities of an energy functional.
 
     value(v) = 1/2 v^T A v - sum_t (1/e_t) integral |v|^{e_t};
-    the gradient and Hessian are exact on the nodal quadrature.  A, the
-    one dense matrix, is the banded lambda metric plus nonlocal_mat (an
-    n x n array, or 0.0 for a local functional), built in place; every
-    Riesz solve uses the factor the forms return with the metric's bands.
+    the gradient and Hessian are exact on the nodal quadrature.  A is the
+    banded lambda metric plus nonlocal_mat.  With an n x n nonlocal_mat A
+    is one dense array (quad), built in place; a local functional
+    (nonlocal_mat None) has quad None and applies A as the metric's bands,
+    so it holds no n x n array.  Every Riesz solve uses the factor the
+    forms return with the metric's bands.
     """
 
     def __init__(self, forms: QuadraticForms, lam: float, nonlocal_mat, exponents):
         grid = self.grid = forms.grid
         self.weights = grid.weights
         self.metric, self.factor = forms.lambda_metric(lam)
-        i = np.arange(grid.n)
-        self.quad = np.empty((grid.n, grid.n))
-        self.quad[...] = nonlocal_mat
-        self.quad[i, i] += self.metric[1]
-        self.quad[i[:-1], i[1:]] += self.metric[0, 1:]
-        self.quad[i[1:], i[:-1]] += self.metric[0, 1:]
+        self.quad = None
+        if nonlocal_mat is not None:
+            i = np.arange(grid.n)
+            self.quad = nonlocal_mat.copy()
+            self.quad[i, i] += self.metric[1]
+            self.quad[i[:-1], i[1:]] += self.metric[0, 1:]
+            self.quad[i[1:], i[:-1]] += self.metric[0, 1:]
         self.exponents = tuple(exponents)
 
     def power_integral(self, v, e) -> float:
         return float(np.sum(self.weights * np.abs(v) ** e))
 
+    def apply(self, v) -> np.ndarray:
+        """A v; a local functional's from the metric's bands."""
+        if self.quad is not None:
+            return self.quad @ v
+        out = self.metric[1] * v
+        out[:-1] += self.metric[0, 1:] * v[1:]
+        out[1:] += self.metric[0, 1:] * v[:-1]
+        return out
+
     def quad_form(self, v) -> float:
-        return float(v @ self.quad @ v)
+        return float(v @ self.apply(v)) if self.quad is None else float(v @ self.quad @ v)
 
     def value(self, v) -> float:
         out = 0.5 * self.quad_form(v)
@@ -190,7 +208,7 @@ class _Functional:
         return out
 
     def residual_vec(self, v) -> np.ndarray:
-        return self.residual_from(v, self.quad @ v)
+        return self.residual_from(v, self.apply(v))
 
     def residual_from(self, v, qv) -> np.ndarray:
         """The residual at v from qv = A v, a product the caller holds."""
@@ -206,13 +224,37 @@ class _Functional:
             out -= self.power_integral(v, e)
         return out
 
+    def curvature(self, v) -> np.ndarray:
+        """sum_t (e_t - 1) w |v|^(e_t - 2): the power terms' part of the
+        Hessian, a diagonal, subtracted from A."""
+        return sum((e - 1.0) * self.weights * np.abs(v) ** (e - 2.0) for e in self.exponents)
+
     def hessian(self, v) -> np.ndarray:
+        """The Hessian at v as a fresh dense array; dense functionals only."""
         h = self.quad.copy()
-        diag = np.zeros_like(v)
-        for e in self.exponents:
-            diag += (e - 1.0) * self.weights * np.abs(v) ** (e - 2.0)
-        h[np.diag_indices_from(h)] -= diag
+        h[np.diag_indices_from(h)] -= self.curvature(v)
         return h
+
+    def newton_step(self, v, r, buf=None) -> np.ndarray:
+        """H^-1 r on the free nodes, H the Hessian at v, solved with
+        symmetric Jacobi scaling D^-1 H D^-1, d = sqrt|diag H| (zeros
+        replaced by 1): the stiffness diagonal spans many orders of
+        magnitude across the exponentially weighted grid, and raw solves
+        would look singular.  A dense functional scales H into buf, an
+        (n-1) x (n-1) array the caller keeps across steps (a fresh one if
+        None), for numpy's solve; a local one's H is tridiagonal, and
+        funcspace.tridiag_solve solves it in O(n).  LinAlgError or
+        ZeroDivisionError if the scaled system is singular."""
+        hd = (self.metric[1] if self.quad is None else self.quad.diagonal())[:-1]
+        hd = hd - self.curvature(v)[:-1]
+        d = np.sqrt(np.abs(hd)) + (hd == 0.0)
+        if self.quad is None:
+            off = self.metric[0, 1:-1] / d[:-1] / d[1:]
+            return tridiag_solve(hd / d / d, off, r / d) / d
+        buf = np.divide(self.quad[:-1, :-1], d[:, None], out=buf)
+        buf /= d
+        np.fill_diagonal(buf, hd / d / d)
+        return np.linalg.solve(buf, r / d) / d
 
     def riesz_gradient(self, v, qv) -> np.ndarray:
         """Riesz representative of the residual at v, given qv = A v."""
@@ -295,7 +337,7 @@ def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float, np.ndarray]:
     With one power term the maximizer is the Nehari scale of v and z v
     lies on the Nehari set; the result is deterministic either way.
     """
-    qv = fn.quad @ v
+    qv = fn.apply(v)
     level, z = _ray_peak(float(v @ qv), [fn.power_integral(v, e) for e in fn.exponents],
                          fn.exponents)
     return level, z, qv
@@ -305,33 +347,27 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
                    tol: float) -> tuple[np.ndarray, int, float]:
     """Damped Newton on the Euler-Lagrange system, merit = residual norm.
 
-    The Newton system is solved on the free nodes with symmetric Jacobi
-    scaling, D^-1 H D^-1 with d = sqrt|diag H| (zeros replaced by 1): the
-    stiffness diagonal spans many orders of magnitude across the
-    exponentially weighted grid, and raw solves would look singular.
-    Stops when the residual is below tol, when the scaled system is
-    singular, or at the round-off floor: when the Armijo line search can
-    no longer lower the residual, or after an accepted step that did not
-    halve it once it is below _NEWTON_FLOOR max(|v|_lambda, 1) (past that
-    point backtracked steps only crawl along the floor, a dense solve
-    each).  Only improving steps are taken, so the returned iterate is the
-    best one seen.  Returns (iterate, Newton steps taken, its residual
-    norm).
+    Each step is fn.newton_step, the Jacobi-scaled Newton system on the
+    free nodes: numpy's dense solve of a dense functional's Hessian,
+    scaled into one buffer for the whole polish, or the O(n) tridiagonal
+    solve of a local functional's.  Stops when the residual is below tol,
+    when the scaled system is singular, or at the round-off floor: when
+    the Armijo line search can no longer lower the residual, or after an
+    accepted step that did not halve it once it is below _NEWTON_FLOOR
+    max(|v|_lambda, 1) (past that point backtracked steps only crawl along
+    the floor, a solve each).  Only improving steps are taken, so the
+    returned iterate is the best one seen.  Returns (iterate, Newton steps
+    taken, its residual norm).
     """
     v = v0.copy()
     v[-1] = 0.0
     res = fn.residual_norm(v)
     steps = 0
+    buf = None if fn.quad is None else np.empty((v.size - 1, v.size - 1))
     while steps < _NEWTON_MAX_ITER and res >= tol:
-        h = fn.hessian(v)[:-1, :-1]
-        d = np.sqrt(np.abs(np.diag(h)))
-        d[d == 0.0] = 1.0
-        # h is a fresh copy: scaled in place, not through two n^2 temporaries
-        h /= d[:, None]
-        h /= d[None, :]
         try:
-            step = np.linalg.solve(h, fn.residual_vec(v)[:-1] / d) / d
-        except np.linalg.LinAlgError:
+            step = fn.newton_step(v, fn.residual_vec(v)[:-1], buf)
+        except (np.linalg.LinAlgError, ZeroDivisionError):
             break
         for k in range(40):
             alpha = 0.5 ** k
@@ -350,8 +386,8 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
     return v, steps, res
 
 
-def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
-                    max_iter: int) -> tuple[np.ndarray, int, list, str]:
+def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
+                    stall: float = 0.0) -> tuple[np.ndarray, int, list, str]:
     """Projected gradient descent of the ray maximum of fn.
 
     Every iterate is the peak of its own ray (_ray_max), so the levels in
@@ -366,9 +402,11 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     which the descent must reach for solve_subcritical to report it as
     unresolved.  Returns (iterate, accepted gradient steps, history, stop):
     stop is "gradient_tol" when the relative Riesz gradient fell below tol
-    (the hand-off threshold, in _critical_point's first call),
-    "line_search_failed" when no trial step was accepted, "budget" after
-    max_iter steps.
+    (the hand-off threshold, in _critical_point's first call), "stalled"
+    when it is below stall but has not halved over the last
+    _STALL_WINDOW iterations (a creeping descent, which Newton finishes
+    sooner; stall = 0, the default, never stops), "line_search_failed"
+    when no trial step was accepted, "budget" after max_iter steps.
     """
     guard_origin = len(fn.exponents) > 1
 
@@ -384,6 +422,7 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
     eta = 1.0
     steps = 0
     stop = "budget"
+    rel = []  # the relative Riesz gradient of each iteration
     for it in range(1, max_iter + 1):
         if it % _REARRANGE_EVERY == 0:
             cand = schwarz_rearrange(fn.grid, np.abs(v))
@@ -394,8 +433,13 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
                 history.append(level)
         g = fn.riesz_gradient(v, qv)
         gnorm_sq = metric_pair(fn.metric, g, g)
-        if math.sqrt(max(gnorm_sq, 0.0)) < tol * max(fn.metric_norm(v), 1e-30):
+        gnorm, vnorm = math.sqrt(max(gnorm_sq, 0.0)), max(fn.metric_norm(v), 1e-30)
+        if gnorm < tol * vnorm:
             stop = "gradient_tol"
+            break
+        rel.append(gnorm / vnorm)
+        if len(rel) > _STALL_WINDOW and 0.5 * rel[-1 - _STALL_WINDOW] < rel[-1] < stall:
+            stop = "stalled"
             break
         for _ in range(40):
             cand = np.abs(v - eta * g)
@@ -421,24 +465,27 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
 def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
                     polish_rtol: float) -> tuple[np.ndarray, list, dict]:
     """_nehari_descent from v0 to relative gradient max(tol, _HANDOFF_RTOL),
-    then _newton_polish to polish_rtol max(|v|_lambda, 1).  The polished w
+    or until it stalls below 10 _HANDOFF_RTOL ("stalled"), then
+    _newton_polish to polish_rtol max(|v|_lambda, 1).  The polished w
     is kept if its residual is within Newton's round-off zone (relative
     max(polish_rtol, _NEWTON_FLOOR): a longer descent gets no lower), J(w)
     <= the hand-off ray level (1 + 1e-12) and w >= -_SIGN_TOL max|w|.
-    Otherwise the descent resumes from the hand-off iterate to tol on what
-    is left of max_iter, and the polish runs again.  Returns (point,
-    history, stops): the ray maxima of the descent, then J(point); the
-    step counts, the descent's stop and whether it resumed, as
-    SolveReport's fields."""
+    Otherwise, after either hand-off, the descent resumes from the
+    hand-off iterate to tol on what is left of max_iter, with no stall
+    exit, and the polish runs again.  _HANDOFF_RTOL = 0 turns both
+    hand-offs off: the descent runs to tol or to its budget.  Returns
+    (point, history, stops): the ray maxima of the descent, then
+    J(point); the step counts, the descent's stop and whether it resumed,
+    as SolveReport's fields."""
     v, descent_steps, history, stop = _nehari_descent(
-        fn, v0, max(tol, _HANDOFF_RTOL), max_iter)
+        fn, v0, max(tol, _HANDOFF_RTOL), max_iter, 10.0 * _HANDOFF_RTOL)
 
     def polish(v):
         return _newton_polish(fn, v, tol=polish_rtol * max(fn.metric_norm(v), 1.0))
 
     w, newton_steps, res = polish(v)
     zone = max(polish_rtol, _NEWTON_FLOOR) * max(fn.metric_norm(w), 1.0)
-    resumed = stop == "gradient_tol" and tol < _HANDOFF_RTOL and not (
+    resumed = stop in ("gradient_tol", "stalled") and tol < _HANDOFF_RTOL and not (
         res < zone and fn.value(w) <= history[-1] * (1.0 + 1e-12)
         and np.all(w >= -_SIGN_TOL * np.abs(w).max()))
     if resumed:
@@ -586,7 +633,7 @@ def mountain_pass_geometry(spec: ProblemSpec, forms: QuadraticForms) -> tuple[fl
     and C2.  NumericalError if a constant over- or underflows (an
     underflowed C1 is not an absent term) or the peak is not finite.
     """
-    local = _Functional(forms, spec.lam, 0.0, [spec.p + 1.0])
+    local = _Functional(forms, spec.lam, None, [spec.p + 1.0])
     s_crit = estimate_critical_constant(local, spec.critical_exponent)
     s_sub = estimate_subcritical_constant(local)
     two_star = spec.critical_exponent
@@ -651,8 +698,8 @@ def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
     failure of a solve.  The mountain-pass level of J is its Nehari level
     (module docstring), so the solve is solve_subcritical's on J
     (_critical_point): descent from the seed, Newton from relative gradient
-    _HANDOFF_RTOL, the descent resumed only if Newton fails; at most
-    max_iter descent steps.
+    _HANDOFF_RTOL or from a stalled descent below ten times that, the
+    descent resumed only if Newton fails; at most max_iter descent steps.
     The descent rejects steps that would concentrate the critical integral
     below the mesh scale: the lumped quadrature understates the critical
     norm of sub-grid spikes, and chasing them would produce a spurious

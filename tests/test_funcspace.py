@@ -319,6 +319,48 @@ def test_dirichlet_matches_continuum(setup3):
         GAUSS_DIRICHLET, rel=5e-3)
 
 
+def _dirichlet_eigenvalues(dim, r_max, k=5):
+    """The k lowest radial Dirichlet eigenvalues of -Delta on the
+    hyperbolic ball of radius r_max: 1 + (j pi / L)^2 for N = 3, and
+    xi_j^2 + 4 with tan(xi L) = xi tanh L for N = 5."""
+    from scipy.optimize import brentq
+
+    j = np.arange(1, k + 1)
+    if dim == 3:
+        return 1.0 + (j * math.pi / r_max) ** 2
+    slope = math.tanh(r_max) / r_max  # tan x = x tanh(L) / L in x = xi L
+    roots = [brentq(lambda x: math.tan(x) - slope * x, (i - 0.5) * math.pi + 1e-12,
+                    (i + 0.5) * math.pi - 1e-12) for i in j]
+    return (np.array(roots) / r_max) ** 2 + 4.0
+
+
+# (N, n): the largest relative eigenvalue error measured when this check
+# was added (ratchet bounds: refinement may lower them, nothing may raise them)
+_EIGENVALUE_ERRORS = {(3, 400): 2.44e-3, (3, 800): 6.00e-4,
+                      (5, 400): 1.90e-3, (5, 800): 4.68e-4}
+
+
+@pytest.mark.parametrize("dim, r_max", [(3, 20.0), (5, 12.0)])
+def test_local_operator_matches_closed_form_spectrum(dim, r_max):
+    # A = M^-1/2 K M^-1/2 on the free nodes (K the stiffness, M the lumped
+    # mass, the last node pinned): its five lowest eigenvalues sit below the
+    # closed forms, within the ratchet bounds, and converge at order 2
+    from scipy.linalg import eigh_tridiagonal
+
+    exact = _dirichlet_eigenvalues(dim, r_max)
+    errors = {}
+    for n in (400, 800):
+        grid = make_grid(dim, r_max, n)
+        c, w = assemble_local_forms(grid), grid.weights[:-1]
+        diag = (np.concatenate(([0.0], c[:-1])) + c) / w
+        off = -c[:-1] / np.sqrt(w[:-1] * w[1:])
+        mu = eigh_tridiagonal(diag, off, select="i", select_range=(0, 4), eigvals_only=True)
+        errors[n] = mu / exact - 1.0
+        assert np.all(errors[n] < 0.0)
+        assert np.all(errors[n] >= -_EIGENVALUE_ERRORS[dim, n])
+    assert np.all(np.log2(errors[400] / errors[800]) >= 1.9)
+
+
 def test_rearrange_identity_on_decreasing(setup3):
     grid, _ = setup3
     v = np.exp(-grid.nodes)

@@ -8,6 +8,7 @@ import pytest
 from hypfrac import solver
 from hypfrac.errors import DomainError, NumericalError, ThresholdNotMetError
 from hypfrac.funcspace import QuadraticForms, lp_norm, metric_pair, norm_lambda_sq
+from hypfrac.pipeline import build_forms
 from hypfrac.solver import (ProblemSpec, _functional_for, _Functional,
                             _nehari_descent, _newton_polish, _ray_max,
                             _ray_peak, _threshold, check_threshold,
@@ -164,13 +165,91 @@ def test_newton_polish_floor_rule_spares_slow_steps_above_it(critical_report,
 @pytest.mark.parametrize("setup", ["setup3", "setup5"])
 def test_functional_quad_is_metric_plus_nonlocal(request, setup):
     # built in place on one copy of the nonlocal form, bit-identical to the
-    # dense sum of the three metric diagonals and the nonlocal form
+    # dense sum of the three metric diagonals and the nonlocal form; a local
+    # functional applies the same metric from its bands, to round-off
     grid, forms = request.getfixturevalue(setup)
     metric = forms.lambda_metric(0.5)[0]
     dense = np.diag(metric[1]) + np.diag(metric[0, 1:], 1) + np.diag(metric[0, 1:], -1)
-    for nonlocal_mat in (forms.nonlocal_mat, 0.0):
-        fn = _Functional(forms, 0.5, nonlocal_mat, [4.0])
-        assert np.array_equal(fn.quad, dense + nonlocal_mat)
+    fn = _Functional(forms, 0.5, forms.nonlocal_mat, [4.0])
+    assert np.array_equal(fn.quad, dense + forms.nonlocal_mat)
+    local = _Functional(forms, 0.5, None, [4.0])
+    assert local.quad is None
+    for v in random_smooth_profiles(grid, 3, seed=41):
+        bound = 4.0 * np.finfo(float).eps * (np.abs(dense) @ np.abs(v))
+        assert np.all(np.abs(local.apply(v) - dense @ v) <= bound)
+        assert local.quad_form(v) == pytest.approx(v @ dense @ v, rel=1e-13)
+
+
+def test_local_functional_holds_no_square_array(setup5):
+    # the mountain-pass envelope's functional keeps the metric's bands and
+    # vectors only: nothing of n x n size
+    grid, forms = setup5
+    local = _Functional(forms, 1.0, None, [3.0])
+    arrays = [a for a in vars(local).values() if isinstance(a, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) <= 2 * grid.n
+
+
+def _numpy_step(fn, v, r):
+    # numpy's dense solve of fn's Jacobi-scaled Hessian on the free nodes,
+    # scaled from a fresh hessian() copy in the polish's order of operations
+    h = fn.hessian(v)[:-1, :-1]
+    d = np.sqrt(np.abs(np.diag(h)))
+    d[d == 0.0] = 1.0
+    return np.linalg.solve(h / d[:, None] / d, r / d) / d
+
+
+def test_local_newton_step_matches_numpy(setup5):
+    # the tridiagonal step of the envelope's local functional against
+    # numpy's solve of the same scaled Hessian, held densely by a twin with
+    # a zero nonlocal form, for the twin's residual: at the Gaussian seed
+    # (a definite Hessian) and at the local ground state (one negative
+    # eigenvalue)
+    grid, forms = setup5
+    local = _Functional(forms, 1.0, None, [3.0])
+    twin = _Functional(forms, 1.0, np.zeros((grid.n, grid.n)), [3.0])
+    seed = solver._gaussian(grid)
+    ground = solver._critical_point(local, seed, 1e-8, 400, 1e-12)[0]
+    for v, index in ((seed, 0), (ground, 1)):
+        assert morse_index(twin, v)[0] == index
+        r = twin.residual_vec(v)[:-1]
+        want = _numpy_step(twin, v, r)
+        assert np.abs(local.newton_step(v, r) - want).max() <= 1e-12 * np.abs(want).max()
+        # the twin's own dense step, scaled into a buffer as the polish
+        # keeps it, is the fresh copy's bit for bit
+        assert np.array_equal(twin.newton_step(v, r, np.empty((grid.n - 1,) * 2)), want)
+
+
+def test_tridiag_solve_pivots_by_row_swaps():
+    # a zero diagonal has no first pivot without a row swap, and the mixed
+    # system's small diagonal entries against a large off-diagonal force
+    # swaps further down; a singular system raises
+    from hypfrac.funcspace import tridiag_solve
+
+    rng = np.random.default_rng(7)
+    cases = [(np.zeros(6), np.ones(5)),
+             (rng.normal(size=10) * np.tile([1e-3, 1.0], 5), rng.normal(size=9) * 10.0)]
+    for diag, off in cases:
+        t = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        b = rng.normal(size=diag.size)
+        want = np.linalg.solve(t, b)
+        assert np.abs(tridiag_solve(diag, off, b) - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ZeroDivisionError):
+        tridiag_solve(np.zeros(5), np.ones(4), np.ones(5))
+
+
+def test_demo_critical_solve_budget(setup5, monkeypatch):
+    # cost guard: the envelope's Newton steps are tridiagonal (no dense
+    # solve in mountain_pass_geometry), a creeping descent is handed to
+    # Newton, and a warm demo_critical solve makes at most 7 dense solves
+    _, forms = setup5
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    counts = {}
+    _counting(monkeypatch, np.linalg, "solve", counts)
+    mountain_pass_geometry(spec, forms)
+    assert counts == {}
+    report = solve_critical(spec, forms)
+    assert counts["solve"] <= 7
+    assert report.descent_steps <= 10
 
 
 def test_energy_J_ray_unbounded_below(setup5):
@@ -329,16 +408,32 @@ def _full_descent(spec, setup, monkeypatch):
 SPEC5_LAM3 = ProblemSpec(N=5, s=0.5, lam=3.0, p=2.0, mode="critical_perturbed")
 
 
-@pytest.mark.parametrize("spec, setup", [
-    (ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed"), "setup5"),
-    (SPEC5_LAM3, "setup5"),
-    (SPEC3, "setup3"),
-], ids=["demo_critical", "lambda3", "demo_subcritical"])
-def test_handoff_matches_full_descent(request, monkeypatch, spec, setup):
-    # Newton from the hand-off iterate lands on the point the full descent
-    # and its polish reach: demo_critical, lambda = 3, demo_subcritical
-    setup = request.getfixturevalue(setup)
+@pytest.fixture(scope="module")
+def forms_at(cache_dir):
+    """(grid, forms) at (N, s) on 400 nodes, R_max 12 for N = 5 and 20
+    otherwise, as the demo configs and perfbench's even-n4 build them."""
+    return lambda N, s: build_forms(N, s, r_max=12.0 if N == 5 else 20.0, n=400,
+                                    cache_dir=cache_dir)
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed"),
+    SPEC5_LAM3,
+    SPEC3,
+    ProblemSpec(N=4, s=0.5, lam=0.0, p=2.0),
+    dataclasses.replace(SPEC3, s=0.25),
+    dataclasses.replace(SPEC3, s=0.75),
+    ProblemSpec(N=5, s=0.5, lam=0.9 * 4.0, p=2.0, mode="critical_perturbed"),
+], ids=["demo_critical", "lambda3", "demo_subcritical", "even_n4", "n3_s0.25", "n3_s0.75",
+        "n5_lambda3.6"])
+def test_handoff_matches_full_descent(forms_at, monkeypatch, spec):
+    # Newton from the hand-off iterate, whether the descent met the hand-off
+    # tolerance or stalled above it, lands on the point the full descent
+    # and its polish reach; the full descent (_HANDOFF_RTOL = 0) never
+    # takes the stall exit
+    setup = forms_at(spec.N, spec.s)
     full = _full_descent(spec, setup, monkeypatch)
+    assert full.descent_stop in ("gradient_tol", "budget")
     handoff = _solve_at(spec, setup)
     assert handoff.converged and not handoff.descent_resumed
     assert handoff.descent_steps < full.descent_steps
@@ -358,6 +453,30 @@ def test_handoff_fallback_resumes_descent(setup5, monkeypatch):
     assert report.descent_steps <= 400
     assert report.converged
     assert report.mp_level_m == pytest.approx(full.mp_level_m, rel=1e-10)
+
+
+def test_stalled_handoff_resumes_like_gradient_tol(critical_report, setup5, monkeypatch):
+    # demo_critical's descent stalls above the hand-off tolerance; a polish
+    # that fails its guard from there resumes the descent as after a
+    # gradient_tol hand-off, and the resumed descent has no stall exit
+    _, forms = setup5
+    spec, seed, _ = critical_report
+    fn = _functional_for(spec, forms)
+    stops, polish, descent = [], solver._newton_polish, solver._nehari_descent
+
+    def recorded(*args, **kwargs):
+        out = descent(*args, **kwargs)
+        stops.append(out[3])
+        return out
+
+    def first_fails(fn, v, tol):
+        return (v, 0, math.inf) if len(stops) == 1 else polish(fn, v, tol)
+
+    monkeypatch.setattr(solver, "_nehari_descent", recorded)
+    monkeypatch.setattr(solver, "_newton_polish", first_fails)
+    _, _, info = solver._critical_point(fn, seed, 1e-6, 400, 1e-12)
+    assert stops[0] == "stalled" and info["descent_resumed"]
+    assert stops[1] in ("gradient_tol", "budget") and info["descent_stop"] == stops[1]
 
 
 def test_morse_index_counts_descent_directions(subcritical_report, critical_report,
@@ -494,7 +613,7 @@ def test_mountain_pass_radius_is_the_shared_ray_root(setup5):
     grid, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
     beta, radius = mountain_pass_geometry(spec, forms)
-    local = _Functional(forms, spec.lam, 0.0, [spec.p + 1.0])
+    local = _Functional(forms, spec.lam, None, [spec.p + 1.0])
     two_star = spec.critical_exponent
     c1 = estimate_critical_constant(local, two_star) ** (-two_star / 2.0)
     c2 = estimate_subcritical_constant(local) ** (-(spec.p + 1.0) / 2.0)
