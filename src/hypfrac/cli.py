@@ -7,11 +7,9 @@ converge; 4 energy-threshold failure in critical mode
 (ThresholdNotMetError).  The commands return 0, 1 or a solve's verdict
 and raise everything else; main alone maps those errors to their exit
 codes and messages, and the config parse alone prints its own, "config
-error: ...", with exit code 2.  Reports are deterministic for
-a fixed config at a fixed BLAS thread count (timestamps go to a separate
-metadata file), so repeated runs are byte-identical and diff-able; the
-Newton polish's dense solve rounds differently at another thread count,
-which moves the last digits.
+error: ...", with exit code 2.  Reports are deterministic for a fixed
+config, at any BLAS thread count (timestamps go to a separate metadata
+file), so repeated runs are byte-identical and diff-able.
 """
 
 from __future__ import annotations

@@ -29,9 +29,7 @@ bands, is then positive definite for lambda below the discrete spectral
 bottom, which a coarse grid puts under (N-1)^2/4 (N = 3, 64 nodes: 0.954),
 so lambda_metric checks it by the L D L^T factorization (metric_factor),
 once per lambda, and hands out the bands with that factor, which the
-solvers solve with (metric_solve).  A local functional's Newton system is
-tridiagonal but indefinite; tridiag_solve, a pivoting elimination, solves
-it.
+solvers solve with (metric_solve).
 
 A profile is a plain array of node values on the grid its forms hold
 (forms.grid).  lp_norm and schwarz_rearrange take the grid with it and
@@ -251,32 +249,6 @@ def metric_solve(factor: tuple[list, list], b: np.ndarray) -> np.ndarray:
     for i in range(len(x) - 2, -1, -1):
         x[i] = prev = x[i] / d[i] - prev * lower[i]
     return np.array(x)
-
-
-def tridiag_solve(diag: np.ndarray, off: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution x of T x = b for the symmetric tridiagonal T with
-    diagonal diag and off-diagonal off, definite or not: the steps of
-    LAPACK's dgtsv, Gaussian elimination with partial pivoting by row
-    interchanges.  Its sub- and superdiagonal start as copies of off; a
-    row swap fills the second superdiagonal, which the subdiagonal's list
-    takes over.  Loops over Python floats, as metric_factor does;
-    ZeroDivisionError at a zero pivot, where dgtsv returns info > 0."""
-    dl, d, du, x = off.tolist() + [0.0], diag.tolist(), off.tolist() + [0.0], b.tolist()
-    for i in range(len(d) - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            x[i + 1] -= fact * x[i]
-            dl[i] = 0.0
-        else:  # swap rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
-            dl[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
-            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
-    x += [0.0, 0.0]
-    for i in range(len(d) - 1, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
-    return np.array(x[:-2])
 
 
 def _sqrt_weight_f2(t, s):

@@ -29,15 +29,16 @@ maxima of the descent, the seed search and check_threshold (_ray_max),
 and the mountain-pass envelope of mountain_pass_geometry.  It is Newton's
 iteration in log z from the smallest one-term root, monotone since f(t)/t
 is increasing, and a non-finite coefficient or root is a NumericalError,
-never a zero ray.  Every linear solve is numpy's, the factored lambda
-metric's (funcspace.metric_solve) or, for the Newton step of a local
-functional, whose Hessian is tridiagonal, funcspace.tridiag_solve's; the
-package imports no scipy at all.  The polish is plain damped Newton: it
-stops at its tolerance, or at the round-off floor, and keeps the best
-iterate either way.  The floor is reached when the line search can no
-longer lower the residual, or when an accepted step fails to halve a
-residual already below sqrt(eps) max(|v|_lambda, 1); a tolerance below
-the floor then costs no further solves.
+never a zero ray.  Every linear solve is the factored lambda metric's
+(funcspace.metric_solve): the Riesz maps directly, and the Newton steps
+of every functional as the preconditioner of MINRES (_minres) on the
+free-node Hessian, which needs only products with it; no solve factors a
+dense matrix, and the package imports no scipy at all.  The polish is
+plain damped Newton: it stops at its tolerance, or at the round-off
+floor, and keeps the best iterate either way.  The floor is reached when
+the line search can no longer lower the residual, or when an accepted
+step fails to halve a residual already below sqrt(eps) max(|v|_lambda,
+1); a tolerance below the floor then costs no further steps.
 
 Each energy functional -- I_lambda, and J_lambda with its critical power
 term -- is one _Functional, built once per (spec, forms) by
@@ -63,7 +64,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ThresholdNotMetError
 from .funcspace import (QuadraticForms, metric_pair, metric_solve, norm_lambda_sq,
-                        schwarz_rearrange, seminorm_s_sq, tridiag_solve)
+                        schwarz_rearrange, seminorm_s_sq)
 
 _REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
@@ -77,6 +78,9 @@ _NEWTON_MAX_ITER = 60
 # relative residual (to max(|v|_lambda, 1)) below which a Newton step that
 # does not halve the residual ends the polish: the round-off floor zone
 _NEWTON_FLOOR = math.sqrt(np.finfo(float).eps)
+# relative residual, in the inverse metric norm, at which MINRES ends a
+# Newton step
+_MINRES_RTOL = 1e-6
 # leading nodes whose share of a power integral origin_mass_share reports
 _ORIGIN_NODES = 6
 # relative size below which weak_max_check treats the negative part as zero
@@ -166,40 +170,33 @@ class _Functional:
 
     value(v) = 1/2 v^T A v - sum_t (1/e_t) integral |v|^{e_t};
     the gradient and Hessian are exact on the nodal quadrature.  A is the
-    banded lambda metric plus nonlocal_mat.  With an n x n nonlocal_mat A
-    is one dense array (quad), built in place; a local functional
-    (nonlocal_mat None) has quad None and applies A as the metric's bands,
-    so it holds no n x n array.  Every Riesz solve uses the factor the
-    forms return with the metric's bands.
+    banded lambda metric plus nonlocal_mat, held as those parts: the
+    metric's bands with the factor the forms return with them, and a
+    reference to nonlocal_mat, None for a local functional.  No functional
+    holds an n x n array of its own.
     """
 
     def __init__(self, forms: QuadraticForms, lam: float, nonlocal_mat, exponents):
-        grid = self.grid = forms.grid
-        self.weights = grid.weights
+        self.grid = forms.grid
+        self.weights = forms.grid.weights
         self.metric, self.factor = forms.lambda_metric(lam)
-        self.quad = None
-        if nonlocal_mat is not None:
-            i = np.arange(grid.n)
-            self.quad = nonlocal_mat.copy()
-            self.quad[i, i] += self.metric[1]
-            self.quad[i[:-1], i[1:]] += self.metric[0, 1:]
-            self.quad[i[1:], i[:-1]] += self.metric[0, 1:]
+        self.nonlocal_mat = nonlocal_mat
         self.exponents = tuple(exponents)
 
     def power_integral(self, v, e) -> float:
         return float(np.sum(self.weights * np.abs(v) ** e))
 
     def apply(self, v) -> np.ndarray:
-        """A v; a local functional's from the metric's bands."""
-        if self.quad is not None:
-            return self.quad @ v
+        """A v: the metric's bands, plus nonlocal_mat v if there is one."""
         out = self.metric[1] * v
         out[:-1] += self.metric[0, 1:] * v[1:]
         out[1:] += self.metric[0, 1:] * v[:-1]
+        if self.nonlocal_mat is not None:
+            out += self.nonlocal_mat @ v
         return out
 
     def quad_form(self, v) -> float:
-        return float(v @ self.apply(v)) if self.quad is None else float(v @ self.quad @ v)
+        return float(v @ self.apply(v))
 
     def value(self, v) -> float:
         out = 0.5 * self.quad_form(v)
@@ -230,31 +227,22 @@ class _Functional:
         return sum((e - 1.0) * self.weights * np.abs(v) ** (e - 2.0) for e in self.exponents)
 
     def hessian(self, v) -> np.ndarray:
-        """The Hessian at v as a fresh dense array; dense functionals only."""
-        h = self.quad.copy()
-        h[np.diag_indices_from(h)] -= self.curvature(v)
-        return h
+        """The Hessian at v as a fresh dense array, for verify.morse_index."""
+        m = self.metric
+        h = np.diag(m[1] - self.curvature(v)) + np.diag(m[0, 1:], 1) + np.diag(m[0, 1:], -1)
+        return h if self.nonlocal_mat is None else h + self.nonlocal_mat
 
-    def newton_step(self, v, r, buf=None) -> np.ndarray:
-        """H^-1 r on the free nodes, H the Hessian at v, solved with
-        symmetric Jacobi scaling D^-1 H D^-1, d = sqrt|diag H| (zeros
-        replaced by 1): the stiffness diagonal spans many orders of
-        magnitude across the exponentially weighted grid, and raw solves
-        would look singular.  A dense functional scales H into buf, an
-        (n-1) x (n-1) array the caller keeps across steps (a fresh one if
-        None), for numpy's solve; a local one's H is tridiagonal, and
-        funcspace.tridiag_solve solves it in O(n).  LinAlgError or
-        ZeroDivisionError if the scaled system is singular."""
-        hd = (self.metric[1] if self.quad is None else self.quad.diagonal())[:-1]
-        hd = hd - self.curvature(v)[:-1]
-        d = np.sqrt(np.abs(hd)) + (hd == 0.0)
-        if self.quad is None:
-            off = self.metric[0, 1:-1] / d[:-1] / d[1:]
-            return tridiag_solve(hd / d / d, off, r / d) / d
-        buf = np.divide(self.quad[:-1, :-1], d[:, None], out=buf)
-        buf /= d
-        np.fill_diagonal(buf, hd / d / d)
-        return np.linalg.solve(buf, r / d) / d
+    def newton_step(self, v, r) -> np.ndarray:
+        """H^-1 r on the free nodes, H the Hessian at v, by _minres to
+        relative residual _MINRES_RTOL, preconditioned by the lambda
+        metric's factor; H enters only as products A x - curvature(v) x,
+        so the step costs what A's products cost."""
+        curv = self.curvature(v)[:-1]
+
+        def hess(x):
+            return self.apply(np.append(x, 0.0))[:-1] - curv * x
+
+        return _minres(hess, lambda b: metric_solve(self.factor, b), r, _MINRES_RTOL)[0]
 
     def riesz_gradient(self, v, qv) -> np.ndarray:
         """Riesz representative of the residual at v, given qv = A v."""
@@ -343,32 +331,63 @@ def _ray_max(fn: _Functional, v: np.ndarray) -> tuple[float, float, np.ndarray]:
     return level, z, qv
 
 
+def _minres(apply, precond, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """(x, iterations): MINRES for the symmetric, possibly indefinite
+    system apply(x) = b, preconditioned by the symmetric positive definite
+    precond (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975).  It
+    minimises the residual in the precond norm over the Krylov space and
+    stops once that norm is below rtol times b's, after b.size iterations,
+    or at a breakdown (the projected system singular), returning its
+    iterate; a zero b gives zeros in 0 iterations."""
+    x = np.zeros_like(b)
+    y = precond(b)
+    beta1 = beta = math.sqrt(max(float(b @ y), 0.0))
+    phibar, old_beta, cs, sn, dbar, eps = beta1, 0.0, -1.0, 0.0, 0.0, 0.0
+    r1 = r2 = b
+    w = w2 = np.zeros_like(b)
+    its = 0
+    while phibar > rtol * beta1 and its < b.size:
+        its += 1
+        v = y / beta
+        y = apply(v)
+        if its > 1:
+            y -= (beta / old_beta) * r1
+        alpha = float(v @ y)
+        y -= (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        old_beta, beta = beta, math.sqrt(max(float(r2 @ y), 0.0))
+        old_eps, delta = eps, cs * dbar + sn * alpha
+        gbar, eps, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if gamma == 0.0:
+            break
+        cs, sn = gbar / gamma, beta / gamma
+        w, w2 = (v - old_eps * w2 - delta * w) / gamma, w
+        x += cs * phibar * w
+        phibar *= sn
+    return x, its
+
+
 def _newton_polish(fn: _Functional, v0: np.ndarray,
                    tol: float) -> tuple[np.ndarray, int, float]:
     """Damped Newton on the Euler-Lagrange system, merit = residual norm.
 
-    Each step is fn.newton_step, the Jacobi-scaled Newton system on the
-    free nodes: numpy's dense solve of a dense functional's Hessian,
-    scaled into one buffer for the whole polish, or the O(n) tridiagonal
-    solve of a local functional's.  Stops when the residual is below tol,
-    when the scaled system is singular, or at the round-off floor: when
-    the Armijo line search can no longer lower the residual, or after an
-    accepted step that did not halve it once it is below _NEWTON_FLOOR
-    max(|v|_lambda, 1) (past that point backtracked steps only crawl along
-    the floor, a solve each).  Only improving steps are taken, so the
-    returned iterate is the best one seen.  Returns (iterate, Newton steps
-    taken, its residual norm).
+    Each step is fn.newton_step, MINRES on the Newton system on the free
+    nodes, preconditioned by the lambda metric.  Stops when the residual is
+    below tol, or at the round-off floor: when the Armijo line search can
+    no longer lower the residual, or after an accepted step that did not
+    halve it once it is below _NEWTON_FLOOR max(|v|_lambda, 1) (past that
+    point backtracked steps only crawl along the floor, a step each).  Only
+    improving steps are taken, so the returned iterate is the best one
+    seen.  Returns (iterate, Newton steps taken, its residual norm).
     """
     v = v0.copy()
     v[-1] = 0.0
     res = fn.residual_norm(v)
     steps = 0
-    buf = None if fn.quad is None else np.empty((v.size - 1, v.size - 1))
     while steps < _NEWTON_MAX_ITER and res >= tol:
-        try:
-            step = fn.newton_step(v, fn.residual_vec(v)[:-1], buf)
-        except (np.linalg.LinAlgError, ZeroDivisionError):
-            break
+        step = fn.newton_step(v, fn.residual_vec(v)[:-1])
         for k in range(40):
             alpha = 0.5 ** k
             cand = v.copy()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import hypfrac
 
-CODE_LINE_BOUND = 1880
+CODE_LINE_BOUND = 1877
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}

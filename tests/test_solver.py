@@ -76,7 +76,7 @@ def test_gradient_matches_directional_derivative(setup3):
         u = profiles[k]
         v = profiles[k + 1]
         v = v / np.sqrt(norm_lambda_sq(v, 0.0, forms))
-        g = fn.riesz_gradient(u, fn.quad @ u)
+        g = fn.riesz_gradient(u, fn.apply(u))
         pairing = metric_pair(forms.lambda_metric(0.0)[0], g, v)
         fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
         assert pairing == pytest.approx(fd, rel=1e-5)
@@ -86,7 +86,7 @@ def test_gradient_zero_at_zero(setup3):
     grid, forms = setup3
     fn = _functional_for(SPEC3, forms)
     zero = np.zeros(grid.n)
-    assert np.all(fn.riesz_gradient(zero, fn.quad @ zero) == 0.0)
+    assert np.all(fn.riesz_gradient(zero, fn.apply(zero)) == 0.0)
 
 
 def test_nehari_scale_properties(setup3):
@@ -164,92 +164,138 @@ def test_newton_polish_floor_rule_spares_slow_steps_above_it(critical_report,
 
 @pytest.mark.parametrize("setup", ["setup3", "setup5"])
 def test_functional_quad_is_metric_plus_nonlocal(request, setup):
-    # built in place on one copy of the nonlocal form, bit-identical to the
-    # dense sum of the three metric diagonals and the nonlocal form; a local
-    # functional applies the same metric from its bands, to round-off
+    # each functional applies the metric from its bands, plus the nonlocal
+    # form if it has one: to round-off, the product with the dense sum of
+    # the three metric diagonals plus the nonlocal form's, or the first alone
     grid, forms = request.getfixturevalue(setup)
     metric = forms.lambda_metric(0.5)[0]
     dense = np.diag(metric[1]) + np.diag(metric[0, 1:], 1) + np.diag(metric[0, 1:], -1)
-    fn = _Functional(forms, 0.5, forms.nonlocal_mat, [4.0])
-    assert np.array_equal(fn.quad, dense + forms.nonlocal_mat)
-    local = _Functional(forms, 0.5, None, [4.0])
-    assert local.quad is None
-    for v in random_smooth_profiles(grid, 3, seed=41):
-        bound = 4.0 * np.finfo(float).eps * (np.abs(dense) @ np.abs(v))
-        assert np.all(np.abs(local.apply(v) - dense @ v) <= bound)
-        assert local.quad_form(v) == pytest.approx(v @ dense @ v, rel=1e-13)
+    for nonlocal_mat in (forms.nonlocal_mat, None):
+        fn = _Functional(forms, 0.5, nonlocal_mat, [4.0])
+        parts = [dense] if nonlocal_mat is None else [dense, nonlocal_mat]
+        for v in random_smooth_profiles(grid, 3, seed=41):
+            want = sum(part @ v for part in parts)
+            bound = 4.0 * np.finfo(float).eps * sum(np.abs(part) @ np.abs(v) for part in parts)
+            assert np.all(np.abs(fn.apply(v) - want) <= bound)
+            assert fn.quad_form(v) == pytest.approx(v @ want, rel=1e-13)
 
 
 def test_local_functional_holds_no_square_array(setup5):
     # the mountain-pass envelope's functional keeps the metric's bands and
-    # vectors only: nothing of n x n size
+    # vectors only: nothing of n x n size; J's one n x n array is the forms'
+    # own nonlocal form, not a copy
     grid, forms = setup5
-    local = _Functional(forms, 1.0, None, [3.0])
-    arrays = [a for a in vars(local).values() if isinstance(a, np.ndarray)]
-    assert arrays and max(a.size for a in arrays) <= 2 * grid.n
+    spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
+    for fn in (_Functional(forms, 1.0, None, [3.0]), _functional_for(spec, forms)):
+        arrays = [a for a in vars(fn).values() if isinstance(a, np.ndarray)]
+        square = [a for a in arrays if a.size > 2 * grid.n]
+        assert arrays and len(square) == (fn.nonlocal_mat is not None)
+        assert all(a is forms.nonlocal_mat for a in square)
 
 
-def _numpy_step(fn, v, r):
-    # numpy's dense solve of fn's Jacobi-scaled Hessian on the free nodes,
-    # scaled from a fresh hessian() copy in the polish's order of operations
-    h = fn.hessian(v)[:-1, :-1]
-    d = np.sqrt(np.abs(np.diag(h)))
-    d[d == 0.0] = 1.0
-    return np.linalg.solve(h / d[:, None] / d, r / d) / d
+def _metric_norm_inv(fn, x):
+    # |x| in the inverse lambda metric on the free nodes, by numpy's dense solve
+    m = fn.metric
+    dense = np.diag(m[1, :-1]) + np.diag(m[0, 1:-1], 1) + np.diag(m[0, 1:-1], -1)
+    return math.sqrt(x @ np.linalg.solve(dense, x))
 
 
-def test_local_newton_step_matches_numpy(setup5):
-    # the tridiagonal step of the envelope's local functional against
-    # numpy's solve of the same scaled Hessian, held densely by a twin with
-    # a zero nonlocal form, for the twin's residual: at the Gaussian seed
-    # (a definite Hessian) and at the local ground state (one negative
-    # eigenvalue)
+@pytest.mark.parametrize("local", [False, True], ids=["J", "local"])
+def test_newton_step_meets_its_minres_tolerance(critical_report, setup5, monkeypatch, local):
+    # at the Gaussian seed (a definite Hessian) and at the critical point
+    # (one negative eigenvalue) of demo_critical's J and of the envelope's
+    # local functional, the step's true preconditioned residual, from the
+    # dense hessian(), is within twice _MINRES_RTOL of the right side's,
+    # in at most 30 MINRES iterations
     grid, forms = setup5
-    local = _Functional(forms, 1.0, None, [3.0])
-    twin = _Functional(forms, 1.0, np.zeros((grid.n, grid.n)), [3.0])
+    spec, _, report = critical_report
     seed = solver._gaussian(grid)
-    ground = solver._critical_point(local, seed, 1e-8, 400, 1e-12)[0]
-    for v, index in ((seed, 0), (ground, 1)):
-        assert morse_index(twin, v)[0] == index
-        r = twin.residual_vec(v)[:-1]
-        want = _numpy_step(twin, v, r)
-        assert np.abs(local.newton_step(v, r) - want).max() <= 1e-12 * np.abs(want).max()
-        # the twin's own dense step, scaled into a buffer as the polish
-        # keeps it, is the fresh copy's bit for bit
-        assert np.array_equal(twin.newton_step(v, r, np.empty((grid.n - 1,) * 2)), want)
+    if local:
+        fn = _Functional(forms, spec.lam, None, [spec.p + 1.0])
+        point = solver._critical_point(fn, seed, 1e-8, 400, 1e-12)[0]
+    else:
+        fn, point = _functional_for(spec, forms), report.solution
+    counts, minres = [], solver._minres
+
+    def counted(*args):
+        out = minres(*args)
+        counts.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_minres", counted)
+    for v, index in ((seed, 0), (point, 1)):
+        assert morse_index(fn, v)[0] == index
+        r = fn.residual_vec(v)[:-1]
+        step = fn.newton_step(v, r)
+        res = fn.hessian(v)[:-1, :-1] @ step - r
+        assert _metric_norm_inv(fn, res) <= 2.0 * solver._MINRES_RTOL * _metric_norm_inv(fn, r)
+        assert 0 < counts.pop() <= 30
 
 
-def test_tridiag_solve_pivots_by_row_swaps():
-    # a zero diagonal has no first pivot without a row swap, and the mixed
-    # system's small diagonal entries against a large off-diagonal force
-    # swaps further down; a singular system raises
-    from hypfrac.funcspace import tridiag_solve
-
+def test_minres_solves_a_preconditioned_indefinite_system():
+    # A = L Q diag(e) Q^T L^T with M = L L^T symmetric positive definite and
+    # e cycling through -1, 1, 2, 3: A has 8 negative eigenvalues, and the
+    # preconditioned operator has the four eigenvalues e, so MINRES with M
+    # meets numpy's solve in four iterations (it needs all 30 without M)
     rng = np.random.default_rng(7)
-    cases = [(np.zeros(6), np.ones(5)),
-             (rng.normal(size=10) * np.tile([1e-3, 1.0], 5), rng.normal(size=9) * 10.0)]
-    for diag, off in cases:
-        t = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-        b = rng.normal(size=diag.size)
-        want = np.linalg.solve(t, b)
-        assert np.abs(tridiag_solve(diag, off, b) - want).max() <= 1e-12 * np.abs(want).max()
-    with pytest.raises(ZeroDivisionError):
-        tridiag_solve(np.zeros(5), np.ones(4), np.ones(5))
+    c = rng.normal(size=(30, 30))
+    m = c @ c.T + 30.0 * np.eye(30)
+    chol = np.linalg.cholesky(m)
+    q = np.linalg.qr(rng.normal(size=(30, 30)))[0]
+    a = chol @ q @ np.diag(np.resize([-1.0, 1.0, 2.0, 3.0], 30)) @ q.T @ chol.T
+    b = rng.normal(size=30)
+    with np.errstate(all="raise"):
+        x, its = solver._minres(lambda y: a @ y, lambda y: np.linalg.solve(m, y), b, 1e-12)
+    want = np.linalg.solve(a, b)
+    assert its == 4
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_minres_returns_zeros_for_a_zero_right_side():
+    calls = []
+    x, its = solver._minres(lambda y: calls.append(y) or y, lambda y: y, np.zeros(5), 1e-6)
+    assert its == 0 and not calls
+    assert np.all(x == 0.0)
+
+
+def test_minres_returns_at_a_breakdown():
+    # b in the null space of a singular system: the first projected system
+    # is zero (gamma == 0), and MINRES returns its iterate instead of
+    # dividing by it
+    a = np.diag([1.0, 0.0, 2.0])
+    with np.errstate(all="raise"):
+        x, its = solver._minres(lambda y: a @ y, lambda y: y, np.array([0.0, 1.0, 0.0]), 1e-6)
+    assert its == 1
+    assert np.all(x == 0.0)
+
+
+_DENSE_FACTORIZATIONS = ("solve", "cholesky", "inv", "lstsq", "eigh", "eigvalsh", "qr", "svd")
+
+
+def _count_dense_factorizations(monkeypatch):
+    counts = {}
+    for name in _DENSE_FACTORIZATIONS:
+        _counting(monkeypatch, np.linalg, name, counts)
+    return counts
 
 
 def test_demo_critical_solve_budget(setup5, monkeypatch):
-    # cost guard: the envelope's Newton steps are tridiagonal (no dense
-    # solve in mountain_pass_geometry), a creeping descent is handed to
-    # Newton, and a warm demo_critical solve makes at most 7 dense solves
+    # cost guard: no dense factorization anywhere in a warm demo_critical
+    # solve, the mountain-pass envelope included (every Newton step is
+    # MINRES on products), and a creeping descent is handed to Newton
     _, forms = setup5
     spec = ProblemSpec(N=5, s=0.5, lam=1.0, p=2.0, mode="critical_perturbed")
-    counts = {}
-    _counting(monkeypatch, np.linalg, "solve", counts)
-    mountain_pass_geometry(spec, forms)
-    assert counts == {}
+    counts = _count_dense_factorizations(monkeypatch)
     report = solve_critical(spec, forms)
-    assert counts["solve"] <= 7
+    assert counts == {}
     assert report.descent_steps <= 10
+
+
+def test_demo_subcritical_solve_makes_no_dense_factorization(setup3, monkeypatch):
+    _, forms = setup3
+    counts = _count_dense_factorizations(monkeypatch)
+    assert solve_subcritical(SPEC3, forms).converged
+    assert counts == {}
 
 
 def test_energy_J_ray_unbounded_below(setup5):
@@ -273,7 +319,7 @@ def test_gradient_J_finite_difference(setup5):
     u = profiles[0]
     v = profiles[1] / np.sqrt(norm_lambda_sq(profiles[1], spec.lam, forms))
     pairing = metric_pair(forms.lambda_metric(spec.lam)[0],
-                          fn.riesz_gradient(u, fn.quad @ u), v)
+                          fn.riesz_gradient(u, fn.apply(u)), v)
     h = 1e-5
     fd = (fn.value(u + h * v) - fn.value(u - h * v)) / (2 * h)
     assert pairing == pytest.approx(fd, rel=1e-5)
