@@ -1,16 +1,14 @@
 """Ground states and mountain-pass solutions of the mixed problem.
 
 Both modes find their critical point one way (_critical_point): a
-projected gradient descent of the ray maximum (absolute value, periodic
-decreasing rearrangement, ray re-projection after every step) drives the
-iterate into the basin (relative gradient _HANDOFF_RTOL, or below ten
-times that once the descent stalls: its relative gradient has not halved
-over _STALL_WINDOW iterations), and a Newton polish on the full
-Euler-Lagrange system finishes to near machine residual; the descent
-resumes only if the polished point fails its guard.  For I_lambda the
-ray maximum is the energy on the Nehari set, whose infimum is the
-ground-state level c*.  For J_lambda the nonlinearity
-|u|^{2*-2}u + |u|^{p-1}u has f(t)/t strictly increasing, so
+projected gradient descent of the ray maximum (absolute value and ray
+re-projection after every step) drives the iterate into the basin
+(relative Riesz gradient _HANDOFF_RTOL, the one hand-off rule), and a
+Newton polish on the full Euler-Lagrange system finishes to near machine
+residual; the descent resumes only if the polished point fails its
+guard.  For I_lambda the ray maximum is the energy on the Nehari set,
+whose infimum is the ground-state level c*.  For J_lambda the
+nonlinearity |u|^{2*-2}u + |u|^{p-1}u has f(t)/t strictly increasing, so
 each ray has one maximum and the mountain-pass level m equals the Nehari
 level inf_v max_t J(tv) (Willem, Minimax Theorems, 1996, Thm 4.2;
 Szulkin-Weth 2010); the lumped power terms stay homogeneous, so this
@@ -63,17 +61,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError, ThresholdNotMetError
-from .funcspace import (QuadraticForms, metric_pair, metric_solve, norm_lambda_sq,
-                        schwarz_rearrange, seminorm_s_sq)
+from .funcspace import QuadraticForms, metric_pair, metric_solve, norm_lambda_sq, seminorm_s_sq
 
-_REARRANGE_EVERY = 5
 _ARMIJO = 1e-4
-# relative Riesz gradient at which _critical_point hands the descent to Newton;
-# below 10 times it a descent that has not halved its relative gradient over
-# the last _STALL_WINDOW iterations is handed over as well
-_HANDOFF_RTOL = 1e-3
-_STALL_WINDOW = 5
-# guard on the _newton_polish loop; it meets tol or stalls within a few steps
+# relative Riesz gradient at which _critical_point hands the descent to Newton
+_HANDOFF_RTOL = 1e-2
+# relative residual (to max(|v|_lambda, 1)) to which _critical_point polishes;
+# at the round-off floor, so the floor rule ends most polishes before it
+_POLISH_RTOL = 1e-13
+# guard on the _newton_polish loop: in Newton's basin a polish meets tol or
+# its floor within a few steps; outside it (a descent that failed its line
+# search far from the solution) it can run to this guard
 _NEWTON_MAX_ITER = 60
 # relative residual (to max(|v|_lambda, 1)) below which a Newton step that
 # does not halve the residual ends the polish: the round-off floor zone
@@ -405,27 +403,24 @@ def _newton_polish(fn: _Functional, v0: np.ndarray,
     return v, steps, res
 
 
-def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
-                    stall: float = 0.0) -> tuple[np.ndarray, int, list, str]:
+def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float,
+                    max_iter: int) -> tuple[np.ndarray, int, list, str]:
     """Projected gradient descent of the ray maximum of fn.
 
     Every iterate is the peak of its own ray (_ray_max), so the levels in
     the returned history are ray maxima: the Nehari level for I_lambda, the
-    inf-of-ray-max level for J_lambda.  Every _REARRANGE_EVERY steps it
-    tries the decreasing rearrangement, kept if it raises the level by at
-    most 1e-12 relative.  A trial step halves eta when the projection
-    refuses it (a power integral that overflows, say), when it misses the
-    Armijo decrease, or, for J, when it concentrates the critical integral
-    below the mesh scale (origin_mass_share).  I_lambda has no such guard:
+    inf-of-ray-max level for J_lambda, one per accepted step, each below
+    the one before.  A trial step halves eta when the projection refuses
+    it (a power integral that overflows, say), when it misses the Armijo
+    decrease, or, for J, when it concentrates the critical integral below
+    the mesh scale (origin_mass_share).  I_lambda has no such guard:
     at a very negative lambda its ground state is itself a sub-grid spike,
     which the descent must reach for solve_subcritical to report it as
     unresolved.  Returns (iterate, accepted gradient steps, history, stop):
     stop is "gradient_tol" when the relative Riesz gradient fell below tol
-    (the hand-off threshold, in _critical_point's first call), "stalled"
-    when it is below stall but has not halved over the last
-    _STALL_WINDOW iterations (a creeping descent, which Newton finishes
-    sooner; stall = 0, the default, never stops), "line_search_failed"
-    when no trial step was accepted, "budget" after max_iter steps.
+    (the hand-off threshold, in _critical_point's first call),
+    "line_search_failed" when no trial step was accepted, "budget" after
+    max_iter steps.
     """
     guard_origin = len(fn.exponents) > 1
 
@@ -439,26 +434,13 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
     v, level, qv = project(v)
     history = [level]
     eta = 1.0
-    steps = 0
     stop = "budget"
-    rel = []  # the relative Riesz gradient of each iteration
-    for it in range(1, max_iter + 1):
-        if it % _REARRANGE_EVERY == 0:
-            cand = schwarz_rearrange(fn.grid, np.abs(v))
-            cand[-1] = 0.0
-            cand, level, cand_qv = project(cand)
-            if level <= history[-1] + 1e-12 * abs(history[-1]):
-                v, qv = cand, cand_qv
-                history.append(level)
+    for _ in range(max_iter):
         g = fn.riesz_gradient(v, qv)
         gnorm_sq = metric_pair(fn.metric, g, g)
         gnorm, vnorm = math.sqrt(max(gnorm_sq, 0.0)), max(fn.metric_norm(v), 1e-30)
         if gnorm < tol * vnorm:
             stop = "gradient_tol"
-            break
-        rel.append(gnorm / vnorm)
-        if len(rel) > _STALL_WINDOW and 0.5 * rel[-1 - _STALL_WINDOW] < rel[-1] < stall:
-            stop = "stalled"
             break
         for _ in range(40):
             cand = np.abs(v - eta * g)
@@ -471,40 +453,37 @@ def _nehari_descent(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
                     and not (guard_origin and origin_mass_share(fn, cand) > 0.5)):
                 v, qv = cand, cand_qv
                 history.append(level)
-                steps += 1
                 eta = min(eta * 1.5, 64.0)
                 break
             eta *= 0.5
         else:
             stop = "line_search_failed"
             break
-    return v, steps, history, stop
+    return v, len(history) - 1, history, stop
 
 
-def _critical_point(fn: _Functional, v0: np.ndarray, tol: float, max_iter: int,
-                    polish_rtol: float) -> tuple[np.ndarray, list, dict]:
+def _critical_point(fn: _Functional, v0: np.ndarray, tol: float,
+                    max_iter: int) -> tuple[np.ndarray, list, dict]:
     """_nehari_descent from v0 to relative gradient max(tol, _HANDOFF_RTOL),
-    or until it stalls below 10 _HANDOFF_RTOL ("stalled"), then
-    _newton_polish to polish_rtol max(|v|_lambda, 1).  The polished w
-    is kept if its residual is within Newton's round-off zone (relative
-    max(polish_rtol, _NEWTON_FLOOR): a longer descent gets no lower), J(w)
-    <= the hand-off ray level (1 + 1e-12) and w >= -_SIGN_TOL max|w|.
-    Otherwise, after either hand-off, the descent resumes from the
-    hand-off iterate to tol on what is left of max_iter, with no stall
-    exit, and the polish runs again.  _HANDOFF_RTOL = 0 turns both
-    hand-offs off: the descent runs to tol or to its budget.  Returns
-    (point, history, stops): the ray maxima of the descent, then
-    J(point); the step counts, the descent's stop and whether it resumed,
-    as SolveReport's fields."""
-    v, descent_steps, history, stop = _nehari_descent(
-        fn, v0, max(tol, _HANDOFF_RTOL), max_iter, 10.0 * _HANDOFF_RTOL)
+    then _newton_polish to _POLISH_RTOL max(|v|_lambda, 1).  After a
+    gradient_tol hand-off the polished w is kept if its residual is within
+    Newton's round-off zone (relative _NEWTON_FLOOR: a longer descent gets
+    no lower), J(w) <= the hand-off ray level (1 + 1e-12) and
+    w >= -_SIGN_TOL max|w|.  Otherwise the descent resumes from the
+    hand-off iterate to tol on what is left of max_iter, and the polish
+    runs again.  _HANDOFF_RTOL = 0 turns the hand-off off: the descent runs
+    to tol or to its budget.  Returns (point, history, stops): the ray
+    maxima of the descent, then J(point); the step counts, the descent's
+    stop and whether it resumed, as SolveReport's fields."""
+    v, descent_steps, history, stop = _nehari_descent(fn, v0, max(tol, _HANDOFF_RTOL),
+                                                      max_iter)
 
     def polish(v):
-        return _newton_polish(fn, v, tol=polish_rtol * max(fn.metric_norm(v), 1.0))
+        return _newton_polish(fn, v, tol=_POLISH_RTOL * max(fn.metric_norm(v), 1.0))
 
     w, newton_steps, res = polish(v)
-    zone = max(polish_rtol, _NEWTON_FLOOR) * max(fn.metric_norm(w), 1.0)
-    resumed = stop in ("gradient_tol", "stalled") and tol < _HANDOFF_RTOL and not (
+    zone = _NEWTON_FLOOR * max(fn.metric_norm(w), 1.0)
+    resumed = stop == "gradient_tol" and tol < _HANDOFF_RTOL and not (
         res < zone and fn.value(w) <= history[-1] * (1.0 + 1e-12)
         and np.all(w >= -_SIGN_TOL * np.abs(w).max()))
     if resumed:
@@ -579,7 +558,7 @@ def solve_subcritical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-
         raise DomainError("solve_subcritical needs spec.mode == 'subcritical'")
     fn = _functional_for(spec, forms)
     v0 = _gaussian(forms.grid)
-    point = _critical_point(fn, v0, tol, max_iter, 1e-13)
+    point = _critical_point(fn, v0, tol, max_iter)
     return _report(fn, spec, forms, v0, tol, point, c_star=point[1][-1],
                    mp_level_m=None, beta=None, mp_radius=None, threshold=None)
 
@@ -639,7 +618,7 @@ def estimate_subcritical_constant(fn: _Functional) -> float:
     """Best constant of the subcritical quotient of fn (its one power term
     |v|^e) via its ground state (the minimizer of the quotient itself)."""
     (e,) = fn.exponents
-    v, _, _ = _critical_point(fn, _gaussian(fn.grid), 1e-8, 400, 1e-12)
+    v, _, _ = _critical_point(fn, _gaussian(fn.grid), 1e-8, 400)
     return float(fn.quad_form(v) / fn.power_integral(v, e) ** (2.0 / e))
 
 
@@ -717,17 +696,17 @@ def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
     failure of a solve.  The mountain-pass level of J is its Nehari level
     (module docstring), so the solve is solve_subcritical's on J
     (_critical_point): descent from the seed, Newton from relative gradient
-    _HANDOFF_RTOL or from a stalled descent below ten times that, the
-    descent resumed only if Newton fails; at most max_iter descent steps.
+    _HANDOFF_RTOL, the descent resumed only if Newton fails; at most
+    max_iter descent steps.
     The descent rejects steps that would concentrate the critical integral
     below the mesh scale: the lumped quadrature understates the critical
     norm of sub-grid spikes, and chasing them would produce a spurious
     saddle the continuum problem does not have.
     beta is the mountain-pass envelope of mountain_pass_geometry, lowered
     to J where the solution ray crosses its small sphere.  energy_history
-    holds the ray maximum after each accepted descent step, then m; each
-    bounds m from above and none rises by more than the 1e-12 relative
-    the descent allows a rearrangement.
+    holds the ray maximum after each accepted descent step, each below the
+    one before, then m, which the guard on a kept polish lets exceed the
+    last ray maximum by at most 1e-12 relative.
 
     The report's converged flag needs 0 < beta <= m < threshold and then
     _verdict.
@@ -738,7 +717,7 @@ def solve_critical(spec: ProblemSpec, forms: QuadraticForms, tol: float = 1e-6,
     threshold = _threshold(fn, spec)
     v0 = search_threshold_seed(fn, threshold)
     beta_env, mp_radius = mountain_pass_geometry(spec, forms)
-    point = _critical_point(fn, v0, tol, max_iter, 1e-12)
+    point = _critical_point(fn, v0, tol, max_iter)
     v_inf, m = point[0], point[1][-1]
     u_norm = fn.metric_norm(v_inf)
     nontrivial = u_norm > 0.01 * fn.metric_norm(v0)

@@ -172,15 +172,14 @@ def test_solve_critical_resolved_configuration(tmp_path, cache_dir):
     assert report["beta"] <= report["mp_level_m"] < report["threshold"]
     assert report["c_star"] is None
     # the ray maximum per accepted descent step, then m: monotone up to the
-    # rearrangement tolerance, as in the subcritical history
+    # polish guard's 1e-12, as in the subcritical history
     levels = np.loadtxt(tmp_path / "out" / "convergence.csv", delimiter=",",
                         skiprows=1)[:, 1]
     assert np.all(np.diff(levels) <= 1e-10 * np.abs(levels[0]))
     assert levels[-1] == report["mp_level_m"]
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-    # handed to Newton once the descent stalls below 10 _HANDOFF_RTOL, well
-    # within budget
-    assert meta["descent_stop"] == "stalled"
+    # handed to Newton at the hand-off gradient, well within budget
+    assert meta["descent_stop"] == "gradient_tol"
     assert meta["descent_steps"] < 400
     assert meta["descent_resumed"] is False
     assert meta["descent_steps"] + meta["newton_steps"] == report["iterations"]

@@ -336,20 +336,21 @@ def _dirichlet_eigenvalues(dim, r_max, k=5):
 
 # (N, n): the largest relative eigenvalue error measured when this check
 # was added (ratchet bounds: refinement may lower them, nothing may raise them)
-_EIGENVALUE_ERRORS = {(3, 400): 2.44e-3, (3, 800): 6.00e-4,
-                      (5, 400): 1.90e-3, (5, 800): 4.68e-4}
+_EIGENVALUE_ERRORS = {(3, 400): 2.44e-3, (3, 800): 6.00e-4, (3, 1600): 1.51e-4,
+                      (5, 400): 1.90e-3, (5, 800): 4.68e-4, (5, 1600): 1.17e-4}
 
 
 @pytest.mark.parametrize("dim, r_max", [(3, 20.0), (5, 12.0)])
 def test_local_operator_matches_closed_form_spectrum(dim, r_max):
     # A = M^-1/2 K M^-1/2 on the free nodes (K the stiffness, M the lumped
     # mass, the last node pinned): its five lowest eigenvalues sit below the
-    # closed forms, within the ratchet bounds, and converge at order 2
+    # closed forms, within the ratchet bounds, and converge at order 2 on
+    # both doublings
     from scipy.linalg import eigh_tridiagonal
 
     exact = _dirichlet_eigenvalues(dim, r_max)
     errors = {}
-    for n in (400, 800):
+    for n in (400, 800, 1600):
         grid = make_grid(dim, r_max, n)
         c, w = assemble_local_forms(grid), grid.weights[:-1]
         diag = (np.concatenate(([0.0], c[:-1])) + c) / w
@@ -358,7 +359,8 @@ def test_local_operator_matches_closed_form_spectrum(dim, r_max):
         errors[n] = mu / exact - 1.0
         assert np.all(errors[n] < 0.0)
         assert np.all(errors[n] >= -_EIGENVALUE_ERRORS[dim, n])
-    assert np.all(np.log2(errors[400] / errors[800]) >= 1.9)
+    for n in (400, 800):
+        assert np.all(np.log2(errors[n] / errors[2 * n]) >= 1.9)
 
 
 def test_rearrange_identity_on_decreasing(setup3):
